@@ -171,6 +171,33 @@ def regular_trace_scenario(group: Group, length: Optional[int] = None) -> Action
                           term_model=term_model)
 
 
+def _amplitudes(scenario: ActionScenario, g: Element, n_max: int) -> list[complex]:
+    n = n_max if scenario.length is None else min(n_max, scenario.length)
+    return [scenario.amplitudes(i, g) for i in range(1, n + 1)]
+
+
+def deficit_terms(scenario: ActionScenario, g,
+                  n_max: int = DEFAULT_SCALAR_HORIZON) -> tuple[float, ...]:
+    """The deficits 1 - |a_i(g)| over the horizon, capped at the scenario length."""
+    return tuple(max(0.0, 1.0 - abs(complex(a)))
+                 for a in _amplitudes(scenario, scenario.group.element(g), n_max))
+
+
+def _extension(scenario: ActionScenario, g, model: Optional[TailModel],
+               n_max: int) -> tuple[Optional[tuple[float, ...]], SeriesVerdict]:
+    """Deficit terms (None at the identity, which needs none) and their verdict."""
+    group = scenario.group
+    g = group.element(g)
+    if g == group.identity:
+        return None, SeriesVerdict(PROVED_CONVERGENT, 0.0, 0, tail_bound=0.0,
+                                   tail_derivation="the identity fixes every unit vector")
+    values = _amplitudes(scenario, g, n_max)
+    if model is None and scenario.term_model is not None:
+        model = scenario.term_model(g)
+    verdict = modulus_deficit_series(values, model, n_max=len(values))
+    return tuple(max(0.0, 1.0 - abs(complex(a))) for a in values), verdict
+
+
 def extension_condition(scenario: ActionScenario, g,
                         model: Optional[TailModel] = None,
                         n_max: int = DEFAULT_SCALAR_HORIZON) -> SeriesVerdict:
@@ -180,16 +207,7 @@ def extension_condition(scenario: ActionScenario, g,
     identity is settled without touching the amplitudes: every unit vector
     reports a_i(e) = 1 exactly.
     """
-    group = scenario.group
-    g = group.element(g)
-    if g == group.identity:
-        return SeriesVerdict(PROVED_CONVERGENT, 0.0, 0, tail_bound=0.0,
-                             tail_derivation="the identity fixes every unit vector")
-    n = n_max if scenario.length is None else min(n_max, scenario.length)
-    values = [scenario.amplitudes(i, g) for i in range(1, n + 1)]
-    if model is None and scenario.term_model is not None:
-        model = scenario.term_model(g)
-    return modulus_deficit_series(values, model, n_max=n)
+    return _extension(scenario, g, model, n_max)[1]
 
 
 def trace_condition(scenario: ActionScenario, g,
@@ -202,9 +220,16 @@ def trace_condition(scenario: ActionScenario, g,
 
 @dataclass(frozen=True)
 class ActionVerdict:
+    """Aggregated extension verdict over the supplied elements.
+
+    ``deficits`` runs parallel to ``reports``: the evaluated deficit terms,
+    or None at the identity, whose verdict needs no amplitudes.
+    """
+
     status: str  # InnerCertified | OuterCertified | Inconclusive
     reports: tuple[tuple[Element, SeriesVerdict], ...]
     note: str
+    deficits: tuple[Optional[tuple[float, ...]], ...] = ()
 
 
 def inner_outer_verdict(scenario: ActionScenario, elements: Sequence,
@@ -224,12 +249,14 @@ def inner_outer_verdict(scenario: ActionScenario, elements: Sequence,
     if not keys:
         raise ValueError("need at least one group element")
     reports = []
+    deficits = []
     all_convergent = True
     divergent_witness: Optional[Element] = None
     for g in keys:
         model = models.get(g) if models else None
-        verdict = extension_condition(scenario, g, model=model, n_max=n_max)
+        terms, verdict = _extension(scenario, g, model, n_max)
         reports.append((g, verdict))
+        deficits.append(terms)
         if verdict.verdict != PROVED_CONVERGENT:
             all_convergent = False
         if (verdict.verdict == PROVED_DIVERGENT and g != group.identity
@@ -237,24 +264,22 @@ def inner_outer_verdict(scenario: ActionScenario, elements: Sequence,
             divergent_witness = g
 
     if divergent_witness is not None and scenario.kind == "trace":
-        return ActionVerdict(
-            OUTER_CERTIFIED, tuple(reports),
-            note=(f"trace deficits diverge at g = {divergent_witness}, so no "
-                  f"inner implementation exists; {SCOPE_NOTE}"))
-    if divergent_witness is not None:
-        return ActionVerdict(
-            INCONCLUSIVE, tuple(reports),
-            note=(f"the chosen product state drifts orthogonally at "
-                  f"g = {divergent_witness} and cannot implement the action; "
-                  f"outerness itself needs trace amplitudes; {SCOPE_NOTE}"))
-    if all_convergent:
-        return ActionVerdict(
-            INNER_CERTIFIED, tuple(reports),
-            note=(f"every supplied element has a summable deficit series, so "
-                  f"the product vectors absorb the action; {SCOPE_NOTE}"))
-    return ActionVerdict(
-        INCONCLUSIVE, tuple(reports),
-        note=f"at least one element resists certification; {SCOPE_NOTE}")
+        status, note = OUTER_CERTIFIED, (
+            f"trace deficits diverge at g = {divergent_witness}, so no "
+            f"inner implementation exists; {SCOPE_NOTE}")
+    elif divergent_witness is not None:
+        status, note = INCONCLUSIVE, (
+            f"the chosen product state drifts orthogonally at "
+            f"g = {divergent_witness} and cannot implement the action; "
+            f"outerness itself needs trace amplitudes; {SCOPE_NOTE}")
+    elif all_convergent:
+        status, note = INNER_CERTIFIED, (
+            f"every supplied element has a summable deficit series, so "
+            f"the product vectors absorb the action; {SCOPE_NOTE}")
+    else:
+        status, note = INCONCLUSIVE, (
+            f"at least one element resists certification; {SCOPE_NOTE}")
+    return ActionVerdict(status, tuple(reports), note, tuple(deficits))
 
 
 # ---------------------------------------------------------------------------

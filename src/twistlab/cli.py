@@ -16,8 +16,8 @@ index,term,partial_sum,bound rows; the resolved scenario rides along in a
 leading "# scenario=..." comment line.
 
 Exit codes: 0 success, 2 for invalid input (bad JSON, schema violations, cap
-or domain errors, a bad TWISTLAB_THREADS value), 1 for honest runtime
-failures such as an exhausted greedy selection scan.
+or domain errors), 1 for honest runtime failures such as an exhausted greedy
+selection scan.
 """
 
 from __future__ import annotations
@@ -26,16 +26,16 @@ import argparse
 import cmath
 import json
 import math
-import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .actions import (
     cohomological_obstruction,
+    deficit_terms,
     inner_outer_verdict,
     regular_trace_scenario,
     rep_trace_scenario,
@@ -51,12 +51,12 @@ from .cocycles import (
     TableBilinear,
     UnsupportedVariantError,
     bilinearity_residual,
-    canonicalize_phases,
     check_cocycle_identity,
     geometric_matrix_sequence,
     lift_bilinear,
     pauli_cocycle,
     pauli_sigma,
+    perturb,
     quadratic_phase,
     sample_triples,
     sign_cocycle_z2,
@@ -77,9 +77,10 @@ from .convergence import (
     power_matrix_family,
     product_diagnose,
     select_product_subsequence,
-    translation_series,
     twisted_rep_series,
 )
+# perfbench/tracer.py wraps this name where the handlers would look it up.
+from .convergence import translation_series  # noqa: F401
 from .groups import (
     FiniteAbelianGroup,
     FolnerBox,
@@ -102,11 +103,13 @@ from .reps import (
     tensor_rep,
 )
 from .series import (
+    MAJORANT,
     ExplicitModel,
     GeometricModel,
     InvalidInnerProductError,
     PowerModel,
     TailModel,
+    model_bounds,
     running_sums,
 )
 
@@ -247,6 +250,19 @@ def _as_int(value: Any, ctx: str, minimum: Optional[int] = None) -> int:
     return n
 
 
+def _nonempty_list(value: Any, ctx: str) -> Sequence:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise _schema_error(f"{ctx} must be a nonempty list")
+    return value
+
+
+def _one_key(value: Any, ctx: str, forms: str) -> tuple[str, Any]:
+    """The single (form, body) pair of a descriptor object."""
+    if not isinstance(value, dict) or len(value) != 1:
+        raise _schema_error(f"{ctx} must be an object with exactly one of: {forms}")
+    return next(iter(value.items()))
+
+
 _PI_PATTERN = re.compile(
     r"^([+-]?)(?:(\d+(?:\.\d*)?|\.\d+)\*?)?pi(?:/(\d+(?:\.\d*)?|\.\d+))?$",
     re.IGNORECASE)
@@ -383,36 +399,39 @@ def _relation_field(d: dict, ctx: str) -> str:
     return rel
 
 
-def parse_model(value: Any, ctx: str) -> TailModel:
-    """Nonnegative-term tail model: power, geometric or explicit."""
+_FAMILY_FIELDS = {"power": ("coeff", "exponent"), "geometric": ("coeff", "ratio")}
+
+
+def _family_numbers(value: Any, ctx: str, optional: Sequence[str] = ()) -> tuple[
+        str, dict, list[float]]:
+    """Family, descriptor and parsed numbers of a power / geometric / explicit family."""
     d = _model_dict(value, ctx)
     family = d.get("family")
-    if family == "power":
-        _check_keys(d, ctx, required=("coeff", "exponent", "family"),
-                    optional=("relation",))
-        coeff = parse_scalar(d["coeff"], f"{ctx}.coeff")
-        if coeff < 0:
-            raise _schema_error(f"{ctx}.coeff must be >= 0 for a term model")
-        return PowerModel(coeff, parse_scalar(d["exponent"], f"{ctx}.exponent"),
-                          _relation_field(d, ctx))
-    if family == "geometric":
-        _check_keys(d, ctx, required=("coeff", "family", "ratio"),
-                    optional=("relation",))
-        coeff = parse_scalar(d["coeff"], f"{ctx}.coeff")
-        ratio = parse_scalar(d["ratio"], f"{ctx}.ratio")
-        if coeff < 0 or ratio < 0:
-            raise _schema_error(f"{ctx}: coeff and ratio must be >= 0")
-        return GeometricModel(coeff, ratio, _relation_field(d, ctx))
     if family == "explicit":
         _check_keys(d, ctx, required=("family", "values"))
-        vals = d["values"]
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise _schema_error(f"{ctx}.values must be a nonempty list")
-        parsed = [parse_scalar(v, f"{ctx}.values[{k}]") for k, v in enumerate(vals)]
-        if any(v < 0 for v in parsed):
+        vals = _nonempty_list(d["values"], f"{ctx}.values")
+        return family, d, [parse_scalar(v, f"{ctx}.values[{k}]") for k, v in enumerate(vals)]
+    if family not in _FAMILY_FIELDS:
+        raise _schema_error(f"{ctx}.family must be power, geometric or explicit")
+    fields = _FAMILY_FIELDS[family]
+    _check_keys(d, ctx, required=fields + ("family",), optional=optional)
+    return family, d, [parse_scalar(d[k], f"{ctx}.{k}") for k in fields]
+
+
+def parse_model(value: Any, ctx: str) -> TailModel:
+    """Nonnegative-term tail model: power, geometric or explicit."""
+    family, d, nums = _family_numbers(value, ctx, optional=("relation",))
+    if family == "explicit":
+        if any(v < 0 for v in nums):
             raise _schema_error(f"{ctx}.values must be nonnegative")
-        return ExplicitModel(tuple(parsed))
-    raise _schema_error(f"{ctx}.family must be power, geometric or explicit")
+        return ExplicitModel(tuple(nums))
+    if family == "power":
+        if nums[0] < 0:
+            raise _schema_error(f"{ctx}.coeff must be >= 0 for a term model")
+        return PowerModel(*nums, _relation_field(d, ctx))
+    if nums[0] < 0 or nums[1] < 0:
+        raise _schema_error(f"{ctx}: coeff and ratio must be >= 0")
+    return GeometricModel(*nums, _relation_field(d, ctx))
 
 
 def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], float], TailModel]:
@@ -421,34 +440,21 @@ def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], float], T
     Used for angle sequences, where theta_j may be negative while every
     certified bound only consumes |theta_j|.
     """
-    d = _model_dict(value, ctx)
-    family = d.get("family")
-    if family == "power":
-        _check_keys(d, ctx, required=("coeff", "exponent", "family"))
-        c = parse_scalar(d["coeff"], f"{ctx}.coeff")
-        p = parse_scalar(d["exponent"], f"{ctx}.exponent")
-        return (lambda j: c * float(j) ** p), PowerModel(abs(c), p)
-    if family == "geometric":
-        _check_keys(d, ctx, required=("coeff", "family", "ratio"))
-        c = parse_scalar(d["coeff"], f"{ctx}.coeff")
-        r = parse_scalar(d["ratio"], f"{ctx}.ratio")
-        if r < 0:
-            raise _schema_error(f"{ctx}.ratio must be >= 0")
-        return (lambda j: c * r ** j), GeometricModel(abs(c), r)
+    family, _, nums = _family_numbers(value, ctx)
     if family == "explicit":
-        _check_keys(d, ctx, required=("family", "values"))
-        vals = d["values"]
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise _schema_error(f"{ctx}.values must be a nonempty list")
-        parsed = [parse_scalar(v, f"{ctx}.values[{k}]") for k, v in enumerate(vals)]
-        return (lambda j: parsed[j - 1]), ExplicitModel(tuple(abs(v) for v in parsed))
-    raise _schema_error(f"{ctx}.family must be power, geometric or explicit")
+        return (lambda j: nums[j - 1]), ExplicitModel(tuple(abs(v) for v in nums))
+    c, k = nums
+    if family == "power":
+        return (lambda j: c * float(j) ** k), PowerModel(abs(c), k)
+    if k < 0:
+        raise _schema_error(f"{ctx}.ratio must be >= 0")
+    return (lambda j: c * k ** j), GeometricModel(abs(c), k)
 
 
-def _model_length(model: TailModel) -> Optional[int]:
-    if isinstance(model, ExplicitModel):
-        return len(model.values)
-    return None
+def _capped_horizon(ctx: RunContext, default: int, *models: TailModel) -> int:
+    """The n_max horizon, cut to the length of every explicit model."""
+    return min([ctx.n_max(default)]
+               + [len(m.values) for m in models if isinstance(m, ExplicitModel)])
 
 
 def _sides_from_model(model: TailModel, what: str) -> Callable[[int], int]:
@@ -478,11 +484,8 @@ def parse_cocycle(value: Any, ctx: str) -> Cocycle:
     {"bilinear": D}, {"coboundary": {"epsilon": e, "group": GROUP}},
     {"perturb": {"epsilon": e, "base": DESC}}, {"product": [DESC, ...]}.
     """
-    if not isinstance(value, dict) or len(value) != 1:
-        raise _schema_error(f"{ctx} must be an object with exactly one "
-                            "of: name, trivial, matrix, bilinear, coboundary, "
-                            "perturb, product")
-    key, body = next(iter(value.items()))
+    key, body = _one_key(value, ctx, "name, trivial, matrix, bilinear, coboundary, "
+                                     "perturb, product")
     if key == "name":
         if body not in _NAMED_COCYCLES:
             raise _schema_error(f"{ctx}.name must be one of "
@@ -504,22 +507,15 @@ def parse_cocycle(value: Any, ctx: str) -> Cocycle:
         _check_keys(body, f"{ctx}.perturb", required=("base", "epsilon"))
         base = parse_cocycle(body["base"], f"{ctx}.perturb.base")
         eps = parse_scalar(body["epsilon"], f"{ctx}.perturb.epsilon")
-        rho = quadratic_phase(eps, base.group)
-        gauge = CoboundaryCocycle(base.group, rho, label=f"exp(i*{eps}*x1^2)")
-        return ProductCocycle([gauge, base])
+        return perturb(base, quadratic_phase(eps, base.group), label=f"exp(i*{eps}*x1^2)")
     if key == "product":
-        if not isinstance(body, (list, tuple)) or not body:
-            raise _schema_error(f"{ctx}.product must be a nonempty list")
         return ProductCocycle([parse_cocycle(v, f"{ctx}.product[{k}]")
-                               for k, v in enumerate(body)])
+                               for k, v in enumerate(_nonempty_list(body, f"{ctx}.product"))])
     raise _schema_error(f"{ctx}: unknown cocycle form {key!r}")
 
 
 def parse_bilinear(value: Any, ctx: str) -> Union[MatrixBilinear, TableBilinear]:
-    if not isinstance(value, dict) or len(value) != 1:
-        raise _schema_error(f"{ctx} must be an object with exactly one "
-                            "of: name, matrix, table")
-    key, body = next(iter(value.items()))
+    key, body = _one_key(value, ctx, "name, matrix, table")
     if key == "name":
         if body != "pauli":
             raise _schema_error(f"{ctx}.name must be 'pauli', got {body!r}")
@@ -537,10 +533,7 @@ def parse_bilinear(value: Any, ctx: str) -> Union[MatrixBilinear, TableBilinear]
 
 
 def parse_rep(value: Any, ctx: str) -> ProjectiveRep:
-    if not isinstance(value, dict) or len(value) != 1:
-        raise _schema_error(f"{ctx} must be an object with exactly one "
-                            "of: name, regular")
-    key, body = next(iter(value.items()))
+    key, body = _one_key(value, ctx, "name, regular")
     if key == "name":
         if body != "pauli":
             raise _schema_error(f"{ctx}.name must be 'pauli', got {body!r}")
@@ -566,20 +559,18 @@ class RunContext:
     tol: float
     horizons: dict = field(default_factory=dict)
 
+    def _horizon(self, key: str, default: int) -> int:
+        self.horizons.setdefault(key, default)
+        return _as_int(self.horizons[key], f"horizons.{key}", minimum=1)
+
     def n_max(self, default: int) -> int:
-        if "n_max" not in self.horizons:
-            self.horizons["n_max"] = default
-        return _as_int(self.horizons["n_max"], "horizons.n_max", minimum=1)
+        return self._horizon("n_max", default)
 
     def scan(self) -> int:
-        if "scan" not in self.horizons:
-            self.horizons["scan"] = DEFAULT_SCAN_HORIZON
-        return _as_int(self.horizons["scan"], "horizons.scan", minimum=1)
+        return self._horizon("scan", DEFAULT_SCAN_HORIZON)
 
     def grid_cap(self) -> int:
-        if "grid_cap" not in self.horizons:
-            self.horizons["grid_cap"] = DEFAULT_GRID_CAP
-        return _as_int(self.horizons["grid_cap"], "horizons.grid_cap", minimum=1)
+        return self._horizon("grid_cap", DEFAULT_GRID_CAP)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -676,21 +667,18 @@ def _run_folner(params: dict, ctx: RunContext) -> HandlerOutput:
     })
 
 
+_MATRIX_FAMILIES = {"geometric": ("ratio", geometric_matrix_family),
+                    "power": ("exponent", power_matrix_family)}
+
+
 def _matrix_family_from(params: dict, key: str, ctx_name: str):
-    desc = params[key]
-    d = _model_dict(desc, ctx_name)
-    family = d.get("family")
-    if family == "geometric":
-        _check_keys(d, ctx_name, required=("family", "matrix", "ratio"))
-        matrix = parse_matrix(d["matrix"], f"{ctx_name}.matrix")
-        ratio = parse_scalar(d["ratio"], f"{ctx_name}.ratio")
-        return geometric_matrix_family(matrix, ratio)
-    if family == "power":
-        _check_keys(d, ctx_name, required=("exponent", "family", "matrix"))
-        matrix = parse_matrix(d["matrix"], f"{ctx_name}.matrix")
-        exponent = parse_scalar(d["exponent"], f"{ctx_name}.exponent")
-        return power_matrix_family(matrix, exponent)
-    raise _schema_error(f"{ctx_name}.family must be geometric or power")
+    d = _model_dict(params[key], ctx_name)
+    if d.get("family") not in _MATRIX_FAMILIES:
+        raise _schema_error(f"{ctx_name}.family must be geometric or power")
+    field_name, make = _MATRIX_FAMILIES[d["family"]]
+    _check_keys(d, ctx_name, required=("family", "matrix", field_name))
+    matrix = parse_matrix(d["matrix"], f"{ctx_name}.matrix")
+    return make(matrix, parse_scalar(d[field_name], f"{ctx_name}.{field_name}"))
 
 
 def _scalar_values(params: dict, ctx: RunContext) -> tuple[
@@ -702,9 +690,7 @@ def _scalar_values(params: dict, ctx: RunContext) -> tuple[
         raise _schema_error("params needs exactly one of 'values' or 'angles'")
     model = parse_model(params["model"], "params.model") if "model" in params else None
     if has_values:
-        raw = params["values"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise _schema_error("params.values must be a nonempty list")
+        raw = _nonempty_list(params["values"], "params.values")
         vals = [parse_complex(v, f"params.values[{k}]") for k, v in enumerate(raw)]
         n = min(ctx.n_max(DEFAULT_SCALAR_HORIZON), len(vals))
         return (lambda i: vals[i - 1]), model, n
@@ -712,14 +698,9 @@ def _scalar_values(params: dict, ctx: RunContext) -> tuple[
     if model is None:
         # |1 - e^{i theta}| = 2|sin(theta/2)| <= |theta|, so the absolute
         # angle family is a certified majorant for the term series.
-        if isinstance(abs_model, PowerModel):
-            model = PowerModel(abs_model.coeff, abs_model.exponent, "majorant")
-        elif isinstance(abs_model, GeometricModel):
-            model = GeometricModel(abs_model.coeff, abs_model.ratio, "majorant")
-    n = ctx.n_max(DEFAULT_SCALAR_HORIZON)
-    length = _model_length(abs_model)
-    if length is not None:
-        n = min(n, length)
+        if abs_model.envelope is not None:
+            model = replace(abs_model, relation=MAJORANT)
+    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, abs_model)
     return (lambda i: cmath.exp(1j * theta(i))), model, n
 
 
@@ -733,19 +714,9 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
         mat_fn, mat_model = _matrix_family_from(params, "matrices", "params.matrices")
         side_model = parse_model(params["sides"], "params.sides")
         side_fn = _sides_from_model(side_model, "side")
-        n = ctx.n_max(DEFAULT_BOX_HORIZON)
-        length = _model_length(side_model)
-        if length is not None:
-            n = min(n, length)
+        n = _capped_horizon(ctx, DEFAULT_BOX_HORIZON, side_model)
         rep = twisted_rep_series(mat_fn, mat_model, side_fn, side_model, x,
                                  n_max=n, grid_cap=ctx.grid_cap())
-        l1 = l1_norm(x)
-        factor = 0.5 * len(x) * l1
-        norms = [float(np.max(np.abs(canonicalize_phases(mat_fn(i)))))
-                 for i in range(1, n + 1)]
-        trans_bounds = [min(1.0, l1 / (m + 1)) for m in rep.sides]
-        twist_bounds = [min(2.0, factor * m * a)
-                        for m, a in zip(rep.sides, norms)]
         result = {
             "conclusion": rep.conclusion,
             "kind": "boxes",
@@ -758,8 +729,8 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
             "x": list(x),
         }
         tables = {
-            "translation": (list(rep.translation_terms), trans_bounds),
-            "twist": (list(rep.twist_terms), twist_bounds),
+            "translation": (list(rep.translation_terms), list(rep.translation_bounds)),
+            "twist": (list(rep.twist_terms), list(rep.twist_bounds)),
         }
         return HandlerOutput(result, tables, default_series="twist")
     if kind in ("inner", "product"):
@@ -767,28 +738,18 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
                     optional=("angles", "model", "values"))
         values, model, n = _scalar_values(params, ctx)
         realized = [values(i) for i in range(1, n + 1)]
-        bounds = [float(model.value(i)) for i in range(1, n + 1)] if model else None
+        terms = [abs(1.0 - z) for z in realized]
+        result = {"kind": kind, "terms_head": _head(terms)}
         if kind == "product":
             diag = product_diagnose(realized, model, n_max=n, tol=ctx.tol)
-            terms = [abs(1.0 - z) for z in realized]
-            result = {
-                "kind": "product",
-                "partial_product": diag.partial_product,
-                "product_tail": diag.product_tail,
-                "series": _verdict_dict(diag.series),
-                "terms_head": _head(terms),
-            }
-            return HandlerOutput(result, {"terms": (terms, bounds)},
-                                 default_series="terms")
-        verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol)
-        terms = [abs(1.0 - z) for z in realized]
-        result = {
-            "kind": "inner",
-            "series": _verdict_dict(verdict),
-            "terms_head": _head(terms),
-        }
-        return HandlerOutput(result, {"terms": (terms, bounds)},
-                             default_series="terms")
+            result["partial_product"] = diag.partial_product
+            result["product_tail"] = diag.product_tail
+            verdict = diag.series
+        else:
+            verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol)
+        result["series"] = _verdict_dict(verdict)
+        bounds = model_bounds(model, n) if model else None
+        return HandlerOutput(result, {"terms": (terms, bounds)}, default_series="terms")
     raise _schema_error(f"params.kind must be boxes, product or inner, got {kind!r}")
 
 
@@ -836,71 +797,30 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("norms", "sides"), optional=("x",))
     side_model = parse_model(params["sides"], "params.sides")
     matrix_model = parse_model(params["norms"], "params.norms")
-    n = ctx.n_max(DEFAULT_SCALAR_HORIZON)
-    for model in (side_model, matrix_model):
-        length = _model_length(model)
-        if length is not None:
-            n = min(n, length)
+    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, side_model, matrix_model)
     crit = lattice_tensor_criteria(side_model, matrix_model, n_max=n)
-
-    sigma_terms: list[float] = []
-    norm_terms: list[float] = []
-    weighted_terms: list[float] = []
-    sides_real: list[float] = []
-    for i in range(1, n + 1):
-        v = side_model.value(i)
-        m = math.inf if math.isinf(v) else max(0, math.ceil(v))
-        a = float(matrix_model.value(i))
-        sides_real.append(m)
-        sigma_terms.append(1.0 / m if m > 0 else math.inf)
-        norm_terms.append(a)
-        weighted_terms.append(0.0 if a == 0.0 else m * a)
-
     result = {
         "clauses": [{"holds": c.holds, "name": c.name, "reason": c.reason,
                      "series": _verdict_dict(c.series) if c.series else None}
                     for c in crit.clauses],
-        "series_heads": {"norms": _head(norm_terms), "sigma": _head(sigma_terms),
-                         "weighted": _head(weighted_terms)},
+        "series_heads": {"norms": _head(crit.norms), "sigma": _head(crit.sigma_terms),
+                         "weighted": _head(crit.weighted_terms)},
         "tensor_exists": crit.tensor_exists,
     }
     tables = {
-        "sigma": (sigma_terms, None),
-        "norms": (norm_terms, None),
-        "weighted": (weighted_terms, None),
+        "sigma": (list(crit.sigma_terms), None),
+        "norms": (list(crit.norms), None),
+        "weighted": (list(crit.weighted_terms), None),
     }
     if "x" in params:
-        x = parse_int_list(params["x"], "params.x")
-        rank = len(x)
-        l1 = l1_norm(x)
-        factor = 0.5 * rank * l1
-        trans_terms: list[float] = []
-        trans_bounds: list[Optional[float]] = []
-        twist_majorant: list[float] = []
-        finite_sides: list[int] = []
-        for i, m in enumerate(sides_real, 1):
-            a = norm_terms[i - 1]
-            if math.isinf(m):
-                trans_terms.append(0.0)
-                trans_bounds.append(0.0)
-                twist_majorant.append(0.0 if a == 0.0 else math.inf)
-                continue
-            mi = int(m)
-            finite_sides.append(mi)
-            trans_terms.append(box_defect(FolnerBox(rank, mi), x))
-            trans_bounds.append(min(1.0, l1 / (mi + 1)))
-            twist_majorant.append(0.0 if a == 0.0 else factor * mi * a)
-        if len(finite_sides) == len(sides_real):
-            _, trans_verdict = translation_series(finite_sides, side_model, x)
-            result["translation"] = _verdict_dict(trans_verdict)
-        else:
-            result["translation"] = None
-        result["translation_head"] = _head(trans_terms)
-        result["twist_factor"] = factor
-        result["twist_majorant_head"] = _head(twist_majorant)
-        result["x"] = list(x)
-        tables["translation"] = (trans_terms, trans_bounds)
-        tables["twist_majorant"] = (twist_majorant, None)
+        at = crit.at(parse_int_list(params["x"], "params.x"))
+        result["translation"] = _verdict_dict(at.translation) if at.translation else None
+        result["translation_head"] = _head(at.translation_terms)
+        result["twist_factor"] = at.twist_factor
+        result["twist_majorant_head"] = _head(at.twist_majorant)
+        result["x"] = list(at.x)
+        tables["translation"] = (list(at.translation_terms), list(at.translation_bounds))
+        tables["twist_majorant"] = (list(at.twist_majorant), None)
     return HandlerOutput(result, tables, default_series="weighted")
 
 
@@ -909,16 +829,9 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     window_model = parse_model(params["windows"], "params.windows")
     window_fn = _sides_from_model(window_model, "window")
     angle_fn, angle_model = parse_signed_family(params["angles"], "params.angles")
-    n = ctx.n_max(DEFAULT_SCALAR_HORIZON)
-    for model in (window_model, angle_model):
-        length = _model_length(model)
-        if length is not None:
-            n = min(n, length)
+    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, window_model, angle_model)
     report = dirichlet_condition(window_fn, window_model, angle_fn, angle_model,
                                  n_max=n)
-    inverse_terms = [1.0 / w if w > 0 else math.inf for w in report.windows]
-    dev_bounds = [min(2.0, 0.5 * (w + 1) * abs(t))
-                  for w, t in zip(report.windows, report.angles)]
     result = {
         "angles_head": _head(report.angles),
         "conclusion": report.conclusion,
@@ -928,10 +841,19 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
         "windows_head": _head(report.windows),
     }
     tables = {
-        "deviation": (list(report.deviation_terms), dev_bounds),
-        "inverse": (inverse_terms, None),
+        "deviation": (list(report.deviation_terms), list(report.deviation_bounds)),
+        "inverse": (list(report.inverse_terms), None),
     }
     return HandlerOutput(result, tables, default_series="deviation")
+
+
+def _relation_residual(rep: ProjectiveRep, rng: np.random.Generator) -> tuple[float, int]:
+    """Relation residual over every pair, or over 64 random pairs past order 64."""
+    if rep.group.order <= 64:
+        return projective_relation_check(rep), rep.group.order ** 2
+    els = rep.group.elements()
+    pairs = [(els[i], els[j]) for i, j in rng.integers(0, len(els), size=(64, 2))]
+    return projective_relation_check(rep, pairs), len(pairs)
 
 
 def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
@@ -975,14 +897,7 @@ def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
 
     projective = None
     if isinstance(sigma, TableBilinear):
-        rep = ccr_to_projective(pair)
-        if rep.group.order <= 64:
-            projective = projective_relation_check(rep)
-        else:
-            els = rep.group.elements()
-            idx = rng.integers(0, len(els), size=(64, 2))
-            projective = projective_relation_check(
-                rep, [(els[i], els[j]) for i, j in idx])
+        projective, _ = _relation_residual(ccr_to_projective(pair), rng)
 
     return HandlerOutput(result={
         "bilinearity_residual": bilin,
@@ -1022,20 +937,10 @@ def _run_fell(params: dict, ctx: RunContext) -> HandlerOutput:
 
 def _run_tensor(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("factors",))
-    raw = params["factors"]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise _schema_error("params.factors must be a nonempty list")
+    raw = _nonempty_list(params["factors"], "params.factors")
     factors = [parse_rep(v, f"params.factors[{k}]") for k, v in enumerate(raw)]
     rep = tensor_rep(factors)
-    if rep.group.order <= 64:
-        residual = projective_relation_check(rep)
-        pairs = rep.group.order ** 2
-    else:
-        els = rep.group.elements()
-        idx = ctx.rng().integers(0, len(els), size=(64, 2))
-        chosen = [(els[i], els[j]) for i, j in idx]
-        residual = projective_relation_check(rep, chosen)
-        pairs = len(chosen)
+    residual, pairs = _relation_residual(rep, ctx.rng())
     return HandlerOutput(result={
         "dimension": rep.dimension,
         "factor_count": len(factors),
@@ -1054,11 +959,8 @@ def _element_key(x) -> str:
 def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("elements", "source"),
                 optional=("model",))
-    source = params["source"]
-    if not isinstance(source, dict) or len(source) != 1:
-        raise _schema_error("params.source must be an object with exactly one "
-                            "of: regular_trace, rep_trace, values")
-    key, body = next(iter(source.items()))
+    key, body = _one_key(params["source"], "params.source",
+                         "regular_trace, rep_trace, values")
     if key == "regular_trace":
         block = _check_keys(body, "params.source.regular_trace",
                             required=("group",))
@@ -1071,19 +973,14 @@ def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
                             required=("group", "kind", "table"))
         group = parse_group(block["group"], "params.source.values.group")
         kind = block["kind"]
-        rows = block["table"]
-        if not isinstance(rows, (list, tuple)) or not rows:
-            raise _schema_error("params.source.values.table must be a "
-                                "nonempty list")
+        rows = _nonempty_list(block["table"], "params.source.values.table")
         table = {}
         for k, row in enumerate(rows):
             row = _check_keys(row, f"params.source.values.table[{k}]",
                               required=("amplitudes", "g"))
             g = parse_int_list(row["g"], f"params.source.values.table[{k}].g")
-            amps = row["amplitudes"]
-            if not isinstance(amps, (list, tuple)) or not amps:
-                raise _schema_error(f"params.source.values.table[{k}]."
-                                    "amplitudes must be a nonempty list")
+            amps = _nonempty_list(row["amplitudes"],
+                                  f"params.source.values.table[{k}].amplitudes")
             table[g] = [parse_complex(
                 v, f"params.source.values.table[{k}].amplitudes[{j}]")
                 for j, v in enumerate(amps)]
@@ -1091,9 +988,7 @@ def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
     else:
         raise _schema_error(f"params.source: unknown form {key!r}")
 
-    raw_elements = params["elements"]
-    if not isinstance(raw_elements, (list, tuple)) or not raw_elements:
-        raise _schema_error("params.elements must be a nonempty list")
+    raw_elements = _nonempty_list(params["elements"], "params.elements")
     elements = [parse_int_list(v, f"params.elements[{k}]")
                 for k, v in enumerate(raw_elements)]
     keys = [scenario.group.element(g) for g in elements]
@@ -1106,12 +1001,12 @@ def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
     n = ctx.n_max(DEFAULT_SCALAR_HORIZON)
     verdict = inner_outer_verdict(scenario, keys, models=models, n_max=n)
 
-    n_used = min(n, scenario.length) if scenario.length is not None else n
     tables = {}
     reports = []
-    for g, v in verdict.reports:
-        terms = [max(0.0, 1.0 - abs(scenario.amplitudes(i, g)))
-                 for i in range(1, n_used + 1)]
+    for (g, v), terms in zip(verdict.reports, verdict.deficits):
+        if terms is None:  # the identity verdict evaluates no amplitudes
+            terms = deficit_terms(scenario, g, n)
+        terms = list(terms)
         tables[f"deficit:{_element_key(g)}"] = (terms, None)
         reports.append({"g": list(g), "terms_head": _head(terms),
                         "verdict": _verdict_dict(v)})
@@ -1221,31 +1116,22 @@ def _validate_scenario(doc: dict, command: str) -> tuple[dict, RunContext, dict]
     return params, ctx, out_block
 
 
+_OVERRIDE_BLOCKS = (("horizons", ("n_max", "scan", "grid_cap")),
+                    ("output", ("format", "series")))
+
+
 def _apply_flag_overrides(doc: dict, args: argparse.Namespace) -> None:
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
-    horizons = dict(doc.get("horizons", {})) if isinstance(
-        doc.get("horizons", {}), dict) else doc.get("horizons")
-    if isinstance(horizons, dict):
-        if getattr(args, "n_max", None) is not None:
-            horizons["n_max"] = args.n_max
-        if getattr(args, "scan", None) is not None:
-            horizons["scan"] = args.scan
-        if getattr(args, "grid_cap", None) is not None:
-            horizons["grid_cap"] = args.grid_cap
-        if horizons:
-            doc["horizons"] = horizons
     if getattr(args, "tol", None) is not None:
         doc["tolerances"] = {"tol": args.tol}
-    output = dict(doc.get("output", {})) if isinstance(
-        doc.get("output", {}), dict) else doc.get("output")
-    if isinstance(output, dict):
-        if getattr(args, "format", None) is not None:
-            output["format"] = args.format
-        if getattr(args, "series", None) is not None:
-            output["series"] = args.series
-        if output:
-            doc["output"] = output
+    for block, keys in _OVERRIDE_BLOCKS:
+        current = doc.get(block, {})
+        if isinstance(current, dict):
+            merged = dict(current, **{k: getattr(args, k) for k in keys
+                                      if getattr(args, k, None) is not None})
+            if merged:
+                doc[block] = merged
 
 
 def run_scenario(doc: dict, command: str) -> str:
@@ -1287,26 +1173,6 @@ def run_scenario(doc: dict, command: str) -> str:
     return render_json(report) + "\n"
 
 
-def thread_cap() -> int:
-    """Validated TWISTLAB_THREADS value (1 when unset).
-
-    Per-term evaluation runs sequentially in a fixed ascending order, so any
-    cap >= 1 is honored and the reports do not depend on the setting.
-    """
-    raw = os.environ.get("TWISTLAB_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw.strip())
-    except ValueError:
-        raise CliError(2, f"invalid TWISTLAB_THREADS value {raw!r}: "
-                          "expected a positive integer") from None
-    if n < 1:
-        raise CliError(2, f"invalid TWISTLAB_THREADS value {raw!r}: "
-                          "expected a positive integer")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # inline flag -> params builders
 # ---------------------------------------------------------------------------
@@ -1329,24 +1195,29 @@ def _cocycle_flags(args: argparse.Namespace, prefix: str = "") -> dict:
     return {kind: value}
 
 
+def _samples_flags(args: argparse.Namespace) -> dict:
+    """The samples block from --count / --bound, if either is given."""
+    samples = {k: getattr(args, k) for k in ("count", "bound")
+               if getattr(args, k) is not None}
+    return {"samples": samples} if samples else {}
+
+
 def _build_check_cocycle(args: argparse.Namespace) -> dict:
-    params: dict[str, Any] = {"cocycle": _cocycle_flags(args)}
-    if args.count is not None or args.bound is not None:
-        params["samples"] = {}
-        if args.count is not None:
-            params["samples"]["count"] = args.count
-        if args.bound is not None:
-            params["samples"]["bound"] = args.bound
-    return params
+    return {"cocycle": _cocycle_flags(args), **_samples_flags(args)}
+
+
+def _flag_params(args: argparse.Namespace, what: str, required: tuple[str, ...],
+                 optional: tuple[str, ...] = ()) -> dict:
+    """Params copied from the flags named like them; every required flag must be set."""
+    if any(getattr(args, k) is None for k in required):
+        flags = [f"--{k}" for k in required]
+        raise _schema_error(f"{what} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    return {k: getattr(args, k) for k in required + optional
+            if getattr(args, k) is not None}
 
 
 def _build_folner(args: argparse.Namespace) -> dict:
-    if args.rank is None or args.side is None or args.x is None:
-        raise _schema_error("folner needs --rank, --side and --x")
-    params = {"rank": args.rank, "side": args.side, "x": args.x}
-    if args.offset is not None:
-        params["offset"] = args.offset
-    return params
+    return _flag_params(args, "folner", ("rank", "side", "x"), ("offset",))
 
 
 def _build_converge(args: argparse.Namespace) -> dict:
@@ -1383,18 +1254,11 @@ def _build_select(args: argparse.Namespace) -> dict:
 
 
 def _build_prop42(args: argparse.Namespace) -> dict:
-    if args.sides is None or args.norms is None:
-        raise _schema_error("prop42 needs --sides and --norms")
-    params = {"norms": args.norms, "sides": args.sides}
-    if args.x is not None:
-        params["x"] = args.x
-    return params
+    return _flag_params(args, "prop42", ("sides", "norms"), ("x",))
 
 
 def _build_dirichlet(args: argparse.Namespace) -> dict:
-    if args.windows is None or args.angles is None:
-        raise _schema_error("dirichlet needs --windows and --angles")
-    return {"angles": args.angles, "windows": args.windows}
+    return _flag_params(args, "dirichlet", ("windows", "angles"))
 
 
 def _build_ccr(args: argparse.Namespace) -> dict:
@@ -1410,12 +1274,7 @@ def _build_ccr(args: argparse.Namespace) -> dict:
         params["window"] = {"side": args.side}
     else:
         raise _schema_error("ccr needs --sigma or --d-matrix")
-    if args.count is not None or args.bound is not None:
-        params["samples"] = {}
-        if args.count is not None:
-            params["samples"]["count"] = args.count
-        if args.bound is not None:
-            params["samples"]["bound"] = args.bound
+    params.update(_samples_flags(args))
     return params
 
 
@@ -1610,7 +1469,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
-        thread_cap()
         if command == "dirichlet" and getattr(args, "value_only", False):
             if args.n is None or args.theta is None:
                 raise _schema_error("--value-only needs --n and --theta")
@@ -1618,19 +1476,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise _schema_error("--n must be >= 0")
             value = dirichlet_value(args.n, parse_scalar(args.theta, "--theta"))
             text = _float_repr(value) + "\n"
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        if args.scenario is not None:
-            doc = _load_scenario_file(args.scenario)
         else:
-            doc = {"command": command, "params": _BUILDERS[command](args),
-                   "schema": SCHEMA_VERSION}
-        _apply_flag_overrides(doc, args)
-        text = run_scenario(doc, command)
+            if args.scenario is not None:
+                doc = _load_scenario_file(args.scenario)
+            else:
+                doc = {"command": command, "params": _BUILDERS[command](args),
+                       "schema": SCHEMA_VERSION}
+            _apply_flag_overrides(doc, args)
+            text = run_scenario(doc, command)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

@@ -65,12 +65,6 @@ class Cocycle:
         return self.value(x, y)
 
 
-def evaluate(u: Cocycle, x, y) -> complex:
-    """Evaluate u at a pair after normalizing both arguments into u's group."""
-    g = u.group
-    return u.value(g.element(x), g.element(y))
-
-
 class MatrixCocycle(Cocycle):
     """u_A(x, y) = exp(i x.(A y)) on Z^rank, entries of A in (-pi, pi]."""
 

@@ -43,7 +43,7 @@ from .groups import (
 )
 from .reps import TruncatedVector
 from .series import (
-    EXACT,
+    Envelope,
     GeometricModel,
     INCONCLUSIVE,
     InvalidInnerProductError,
@@ -54,13 +54,16 @@ from .series import (
     PowerModel,
     SeriesVerdict,
     TailModel,
-    diagnose_model_series,
+    ZERO,
+    certify,
+    certify_model,
     diagnose_terms,
-    geometric_tail,
+    inconclusive,
     neumaier_sum,
-    poly_geometric_tail,
-    power_tail,
 )
+# perfbench/tracer.py wraps the tail kernels where this module would look
+# them up, so the names stay importable here; only Envelope.tail calls them.
+from .series import geometric_tail, poly_geometric_tail, power_tail  # noqa: F401
 
 DEFAULT_SCALAR_HORIZON = 10_000
 DEFAULT_BOX_HORIZON = 25
@@ -91,8 +94,7 @@ def _values(source: ScalarSource, n_max: int) -> list[complex]:
         raise ValueError("need at least one term")
     if callable(source):
         return [source(i) for i in range(1, n_max + 1)]
-    items = list(source)
-    return items[:n_max]
+    return list(source)[:n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -136,38 +138,29 @@ def product_diagnose(values: ScalarSource, model: Optional[TailModel] = None,
     return ProductDiagnosis(verdict, prod, tail)
 
 
+def _inner_products(values: ScalarSource, n_max: int, tol: float) -> list[complex]:
+    """The values as complex numbers, refusing any modulus beyond 1 + tol,
+    since no pair of unit vectors produces such an inner product."""
+    vals = [complex(a) for a in _values(values, n_max)]
+    for i, a in enumerate(vals, start=1):
+        if abs(a) > 1.0 + tol:
+            raise InvalidInnerProductError(f"inner product {i} has modulus {abs(a)} > 1")
+    return vals
+
+
 def inner_product_series(values: ScalarSource, model: Optional[TailModel] = None,
                          n_max: int = DEFAULT_SCALAR_HORIZON,
                          tol: float = 1e-9) -> SeriesVerdict:
-    """Series sum |1 - a_i| for inner products a_i of unit vectors.
-
-    Raises InvalidInnerProductError when some |a_i| exceeds 1 beyond ``tol``,
-    since no pair of unit vectors produces such a value.
-    """
-    vals = _values(values, n_max)
-    terms = []
-    for i, raw in enumerate(vals, start=1):
-        a = complex(raw)
-        if abs(a) > 1.0 + tol:
-            raise InvalidInnerProductError(
-                f"inner product {i} has modulus {abs(a)} > 1")
-        terms.append(abs(1.0 - a))
-    return diagnose_terms(terms, model)
+    """Series sum |1 - a_i| for inner products a_i of unit vectors."""
+    return diagnose_terms([abs(1.0 - a) for a in _inner_products(values, n_max, tol)], model)
 
 
 def modulus_deficit_series(values: ScalarSource, model: Optional[TailModel] = None,
                            n_max: int = DEFAULT_SCALAR_HORIZON,
                            tol: float = 1e-9) -> SeriesVerdict:
     """Series sum (1 - |a_i|), the phase-insensitive variant."""
-    vals = _values(values, n_max)
-    terms = []
-    for i, raw in enumerate(vals, start=1):
-        mod = abs(complex(raw))
-        if mod > 1.0 + tol:
-            raise InvalidInnerProductError(
-                f"inner product {i} has modulus {mod} > 1")
-        terms.append(max(0.0, 1.0 - mod))
-    return diagnose_terms(terms, model)
+    return diagnose_terms([max(0.0, 1.0 - abs(a))
+                           for a in _inner_products(values, n_max, tol)], model)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +247,8 @@ def power_box_family(coeff: float, exponent: float) -> tuple[Callable[[int], int
     """Sides m_i = ceil(coeff * i**exponent), with the declared growth model."""
     if coeff <= 0:
         raise ValueError("coeff must be positive so every box is nonempty")
-
-    def sides(i: int) -> int:
-        return math.ceil(coeff * float(i) ** exponent)
-
-    return sides, PowerModel(coeff, exponent)
+    model = PowerModel(coeff, exponent)
+    return (lambda i: math.ceil(model.value(i))), model
 
 
 def geometric_box_family(coeff: float, ratio: float) -> tuple[Callable[[int], int], GeometricModel]:
@@ -267,11 +257,8 @@ def geometric_box_family(coeff: float, ratio: float) -> tuple[Callable[[int], in
         raise ValueError("coeff must be positive so every box is nonempty")
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-
-    def sides(i: int) -> int:
-        return math.ceil(coeff * ratio ** i)
-
-    return sides, GeometricModel(coeff, ratio)
+    model = GeometricModel(coeff, ratio)
+    return (lambda i: math.ceil(model.value(i))), model
 
 
 def geometric_matrix_family(matrix, ratio: float) -> tuple[Callable[[int], np.ndarray], GeometricModel]:
@@ -300,86 +287,128 @@ def power_matrix_family(matrix, exponent: float) -> tuple[Callable[[int], np.nda
     return matrices, PowerModel(top, exponent)
 
 
-def _side_floor_ok(relation: str) -> bool:
-    return relation in (EXACT, MINORANT)
+def _declared(model: TailModel, n: int) -> list[float]:
+    return [model.value(i) for i in range(1, n + 1)]
 
 
-def _side_cap_ok(relation: str) -> bool:
-    return relation in (EXACT, MAJORANT)
-
-
-def _sides_match_model(sides: Sequence[int], model: TailModel) -> Optional[str]:
-    """None when every side sits in the ceil window of its declared value."""
-    relation = getattr(model, "relation", EXACT)
-    for i, m in enumerate(sides, start=1):
-        v = model.value(i)
+def _mismatch(actual: Sequence[float], declared: Sequence[float], relation: str,
+              above: str, below: Optional[str] = None,
+              width: float = 0.0) -> Optional[str]:
+    """The first value outside [v, v + width] on a side the relation vouches for."""
+    for i, (a, v) in enumerate(zip(actual, declared), start=1):
         slack = 1e-9 * (1.0 + abs(v))
-        if _side_floor_ok(relation) and m < v - slack:
-            return f"side {i} = {m} falls below the declared value {v}"
-        if _side_cap_ok(relation) and m > v + 1.0 + slack:
-            return f"side {i} = {m} exceeds the declared ceiling {v} + 1"
+        if below is not None and relation != MAJORANT and a < v - slack:
+            return below.format(i=i, a=a, v=v)
+        if relation != MINORANT and a > v + width + slack:
+            return above.format(i=i, a=a, v=v)
     return None
 
 
+def _sides_mismatch(sides: Sequence[float], values: Sequence[float],
+                    relation: str) -> Optional[str]:
+    """None when every side sits in the ceil window [v, v + 1] of its declared value."""
+    return _mismatch(sides, values, relation,
+                     "side {i} = {a} exceeds the declared ceiling {v} + 1",
+                     "side {i} = {a} falls below the declared value {v}", 1.0)
+
+
 # ---------------------------------------------------------------------------
-# upper-envelope algebra: sums of C * i^q * r^i dominating declared sequences
+# certificate wording: the envelopes decide, these only phrase the verdict
 # ---------------------------------------------------------------------------
 
-_Envelope = tuple[float, float, float]  # (coeff, exponent, ratio)
+_NEITHER_SIDE = "declared side model certifies neither direction"
+
+_DESCRIBE = {"power": ("{c:g} * i^{q:g}",), "geometric": ("{c:g} * {r:g}^i",)}
+
+_TRANSLATION_WORDS = {
+    "power": ("defect_i <= |x|_1/(m_i+1) <= {up:g} * i^-{q:g}",
+              "defect_i >= min(1, |x|_inf/(m_i+1)) >= "
+              "min(1, {low:g} * i^-{growth:g}), not summable"),
+    "geometric": ("defect_i <= |x|_1/(m_i+1) <= {up:g} * (1/{r:g})^i",
+                  "sides stay at or below {cap:g}, so every defect is "
+                  "at least min(1, {low:g})"),
+}
+
+_SIGMA_WORDS = {
+    "power": ("1/m_i <= {up:g} * i^-{q:g}",
+              "1/m_i >= {low:g} * i^-{growth:g}, not summable"),
+    "geometric": ("1/m_i <= {up:g} * (1/{r:g})^i",
+                  "sides stay at or below {cap:g}, so 1/m_i is bounded away from 0"),
+}
+
+_FOLNER_WORDS = {
+    "power": ("box sides grow without bound, so translate overlaps fill up",
+              "box sides stay bounded, so some translate keeps a fixed defect"),
+    "geometric": ("box sides grow geometrically", "box sides stay bounded"),
+}
+
+# m_i a_i >= a_i since every side is at least 1 ...
+_WEIGHTED_NORM_WORDS = {
+    "power": ("m_i a_i >= {c:g} * i^{q:g} since every side is at least 1, "
+              "and that power is not summable",),
+    "geometric": ("m_i a_i >= {c:g} * {r:g}^i with ratio >= 1, "
+                  "so the terms never decay",),
+}
+# ... and m_i a_i >= v_i a_i, phrased by the side family.
+_WEIGHTED_SIDE_WORDS = {
+    "power": ("m_i a_i >= {c:g} * i^{q:g}, not summable",),
+    "geometric": ("m_i a_i >= {c:g} * i^{q:g} * {r:g}^i, which grows without bound",),
+}
 
 
-def _model_envelopes(model: TailModel, plus: float = 0.0) -> Optional[list[_Envelope]]:
-    if isinstance(model, PowerModel):
-        envs = [(model.coeff, model.exponent, 1.0)]
-    elif isinstance(model, GeometricModel):
-        envs = [(model.coeff, 0.0, model.ratio)]
-    else:
-        return None
-    if plus:
-        envs.append((float(plus), 0.0, 1.0))
-    return envs
+def _words(table: dict, family: str, term, **fields) -> tuple[str, ...]:
+    c, q, r = term
+    return tuple(t.format(c=c, q=q, r=r, **fields) for t in table[family])
 
 
-def _cross_envelopes(left: list[_Envelope], right: list[_Envelope],
-                     factor: float) -> list[_Envelope]:
-    return [(factor * c1 * c2, q1 + q2, r1 * r2)
-            for (c1, q1, r1) in left for (c2, q2, r2) in right]
+def _describe(model: TailModel) -> str:
+    return _words(_DESCRIBE, model.family, model.envelope.terms[0])[0]
 
 
-def _envelope_tail(env: _Envelope, n: int) -> Optional[float]:
-    coeff, exponent, ratio = env
-    if coeff == 0.0:
-        return 0.0
-    if ratio < 1.0:
-        if exponent > 0.0:
-            return poly_geometric_tail(coeff, exponent, ratio, n)
-        return geometric_tail(coeff, ratio, n)
-    if ratio == 1.0 and exponent < -1.0:
-        return power_tail(coeff, exponent, n)
-    return None
+def _inverse_side_verdict(terms: Sequence[float], model: TailModel,
+                          up_num: float, low_num: float, plus: float,
+                          words: dict) -> SeriesVerdict:
+    """Certify terms with low_num / (v_i + plus) <= term_i <= up_num / v_i.
+
+    The upper envelope needs sides m_i >= v_i.  The lower one needs the ceil
+    step m_i <= v_i + 1 for terms at least low_num / (m_i + plus - 1), which
+    may be capped at 1 without changing summability.
+    """
+    side = model.envelope
+    if side is None or not side.terms[0][0] > 0:  # needs positive sides
+        return inconclusive(terms, _NEITHER_SIDE)
+    c, q, r = side.terms[0]
+    floor, cap = side.lower(), side.upper()
+    upper = floor.reciprocal(up_num) if floor else None
+    lower = cap.plus(plus).collapse().reciprocal(low_num) if cap else None
+    texts = _words(words, model.family, side.terms[0], up=up_num / c,
+                   low=low_num / (c + plus), growth=max(q, 0.0), cap=c + 1)
+    return certify(terms, upper, lower, texts + (_NEITHER_SIDE,))
 
 
-def _envelopes_tail(envs: list[_Envelope], n: int) -> Optional[float]:
-    total = 0.0
-    for env in envs:
-        part = _envelope_tail(env, n)
-        if part is None:
-            return None
-        total += part
-    return total
-
-
-def _describe_model(model: TailModel) -> str:
-    if isinstance(model, PowerModel):
-        return f"{model.coeff:g} * i^{model.exponent:g}"
-    if isinstance(model, GeometricModel):
-        return f"{model.coeff:g} * {model.ratio:g}^i"
-    return "explicit prefix"
+def _product_majorant(left: TailModel, plus: float, factor: float,
+                      right: TailModel) -> tuple[Optional[Envelope], str]:
+    """factor * (left_i + plus) * right_i as a majorant, or why there is none."""
+    if MINORANT in (left.relation, right.relation):
+        return None, "declared relations give no upper envelope"
+    if left.envelope is None or right.envelope is None:
+        return None, "explicit prefixes carry no tail claims"
+    upper = left.envelope.upper().plus(plus).scale(factor).times(right.envelope.upper())
+    return upper, "declared models admit no summable envelope"
 
 
 # ---------------------------------------------------------------------------
 # two-part box criterion on Z^N
 # ---------------------------------------------------------------------------
+
+
+def _conclusion(necessary: SeriesVerdict, other: SeriesVerdict) -> str:
+    """Both parts convergent prove the criterion; a divergent first part refutes it."""
+    if necessary.verdict == PROVED_CONVERGENT and other.verdict == PROVED_CONVERGENT:
+        return PROVED_CONVERGENT
+    if necessary.verdict == PROVED_DIVERGENT:
+        return PROVED_DIVERGENT
+    return INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -390,6 +419,9 @@ class TwistedRepSeries:
     ``twist`` the box means of |1 - u_i(-y, x)|; the sum of the two term
     sequences dominates the distance series, so both parts convergent proves
     the criterion at x while a divergent translation part refutes it.
+    ``translation_bounds`` and ``twist_bounds`` are the per-term envelopes
+    min(1, |x|_1/(m_i+1)) and min(2, (N |x|_1 / 2) m_i a_i), with a_i the
+    sup entry norm of the i-th phase matrix.
     """
 
     x: Element
@@ -398,15 +430,12 @@ class TwistedRepSeries:
     twist_terms: tuple[float, ...]
     translation: SeriesVerdict
     twist: SeriesVerdict
+    translation_bounds: tuple[float, ...] = ()
+    twist_bounds: tuple[float, ...] = ()
 
     @property
     def conclusion(self) -> str:
-        if (self.translation.verdict == PROVED_CONVERGENT
-                and self.twist.verdict == PROVED_CONVERGENT):
-            return PROVED_CONVERGENT
-        if self.translation.verdict == PROVED_DIVERGENT:
-            return PROVED_DIVERGENT
-        return INCONCLUSIVE
+        return _conclusion(self.translation, self.twist)
 
     @property
     def tail_bound(self) -> Optional[float]:
@@ -416,109 +445,51 @@ class TwistedRepSeries:
         return None
 
 
-def _translation_verdict(terms: Sequence[float], sides: Sequence[int],
-                         model: Optional[TailModel], x: Element) -> SeriesVerdict:
-    partial = neumaier_sum(terms)
-    n = len(terms)
+def _translation_verdict(terms: Sequence[float], bounds: Sequence[float],
+                         sides: Sequence[int], model: Optional[TailModel],
+                         values: Optional[Sequence[float]], x: Element) -> SeriesVerdict:
     if all(c == 0 for c in x):
-        return SeriesVerdict(PROVED_CONVERGENT, partial, n, tail_bound=0.0,
-                             tail_derivation="the identity never leaves the box")
-    l1 = l1_norm(x)
+        return certify(terms, ZERO, None, ("the identity never leaves the box", None, None))
     linf = sup_norm(x)
-    for m, d in zip(sides, terms):
-        hi = min(1.0, l1 / (m + 1))
-        lo = min(1.0, linf / (m + 1))
-        if d > hi + 1e-9 or d < lo - 1e-9:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"defect at side {m} escaped its proved envelope")
+    for m, d, hi in zip(sides, terms, bounds):
+        if d > hi + 1e-9 or d < min(1.0, linf / (m + 1)) - 1e-9:
+            return inconclusive(terms, f"defect at side {m} escaped its proved envelope")
     if model is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="no growth model declared for the box sides")
-    mismatch = _sides_match_model(sides, model)
+        return inconclusive(terms, "no growth model declared for the box sides")
+    mismatch = _sides_mismatch(sides, values, model.relation)
     if mismatch is not None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n, witness=mismatch)
-    relation = getattr(model, "relation", EXACT)
-    if isinstance(model, PowerModel) and model.coeff > 0:
-        c, p = model.coeff, model.exponent
-        if p > 1 and _side_floor_ok(relation):
-            return SeriesVerdict(
-                PROVED_CONVERGENT, partial, n,
-                tail_bound=power_tail(l1 / c, -p, max(n, 1)),
-                tail_derivation=(
-                    f"defect_i <= |x|_1/(m_i+1) <= {l1 / c:g} * i^-{p:g}"))
-        if p <= 1 and _side_cap_ok(relation):
-            p_eff = max(p, 0.0)
-            return SeriesVerdict(
-                PROVED_DIVERGENT, partial, n,
-                witness=(f"defect_i >= min(1, |x|_inf/(m_i+1)) >= "
-                         f"min(1, {linf / (c + 2):g} * i^-{p_eff:g}), not summable"))
-    if isinstance(model, GeometricModel) and model.coeff > 0:
-        c, r = model.coeff, model.ratio
-        if r > 1 and _side_floor_ok(relation):
-            return SeriesVerdict(
-                PROVED_CONVERGENT, partial, n,
-                tail_bound=geometric_tail(l1 / c, 1.0 / r, max(n, 1)),
-                tail_derivation=(
-                    f"defect_i <= |x|_1/(m_i+1) <= {l1 / c:g} * (1/{r:g})^i"))
-        if r <= 1 and _side_cap_ok(relation):
-            return SeriesVerdict(
-                PROVED_DIVERGENT, partial, n,
-                witness=(f"sides stay at or below {c + 1:g}, so every defect is "
-                         f"at least min(1, {linf / (c + 2):g})"))
-    return SeriesVerdict(INCONCLUSIVE, partial, n,
-                         witness="declared side model certifies neither direction")
+        return inconclusive(terms, mismatch)
+    # |x|_inf / (v_i + 2) <= defect_i <= |x|_1 / v_i
+    return _inverse_side_verdict(terms, model, l1_norm(x), linf, 2.0, _TRANSLATION_WORDS)
 
 
-def _twist_verdict(terms: Sequence[float], sides: Sequence[int],
+def _twist_verdict(terms: Sequence[float], bounds: Sequence[float],
+                   sides: Sequence[int], side_values: Optional[Sequence[float]],
                    norms: Sequence[float], side_model: Optional[TailModel],
                    matrix_model: Optional[TailModel], x: Element) -> SeriesVerdict:
-    partial = neumaier_sum(terms)
-    n = len(terms)
     rank = len(x)
     l1 = l1_norm(x)
     if l1 == 0:
-        return SeriesVerdict(PROVED_CONVERGENT, partial, n, tail_bound=0.0,
-                             tail_derivation="x = 0 twists nothing")
-    factor = 0.5 * rank * l1
-    for i, (m, a, t) in enumerate(zip(sides, norms, terms), start=1):
-        if t > min(2.0, factor * m * a) + 1e-9:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"term {i} escaped its proved envelope")
+        return certify(terms, ZERO, None, ("x = 0 twists nothing", None, None))
+    for i, (t, b) in enumerate(zip(terms, bounds), start=1):
+        if t > b + 1e-9:
+            return inconclusive(terms, f"term {i} escaped its proved envelope")
     if side_model is None or matrix_model is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="twist certification needs both declared models")
-    mismatch = _sides_match_model(sides, side_model)
+        return inconclusive(terms, "twist certification needs both declared models")
+    mismatch = _sides_mismatch(sides, side_values, side_model.relation)
     if mismatch is not None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n, witness=mismatch)
-    m_rel = getattr(matrix_model, "relation", EXACT)
-    for i, a in enumerate(norms, start=1):
-        v = matrix_model.value(i)
-        slack = 1e-9 * (1.0 + abs(v))
-        if m_rel in (EXACT, MAJORANT) and a > v + slack:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"matrix norm {i} = {a} exceeds its declared value {v}")
-        if m_rel in (EXACT, MINORANT) and a < v - slack:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"matrix norm {i} = {a} falls below its declared value {v}")
-    if not (_side_cap_ok(getattr(side_model, "relation", EXACT))
-            and m_rel in (EXACT, MAJORANT)):
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="declared relations give no upper envelope")
-    side_envs = _model_envelopes(side_model, plus=1.0)
-    norm_envs = _model_envelopes(matrix_model)
-    if side_envs is None or norm_envs is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="explicit prefixes carry no tail claims")
-    tail = _envelopes_tail(_cross_envelopes(side_envs, norm_envs, factor), max(n, 1))
-    if tail is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="declared models admit no summable envelope")
-    return SeriesVerdict(
-        PROVED_CONVERGENT, partial, n, tail_bound=tail,
-        tail_derivation=(
-            f"term_i <= (N |x|_1 / 2) m_i a_i with N={rank}, |x|_1={l1}, "
-            f"m_i <= {_describe_model(side_model)} + 1, "
-            f"a_i <= {_describe_model(matrix_model)}"))
+        return inconclusive(terms, mismatch)
+    mismatch = _mismatch(norms, _declared(matrix_model, len(norms)), matrix_model.relation,
+                         "matrix norm {i} = {a} exceeds its declared value {v}",
+                         "matrix norm {i} = {a} falls below its declared value {v}")
+    if mismatch is not None:
+        return inconclusive(terms, mismatch)
+    upper, why = _product_majorant(side_model, 1.0, 0.5 * rank * l1, matrix_model)
+    derivation = upper and (
+        f"term_i <= (N |x|_1 / 2) m_i a_i with N={rank}, |x|_1={l1}, "
+        f"m_i <= {_describe(side_model)} + 1, "
+        f"a_i <= {_describe(matrix_model)}")
+    return certify(terms, upper, None, (derivation, None, why))
 
 
 def twisted_rep_series(matrices: Callable[[int], np.ndarray],
@@ -552,11 +523,22 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
         norm_list.append(float(np.max(np.abs(A))) if A.size else 0.0)
         trans_terms.append(box_defect(box, x))
         twist_terms.append(box_twist_mean(A, box, x, grid_cap=grid_cap))
-    translation = _translation_verdict(trans_terms, side_list, side_model, x)
-    twist = _twist_verdict(twist_terms, side_list, norm_list,
+    side_values = _declared(side_model, n_max) if side_model is not None else None
+    factor = 0.5 * rank * l1_norm(x)
+    trans_bounds = _translation_bounds(side_list, x)
+    twist_bounds = [min(2.0, factor * m * a) for m, a in zip(side_list, norm_list)]
+    translation = _translation_verdict(trans_terms, trans_bounds, side_list,
+                                       side_model, side_values, x)
+    twist = _twist_verdict(twist_terms, twist_bounds, side_list, side_values, norm_list,
                            side_model, matrix_model, x)
     return TwistedRepSeries(x, tuple(side_list), tuple(trans_terms),
-                            tuple(twist_terms), translation, twist)
+                            tuple(twist_terms), translation, twist,
+                            tuple(trans_bounds), tuple(twist_bounds))
+
+
+def _translation_bounds(sides: Sequence[float], x: Element) -> list[float]:
+    l1 = l1_norm(x)
+    return [min(1.0, l1 / (m + 1)) for m in sides]
 
 
 def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
@@ -567,7 +549,9 @@ def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
     (the box criteria below consume models directly instead).
     """
     terms = box_defect_terms(sides, x)
-    return terms, _translation_verdict(terms, list(sides), side_model, x)
+    values = _declared(side_model, len(sides)) if side_model is not None else None
+    return terms, _translation_verdict(terms, _translation_bounds(sides, x), list(sides),
+                                       side_model, values, x)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +568,40 @@ class ClauseReport:
 
 
 @dataclass(frozen=True)
+class CriteriaAt:
+    """The translation part of the box criterion at one element x.
+
+    ``translation`` is None when some declared side overflows to infinity;
+    such a side contributes a zero defect and zero bound, and an infinite
+    twist majorant unless its matrix norm vanishes.
+    """
+
+    x: Element
+    twist_factor: float
+    translation_terms: tuple[float, ...]
+    translation_bounds: tuple[float, ...]
+    twist_majorant: tuple[float, ...]
+    translation: Optional[SeriesVerdict]
+
+
+@dataclass(frozen=True)
 class BoxCriteria:
+    """The four clauses plus the term vectors they were certified from.
+
+    ``sides`` are the realized sides ceil(v_i) of the declared side values
+    ``side_values`` (inf once a value overflows), ``norms`` the declared
+    matrix norms a_i, ``sigma_terms`` the reciprocals 1/m_i and
+    ``weighted_terms`` the products m_i a_i.
+    """
+
     side_model: TailModel
     matrix_model: TailModel
     clauses: tuple[ClauseReport, ...]
+    side_values: tuple[float, ...] = ()
+    sides: tuple[float, ...] = ()
+    norms: tuple[float, ...] = ()
+    sigma_terms: tuple[float, ...] = ()
+    weighted_terms: tuple[float, ...] = ()
 
     def clause(self, name: str) -> ClauseReport:
         for c in self.clauses:
@@ -599,133 +613,73 @@ class BoxCriteria:
     def tensor_exists(self) -> str:
         return self.clause("tensor_product_existence").holds
 
-
-def _side_at(model: TailModel, i: int) -> float:
-    v = model.value(i)
-    if math.isinf(v):
-        return v
-    return float(math.ceil(v))
+    def at(self, x: Element) -> CriteriaAt:
+        """Box defects, their bounds and the twist majorants at x for these sides."""
+        x = tuple(int(c) for c in x)
+        rank = len(x)
+        factor = 0.5 * rank * l1_norm(x)
+        terms = [0.0 if math.isinf(m) else box_defect(FolnerBox(rank, int(m)), x)
+                 for m in self.sides]
+        majorant = [0.0 if a == 0.0 else math.inf if math.isinf(m) else factor * m * a
+                    for m, a in zip(self.sides, self.norms)]
+        bounds = _translation_bounds(self.sides, x)
+        translation = None
+        if not any(math.isinf(m) for m in self.sides):
+            translation = _translation_verdict(
+                terms, bounds, [int(m) for m in self.sides], self.side_model,
+                self.side_values, x)
+        return CriteriaAt(x, factor, tuple(terms), tuple(bounds), tuple(majorant),
+                          translation)
 
 
 def _folner_clause(model: TailModel) -> ClauseReport:
     name = "folner_sequence"
-    relation = getattr(model, "relation", EXACT)
-    if isinstance(model, PowerModel):
-        if model.coeff > 0 and model.exponent > 0 and _side_floor_ok(relation):
-            return ClauseReport(name, CERTIFIED,
-                                "box sides grow without bound, so translate overlaps fill up")
-        if model.exponent <= 0 and _side_cap_ok(relation):
-            return ClauseReport(name, REFUTED,
-                                "box sides stay bounded, so some translate keeps a fixed defect")
-    if isinstance(model, GeometricModel):
-        if model.coeff > 0 and model.ratio > 1 and _side_floor_ok(relation):
-            return ClauseReport(name, CERTIFIED,
-                                "box sides grow geometrically")
-        if model.ratio <= 1 and _side_cap_ok(relation):
-            return ClauseReport(name, REFUTED, "box sides stay bounded")
+    side = model.envelope
+    if side is not None:
+        grows, stays = _FOLNER_WORDS[model.family]
+        floor, cap = side.lower(), side.upper()
+        if floor is not None and floor.unbounded():
+            return ClauseReport(name, CERTIFIED, grows)
+        if cap is not None and cap.bounded():
+            return ClauseReport(name, REFUTED, stays)
     return ClauseReport(name, UNDETERMINED,
                         "declared side model does not settle the growth question")
 
 
-def _reciprocal_side_verdict(model: TailModel, n_max: int) -> SeriesVerdict:
-    sides = [_side_at(model, i) for i in range(1, n_max + 1)]
-    terms = [1.0 / m if m >= 1 else math.inf for m in sides]
-    partial = neumaier_sum(terms)
-    n = len(terms)
-    relation = getattr(model, "relation", EXACT)
-    if isinstance(model, PowerModel) and model.coeff > 0:
-        c, p = model.coeff, model.exponent
-        if p > 1 and _side_floor_ok(relation):
-            return SeriesVerdict(
-                PROVED_CONVERGENT, partial, n,
-                tail_bound=power_tail(1.0 / c, -p, max(n, 1)),
-                tail_derivation=f"1/m_i <= {1.0 / c:g} * i^-{p:g}")
-        if p <= 1 and _side_cap_ok(relation):
-            p_eff = max(p, 0.0)
-            return SeriesVerdict(
-                PROVED_DIVERGENT, partial, n,
-                witness=(f"1/m_i >= {1.0 / (c + 1):g} * i^-{p_eff:g}, not summable"))
-    if isinstance(model, GeometricModel) and model.coeff > 0:
-        c, r = model.coeff, model.ratio
-        if r > 1 and _side_floor_ok(relation):
-            return SeriesVerdict(
-                PROVED_CONVERGENT, partial, n,
-                tail_bound=geometric_tail(1.0 / c, 1.0 / r, max(n, 1)),
-                tail_derivation=f"1/m_i <= {1.0 / c:g} * (1/{r:g})^i")
-        if r <= 1 and _side_cap_ok(relation):
-            return SeriesVerdict(
-                PROVED_DIVERGENT, partial, n,
-                witness=f"sides stay at or below {c + 1:g}, so 1/m_i is bounded away from 0")
-    return SeriesVerdict(INCONCLUSIVE, partial, n,
-                         witness="declared side model certifies neither direction")
-
-
-def _weighted_norm_verdict(side_model: TailModel, matrix_model: TailModel,
-                           n_max: int) -> SeriesVerdict:
+def _weighted_norm_verdict(terms: Sequence[float], side_model: TailModel,
+                           matrix_model: TailModel) -> SeriesVerdict:
     """Verdict for sum m_i a_i from the two declared models."""
-    terms = []
-    for i in range(1, n_max + 1):
-        m = _side_at(side_model, i)
-        a = matrix_model.value(i)
-        terms.append(0.0 if a == 0.0 else m * a)
-    partial = neumaier_sum(terms)
-    n = len(terms)
-    s_rel = getattr(side_model, "relation", EXACT)
-    m_rel = getattr(matrix_model, "relation", EXACT)
-    m_coeff = getattr(matrix_model, "coeff", None)
-
-    if m_coeff == 0.0 and m_rel in (EXACT, MAJORANT):
-        return SeriesVerdict(PROVED_CONVERGENT, partial, n, tail_bound=0.0,
-                             tail_derivation="all matrix norms vanish")
-
-    if _side_cap_ok(s_rel) and m_rel in (EXACT, MAJORANT):
-        side_envs = _model_envelopes(side_model, plus=1.0)
-        norm_envs = _model_envelopes(matrix_model)
-        if side_envs is not None and norm_envs is not None:
-            tail = _envelopes_tail(_cross_envelopes(side_envs, norm_envs, 1.0), max(n, 1))
-            if tail is not None:
-                return SeriesVerdict(
-                    PROVED_CONVERGENT, partial, n, tail_bound=tail,
-                    tail_derivation=(
-                        f"m_i a_i <= ({_describe_model(side_model)} + 1) "
-                        f"* ({_describe_model(matrix_model)})"))
-
-    if _side_floor_ok(s_rel) and m_rel in (EXACT, MINORANT):
-        witness = _weighted_divergence_witness(side_model, matrix_model)
-        if witness is not None:
-            return SeriesVerdict(PROVED_DIVERGENT, partial, n, witness=witness)
-
-    return SeriesVerdict(INCONCLUSIVE, partial, n,
-                         witness="declared models certify neither direction")
+    side, norm = side_model.envelope, matrix_model.envelope
+    norm_cap = norm.upper() if norm else None
+    if norm_cap is not None and norm_cap.vanishes:
+        return certify(terms, norm_cap, None, ("all matrix norms vanish", None, None))
+    side_cap = side.upper() if side else None
+    # m_i a_i <= (v_i + 1) a_i
+    upper = side_cap.plus(1.0).times(norm_cap) if side_cap and norm_cap else None
+    derivation = upper and (f"m_i a_i <= ({_describe(side_model)} + 1) "
+                            f"* ({_describe(matrix_model)})")
+    lower = witness = None
+    norm_floor = norm.lower() if norm else None
+    if side_model.relation != MAJORANT and norm_floor is not None:
+        # m_i a_i >= a_i, and for power-law norms m_i a_i >= v_i a_i
+        lower = norm_floor
+        witness, = _words(_WEIGHTED_NORM_WORDS, matrix_model.family, norm_floor.terms[0])
+        side_floor = side.lower() if side else None
+        if (not norm_floor.diverges() and side_floor is not None
+                and matrix_model.family == "power"):
+            lower = side_floor.times(norm_floor)
+            witness, = _words(_WEIGHTED_SIDE_WORDS, side_model.family, lower.terms[0])
+    return certify(terms, upper, lower,
+                   (derivation, witness, "declared models certify neither direction"))
 
 
-def _weighted_divergence_witness(side_model: TailModel,
-                                 matrix_model: TailModel) -> Optional[str]:
-    """A divergence reason for sum m_i a_i, using m_i >= max(1, declared value)."""
-    if isinstance(matrix_model, GeometricModel):
-        c_a, r_a = matrix_model.coeff, matrix_model.ratio
-        if c_a > 0 and r_a >= 1:
-            return (f"m_i a_i >= {c_a:g} * {r_a:g}^i with ratio >= 1, "
-                    "so the terms never decay")
-        return None
-    if not isinstance(matrix_model, PowerModel):
-        return None
-    c_a, e = matrix_model.coeff, matrix_model.exponent
-    if c_a <= 0:
-        return None
-    if e >= -1:
-        return (f"m_i a_i >= {c_a:g} * i^{e:g} since every side is at least 1, "
-                "and that power is not summable")
-    if isinstance(side_model, PowerModel) and side_model.coeff > 0:
-        p = side_model.exponent
-        if p + e >= -1:
-            return (f"m_i a_i >= {side_model.coeff * c_a:g} * i^{p + e:g}, "
-                    "not summable")
-    if isinstance(side_model, GeometricModel) and side_model.coeff > 0 \
-            and side_model.ratio > 1:
-        return (f"m_i a_i >= {side_model.coeff * c_a:g} * i^{e:g} "
-                f"* {side_model.ratio:g}^i, which grows without bound")
-    return None
+def _clause(name: str, verdict: SeriesVerdict, proved: str, refuted: str,
+            undetermined: str) -> ClauseReport:
+    if verdict.verdict == PROVED_CONVERGENT:
+        return ClauseReport(name, CERTIFIED, proved, verdict)
+    if verdict.verdict == PROVED_DIVERGENT:
+        return ClauseReport(name, REFUTED, refuted, verdict)
+    return ClauseReport(name, UNDETERMINED, undetermined, verdict)
 
 
 def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
@@ -736,61 +690,48 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
     (sum 1/m_i), ``product_cocycle`` (sum a_i with a_i the sup entry norm),
     and ``tensor_product_existence`` (sum m_i a_i together with the previous
     summability clause; a sufficient condition, so it is never refuted).
+    Each declared value is evaluated once; the term vectors ride along.
     """
     coeff = getattr(side_model, "coeff", None)
     if coeff is not None and coeff <= 0:
         raise ConstructionError("side model must produce positive sides")
 
-    folner = _folner_clause(side_model)
+    side_values = _declared(side_model, n_max)
+    sides = [v if math.isinf(v) else float(math.ceil(v)) for v in side_values]
+    norms = _declared(matrix_model, n_max)
+    sigma_terms = [1.0 / m if m >= 1 else math.inf for m in sides]
+    weighted_terms = [0.0 if a == 0.0 else m * a for m, a in zip(sides, norms)]
 
-    sigma = _reciprocal_side_verdict(side_model, n_max)
-    if sigma.verdict == PROVED_CONVERGENT:
-        sigma_clause = ClauseReport(
-            "summable_folner", CERTIFIED,
-            "sum of reciprocal sides converges", sigma)
-    elif sigma.verdict == PROVED_DIVERGENT:
-        sigma_clause = ClauseReport(
-            "summable_folner", REFUTED,
-            "sum of reciprocal sides diverges", sigma)
-    else:
-        sigma_clause = ClauseReport(
-            "summable_folner", UNDETERMINED,
-            "reciprocal side series resists both certificates", sigma)
+    # 1/(v_i + 1) <= 1/m_i <= 1/v_i
+    sigma = _inverse_side_verdict(sigma_terms, side_model, 1.0, 1.0, 1.0, _SIGMA_WORDS)
+    sigma_clause = _clause(
+        "summable_folner", sigma, "sum of reciprocal sides converges",
+        "sum of reciprocal sides diverges",
+        "reciprocal side series resists both certificates")
+    norm_clause = _clause(
+        "product_cocycle", certify_model(norms, matrix_model),
+        "matrix norms are summable, so the pointwise product converges "
+        "everywhere and the limit is again a phase-matrix cocycle",
+        "matrix norms are not summable",
+        "matrix norm series resists both certificates")
 
-    norms = diagnose_model_series(matrix_model, n_max)
-    if norms.verdict == PROVED_CONVERGENT:
-        norm_clause = ClauseReport(
-            "product_cocycle", CERTIFIED,
-            "matrix norms are summable, so the pointwise product converges "
-            "everywhere and the limit is again a phase-matrix cocycle", norms)
-    elif norms.verdict == PROVED_DIVERGENT:
-        norm_clause = ClauseReport(
-            "product_cocycle", REFUTED,
-            "matrix norms are not summable", norms)
+    weighted = _weighted_norm_verdict(weighted_terms, side_model, matrix_model)
+    if _conclusion(sigma, weighted) == PROVED_CONVERGENT:
+        holds, reason = CERTIFIED, ("reciprocal sides and side-weighted norms are both "
+                                    "summable, so the product state converges on every "
+                                    "group element")
+    elif PROVED_DIVERGENT in (weighted.verdict, sigma.verdict):
+        holds, reason = UNDETERMINED, ("the sufficient condition fails; existence is not "
+                                       "settled one way or the other by this route")
     else:
-        norm_clause = ClauseReport(
-            "product_cocycle", UNDETERMINED,
-            "matrix norm series resists both certificates", norms)
-
-    weighted = _weighted_norm_verdict(side_model, matrix_model, n_max)
-    if (weighted.verdict == PROVED_CONVERGENT
-            and sigma.verdict == PROVED_CONVERGENT):
-        tensor_clause = ClauseReport(
-            "tensor_product_existence", CERTIFIED,
-            "reciprocal sides and side-weighted norms are both summable, "
-            "so the product state converges on every group element", weighted)
-    elif weighted.verdict == PROVED_DIVERGENT or sigma.verdict == PROVED_DIVERGENT:
-        tensor_clause = ClauseReport(
-            "tensor_product_existence", UNDETERMINED,
-            "the sufficient condition fails; existence is not settled "
-            "one way or the other by this route", weighted)
-    else:
-        tensor_clause = ClauseReport(
-            "tensor_product_existence", UNDETERMINED,
-            "the sufficient condition resists certification", weighted)
+        holds, reason = UNDETERMINED, "the sufficient condition resists certification"
+    tensor_clause = ClauseReport("tensor_product_existence", holds, reason, weighted)
 
     return BoxCriteria(side_model, matrix_model,
-                       (folner, sigma_clause, norm_clause, tensor_clause))
+                       (_folner_clause(side_model), sigma_clause, norm_clause,
+                        tensor_clause),
+                       tuple(side_values), tuple(sides), tuple(norms),
+                       tuple(sigma_terms), tuple(weighted_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -905,20 +846,23 @@ def dirichlet_value(window: int, theta: float) -> float:
 
 @dataclass(frozen=True)
 class DirichletReport:
+    """Both Dirichlet series with their terms.
+
+    ``inverse_terms`` are 1/n_j and ``deviation_bounds`` the chord bounds
+    min(2, (n_j + 1) |theta_j| / 2) that dominate ``deviation_terms``.
+    """
+
     windows: tuple[int, ...]
     angles: tuple[float, ...]
     deviation_terms: tuple[float, ...]
     inverse_window: SeriesVerdict
     deviation: SeriesVerdict
+    inverse_terms: tuple[float, ...] = ()
+    deviation_bounds: tuple[float, ...] = ()
 
     @property
     def conclusion(self) -> str:
-        if (self.inverse_window.verdict == PROVED_CONVERGENT
-                and self.deviation.verdict == PROVED_CONVERGENT):
-            return PROVED_CONVERGENT
-        if self.inverse_window.verdict == PROVED_DIVERGENT:
-            return PROVED_DIVERGENT
-        return INCONCLUSIVE
+        return _conclusion(self.inverse_window, self.deviation)
 
 
 def dirichlet_condition(windows: Callable[[int], int],
@@ -948,60 +892,44 @@ def dirichlet_condition(windows: Callable[[int], int],
         ang_list.append(theta)
         dev_terms.append(abs(1.0 - dirichlet_value(w, theta)))
 
-    if window_model is not None and _sides_match_model(win_list, window_model) is None:
-        inverse = _reciprocal_side_verdict(window_model, n_max)
+    inverse_terms = [1.0 / w for w in win_list]
+    matched = window_model is not None and _sides_mismatch(
+        win_list, _declared(window_model, n_max), window_model.relation) is None
+    if matched:
+        # 1/(v_j + 1) <= 1/n_j <= 1/v_j
+        inverse = _inverse_side_verdict(inverse_terms, window_model, 1.0, 1.0, 1.0,
+                                        _SIGMA_WORDS)
     else:
-        inverse = SeriesVerdict(
-            INCONCLUSIVE, neumaier_sum([1.0 / w for w in win_list]), n_max,
-            witness="window values lack a matching growth model")
+        inverse = inconclusive(inverse_terms, "window values lack a matching growth model")
 
-    deviation = _deviation_verdict(dev_terms, win_list, ang_list,
-                                   window_model, angle_model)
+    dev_bounds = [min(2.0, 0.5 * (w + 1) * abs(t)) for w, t in zip(win_list, ang_list)]
+    deviation = _deviation_verdict(dev_terms, dev_bounds, ang_list, window_model,
+                                   matched, angle_model)
     return DirichletReport(tuple(win_list), tuple(ang_list), tuple(dev_terms),
-                           inverse, deviation)
+                           inverse, deviation, tuple(inverse_terms), tuple(dev_bounds))
 
 
-def _deviation_verdict(terms: Sequence[float], windows: Sequence[int],
+def _deviation_verdict(terms: Sequence[float], bounds: Sequence[float],
                        angles: Sequence[float], window_model: Optional[TailModel],
+                       windows_matched: bool,
                        angle_model: Optional[TailModel]) -> SeriesVerdict:
-    partial = neumaier_sum(terms)
-    n = len(terms)
-    for j, (w, theta, t) in enumerate(zip(windows, angles, terms), start=1):
-        if t > min(2.0, 0.5 * (w + 1) * abs(theta)) + 1e-9:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"term {j} escaped the chord bound")
+    for j, (t, b) in enumerate(zip(terms, bounds), start=1):
+        if t > b + 1e-9:
+            return inconclusive(terms, f"term {j} escaped the chord bound")
     if window_model is None or angle_model is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="deviation certification needs both declared models")
-    if _sides_match_model(windows, window_model) is not None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="window values do not match their declared model")
-    a_rel = getattr(angle_model, "relation", EXACT)
-    for j, theta in enumerate(angles, start=1):
-        v = angle_model.value(j)
-        slack = 1e-9 * (1.0 + abs(v))
-        if a_rel in (EXACT, MAJORANT) and abs(theta) > v + slack:
-            return SeriesVerdict(INCONCLUSIVE, partial, n,
-                                 witness=f"angle {j} exceeds its declared size {v}")
-    if not (_side_cap_ok(getattr(window_model, "relation", EXACT))
-            and a_rel in (EXACT, MAJORANT)):
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="declared relations give no upper envelope")
-    win_envs = _model_envelopes(window_model, plus=2.0)
-    ang_envs = _model_envelopes(angle_model)
-    if win_envs is None or ang_envs is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="explicit prefixes carry no tail claims")
-    tail = _envelopes_tail(_cross_envelopes(win_envs, ang_envs, 0.5), max(n, 1))
-    if tail is None:
-        return SeriesVerdict(INCONCLUSIVE, partial, n,
-                             witness="declared models admit no summable envelope")
-    return SeriesVerdict(
-        PROVED_CONVERGENT, partial, n, tail_bound=tail,
-        tail_derivation=(
-            f"|1 - D(n_j, theta_j)| <= (n_j + 1) |theta_j| / 2 with "
-            f"n_j <= {_describe_model(window_model)} + 1 and "
-            f"|theta_j| <= {_describe_model(angle_model)}"))
+        return inconclusive(terms, "deviation certification needs both declared models")
+    if not windows_matched:
+        return inconclusive(terms, "window values do not match their declared model")
+    mismatch = _mismatch([abs(t) for t in angles], _declared(angle_model, len(angles)),
+                         angle_model.relation, "angle {i} exceeds its declared size {v}")
+    if mismatch is not None:
+        return inconclusive(terms, mismatch)
+    upper, why = _product_majorant(window_model, 2.0, 0.5, angle_model)
+    derivation = upper and (
+        f"|1 - D(n_j, theta_j)| <= (n_j + 1) |theta_j| / 2 with "
+        f"n_j <= {_describe(window_model)} + 1 and "
+        f"|theta_j| <= {_describe(angle_model)}")
+    return certify(terms, upper, None, (derivation, None, why))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .cocycles import (
     Cocycle,
     ConstructionError,
     MatrixBilinear,
-    MatrixCocycle,
     ProductCocycle,
     TableBilinear,
     canonicalize_phases,
@@ -193,9 +192,6 @@ class TruncatedVector:
     def value_at(self, x: Element) -> complex:
         return self._lookup.get(x, 0.0 + 0.0j)  # type: ignore[attr-defined]
 
-    def amplitude_abs(self) -> "TruncatedVector":
-        return TruncatedVector(self.points, np.abs(self.values).astype(complex))
-
 
 def box_vector(box: FolnerBox) -> TruncatedVector:
     """Normalized characteristic vector of a box."""
@@ -234,9 +230,6 @@ def weak_containment_overlap(phi: TruncatedVector, x: Element,
     return total
 
 
-_flatten_matrix = flatten_matrix_cocycle
-
-
 def _geometric_window_sum(delta: float, low: int, length: int) -> complex:
     """sum_{t=low}^{low+length-1} exp(-i delta t) with delta already in (-pi, pi]."""
     if delta == 0.0:
@@ -259,7 +252,7 @@ def rep_inner_product(u: Cocycle, box: FolnerBox, x: Element) -> complex:
         return 0.0 + 0.0j
     lows, highs = bounds
     card = box.cardinality()
-    flat = _flatten_matrix(u)
+    flat = flatten_matrix_cocycle(u)
     if flat is not None:
         c = flat @ np.asarray(x, dtype=float)
         deltas = canonicalize_phases(c)

@@ -431,24 +431,19 @@ def test_report_file_replays_to_identical_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("TWISTLAB_THREADS", "0")
-    code, _, err = run_cli(capsys, ["folner", "--rank", "1", "--side", "1",
-                                    "--x", "1"])
-    assert code == 2
-    assert "TWISTLAB_THREADS" in err
-    monkeypatch.setenv("TWISTLAB_THREADS", "abc")
-    code, _, _ = run_cli(capsys, ["folner", "--rank", "1", "--side", "1",
-                                  "--x", "1"])
-    assert code == 2
-    monkeypatch.setenv("TWISTLAB_THREADS", "4")
-    code, _, _ = run_cli(capsys, ["folner", "--rank", "1", "--side", "1",
-                                  "--x", "1"])
-    assert code == 0
-    monkeypatch.setenv("TWISTLAB_THREADS", "")
-    code, _, _ = run_cli(capsys, ["folner", "--rank", "1", "--side", "1",
-                                  "--x", "1"])
-    assert code == 0
+def test_explicit_model_shorter_than_values_leaves_bounds_empty(tmp_path, capsys):
+    doc = {"schema": 1, "command": "converge",
+           "params": {"kind": "inner", "values": [1, 1, 1, 1, 1],
+                      "model": {"family": "explicit", "values": [0.5, 0.5]}}}
+    path = tmp_path / "inner.json"
+    path.write_text(json.dumps(doc))
+    report = run_json(capsys, ["converge", "--scenario", str(path)])
+    assert report["result"]["series"]["verdict"] == "Inconclusive"
+    code, out, err = run_cli(capsys, ["converge", "--scenario", str(path),
+                                      "--format", "csv"])
+    assert code == 0, err
+    rows = out.splitlines()[2:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["0.5", "0.5", "", "", ""]
 
 
 # --- CSV mode ---

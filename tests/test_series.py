@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from twistlab.series import (
     EXACT,
+    Envelope,
     ExplicitModel,
     GeometricModel,
     INCONCLUSIVE,
@@ -288,3 +289,69 @@ def test_geometric_verdict_soundness_fuzz(c, r, n):
     assert v.verdict == PROVED_CONVERGENT
     rest = sum(c * r ** i for i in range(n + 1, n + 3000))
     assert v.tail_bound + 1e-12 >= rest
+
+
+# --- the envelope algebra ---
+
+
+def test_envelope_reciprocal_flips_the_relation():
+    env = Envelope(((2.0, 3.0, 1.5),), MINORANT)
+    inv = env.reciprocal(4.0)
+    assert inv == Envelope(((2.0, -3.0, 1.0 / 1.5),), MAJORANT)
+    assert inv.reciprocal(4.0).relation == MINORANT
+    assert Envelope(((2.0, 3.0, 1.0),), EXACT).reciprocal().relation == EXACT
+    # only a single positive term has a reciprocal envelope
+    assert Envelope(((1.0, 0.0, 1.0), (1.0, 1.0, 1.0))).reciprocal() is None
+    assert Envelope(((0.0, 1.0, 1.0),)).reciprocal() is None
+
+
+def test_envelope_majorant_never_mixes_with_minorant():
+    upper = Envelope(((1.0, -2.0, 1.0),), MAJORANT)
+    lower = Envelope(((1.0, 0.0, 0.5),), MINORANT)
+    assert upper.add(lower) is None
+    assert upper.times(lower) is None
+    assert lower.times(upper) is None
+    exact = Envelope(((3.0, 1.0, 1.0),))
+    assert upper.times(exact).relation == MAJORANT
+    assert exact.add(lower).relation == MINORANT
+    assert exact.times(exact).terms == ((9.0, 2.0, 1.0),)
+
+
+def test_envelope_ceil_step_and_collapse():
+    side = PowerModel(2.0, 1.5, MAJORANT).envelope
+    stepped = side.plus(1)
+    assert stepped.terms == ((2.0, 1.5, 1.0), (1.0, 0.0, 1.0))
+    assert stepped.relation == MAJORANT
+    single = stepped.collapse()
+    assert single.terms == ((3.0, 1.5, 1.0),)
+    assert all(single.value(i) >= stepped.value(i) for i in range(1, 50))
+    assert side.lower() is None
+    assert Envelope(side.terms, MINORANT).collapse() is None
+
+
+def test_envelope_summability_predicates():
+    assert Envelope(((1.0, -1.0, 1.0),)).diverges()
+    assert not Envelope(((1.0, -1.5, 1.0),)).diverges()
+    assert not Envelope(((0.0, 5.0, 2.0),)).diverges()
+    assert Envelope(((1.0, -9.0, 1.01),)).diverges()
+    assert Envelope(((1.0, 0.0, 1.0),)).bounded()
+    assert Envelope(((1.0, 0.5, 1.0),)).unbounded()
+    assert Envelope(((1.0, 5.0, 0.9),)).bounded()
+    assert Envelope(((1.0, 0.0, 1.0),)).tail(10) is None
+    assert Envelope(((0.0, 0.0, 1.0),)).tail(10) == 0.0
+
+
+_TERM = st.tuples(st.floats(0.0, 5.0), st.floats(-4.0, 3.0),
+                  st.one_of(st.just(1.0), st.floats(0.0, 0.95)))
+
+
+@given(st.lists(_TERM, min_size=1, max_size=2), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_envelope_tail_dominates_brute_force_sum(terms, n):
+    env = Envelope(tuple(terms), MAJORANT)
+    tail = env.tail(n)
+    if tail is None:
+        assert any(c > 0 and r == 1.0 and q >= -1 for c, q, r in terms)
+        return
+    brute = math.fsum(env.value(i) for i in range(n + 1, n + 3000))
+    assert tail >= brute * (1.0 - 1e-12)

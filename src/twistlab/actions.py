@@ -103,11 +103,9 @@ def _cocycle_at(cocycles: Union[CocycleSequence, Callable[[int], Cocycle]], i: i
 
 def scenario_from_regular_vectors(group: Group,
                                   cocycles: Union[CocycleSequence, Callable[[int], Cocycle]],
-                                  vectors: Callable[[int], TruncatedVector],
-                                  length: Optional[int] = None) -> ActionScenario:
+                                  vectors: Callable[[int], TruncatedVector]) -> ActionScenario:
     """a_i(g) = <lambda_{u_i}(g) phi_i, phi_i> inside twisted regular representations."""
-    if isinstance(cocycles, CocycleSequence) and length is None:
-        length = cocycles.length
+    length = cocycles.length if isinstance(cocycles, CocycleSequence) else None
 
     def amplitudes(i: int, g: Element) -> complex:
         return twisted_inner_product(_cocycle_at(cocycles, i), vectors(i), g)
@@ -116,8 +114,7 @@ def scenario_from_regular_vectors(group: Group,
 
 
 def scenario_from_rep_vectors(reps: Callable[[int], ProjectiveRep],
-                              vectors: Callable[[int], np.ndarray],
-                              length: Optional[int] = None) -> ActionScenario:
+                              vectors: Callable[[int], np.ndarray]) -> ActionScenario:
     """a_i(g) = <U_i(g) v_i, v_i> for dense matrix representations."""
     group = reps(1).group
 
@@ -129,30 +126,33 @@ def scenario_from_rep_vectors(reps: Callable[[int], ProjectiveRep],
             raise ValueError(f"vector {i} has norm {nrm}, expected a unit vector")
         return complex(np.vdot(v, rep.matrix(g) @ v))
 
-    return ActionScenario(group, "vector", amplitudes, length=length)
+    return ActionScenario(group, "vector", amplitudes)
 
 
-def rep_trace_scenario(rep: ProjectiveRep, length: Optional[int] = None) -> ActionScenario:
+def rep_trace_scenario(rep: ProjectiveRep) -> ActionScenario:
     """Normalized traces tr(U(g))/dim repeated along every factor.
 
     The terms are constant in i, so the attached model is exact and the
-    verdict machinery settles each element from a single evaluation.
+    verdict machinery settles each element from a single evaluation.  Each
+    trace is computed on first use and then reused for every index.
     """
     group = rep.group
+    traces: dict[Element, complex] = {}
 
     def amplitudes(i: int, g: Element) -> complex:
-        m = rep.matrix(group.require(g))
-        return complex(np.trace(m)) / rep.dimension
+        g = group.require(g)
+        if g not in traces:
+            traces[g] = complex(np.trace(rep.matrix(g))) / rep.dimension
+        return traces[g]
 
     def term_model(g: Element) -> PowerModel:
         deficit = max(0.0, 1.0 - abs(amplitudes(1, group.element(g))))
         return PowerModel(deficit, 0.0)
 
-    return ActionScenario(group, "trace", amplitudes, length=length,
-                          term_model=term_model)
+    return ActionScenario(group, "trace", amplitudes, term_model=term_model)
 
 
-def regular_trace_scenario(group: Group, length: Optional[int] = None) -> ActionScenario:
+def regular_trace_scenario(group: Group) -> ActionScenario:
     """The canonical trace of every twisted regular representation.
 
     tau(lambda_u(g)) picks out the diagonal coefficient u(-g, g) delta_{g,e},
@@ -167,8 +167,7 @@ def regular_trace_scenario(group: Group, length: Optional[int] = None) -> Action
         trivial = group.element(g) == group.identity
         return PowerModel(0.0 if trivial else 1.0, 0.0)
 
-    return ActionScenario(group, "trace", amplitudes, length=length,
-                          term_model=term_model)
+    return ActionScenario(group, "trace", amplitudes, term_model=term_model)
 
 
 def _amplitudes(scenario: ActionScenario, g: Element, n_max: int) -> list[complex]:

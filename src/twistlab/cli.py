@@ -69,6 +69,7 @@ from .convergence import (
     DEFAULT_SCAN_HORIZON,
     SelectionError,
     box_defect,
+    ceil_schedule,
     dirichlet_condition,
     dirichlet_value,
     geometric_matrix_family,
@@ -109,6 +110,7 @@ from .series import (
     InvalidInnerProductError,
     PowerModel,
     TailModel,
+    horizon,
     model_bounds,
     running_sums,
 )
@@ -451,24 +453,6 @@ def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], float], T
     return (lambda j: c * k ** j), GeometricModel(abs(c), k)
 
 
-def _capped_horizon(ctx: RunContext, default: int, *models: TailModel) -> int:
-    """The n_max horizon, cut to the length of every explicit model."""
-    return min([ctx.n_max(default)]
-               + [len(m.values) for m in models if isinstance(m, ExplicitModel)])
-
-
-def _sides_from_model(model: TailModel, what: str) -> Callable[[int], int]:
-    """Integer side (or window) schedule by rounding the model values up."""
-
-    def fn(i: int) -> int:
-        v = model.value(i)
-        if not math.isfinite(v):
-            raise ConstructionError(f"{what} model overflows at index {i}")
-        return max(0, math.ceil(v))
-
-    return fn
-
-
 # --- cocycle / bilinear / representation descriptors ------------------------
 
 _NAMED_COCYCLES: dict[str, Callable[[], Cocycle]] = {
@@ -682,8 +666,8 @@ def _matrix_family_from(params: dict, key: str, ctx_name: str):
 
 
 def _scalar_values(params: dict, ctx: RunContext) -> tuple[
-        Callable[[int], complex], Optional[TailModel], int]:
-    """Values plus optional term model for the product / inner kinds."""
+        list[complex], Optional[TailModel]]:
+    """Realized values plus optional term model for the product / inner kinds."""
     has_values = "values" in params
     has_angles = "angles" in params
     if has_values == has_angles:
@@ -692,16 +676,15 @@ def _scalar_values(params: dict, ctx: RunContext) -> tuple[
     if has_values:
         raw = _nonempty_list(params["values"], "params.values")
         vals = [parse_complex(v, f"params.values[{k}]") for k, v in enumerate(raw)]
-        n = min(ctx.n_max(DEFAULT_SCALAR_HORIZON), len(vals))
-        return (lambda i: vals[i - 1]), model, n
+        return vals[:ctx.n_max(DEFAULT_SCALAR_HORIZON)], model
     theta, abs_model = parse_signed_family(params["angles"], "params.angles")
     if model is None:
         # |1 - e^{i theta}| = 2|sin(theta/2)| <= |theta|, so the absolute
         # angle family is a certified majorant for the term series.
         if abs_model.envelope is not None:
             model = replace(abs_model, relation=MAJORANT)
-    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, abs_model)
-    return (lambda i: cmath.exp(1j * theta(i))), model, n
+    n = horizon(ctx.n_max(DEFAULT_SCALAR_HORIZON), abs_model)
+    return [cmath.exp(1j * theta(i)) for i in range(1, n + 1)], model
 
 
 def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
@@ -713,10 +696,9 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
         x = parse_int_list(params["x"], "params.x")
         mat_fn, mat_model = _matrix_family_from(params, "matrices", "params.matrices")
         side_model = parse_model(params["sides"], "params.sides")
-        side_fn = _sides_from_model(side_model, "side")
-        n = _capped_horizon(ctx, DEFAULT_BOX_HORIZON, side_model)
-        rep = twisted_rep_series(mat_fn, mat_model, side_fn, side_model, x,
-                                 n_max=n, grid_cap=ctx.grid_cap())
+        rep = twisted_rep_series(mat_fn, mat_model, ceil_schedule(side_model, "side"),
+                                 side_model, x, n_max=ctx.n_max(DEFAULT_BOX_HORIZON),
+                                 grid_cap=ctx.grid_cap())
         result = {
             "conclusion": rep.conclusion,
             "kind": "boxes",
@@ -736,8 +718,8 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
     if kind in ("inner", "product"):
         _check_keys(params, "params", required=("kind",),
                     optional=("angles", "model", "values"))
-        values, model, n = _scalar_values(params, ctx)
-        realized = [values(i) for i in range(1, n + 1)]
+        realized, model = _scalar_values(params, ctx)
+        n = len(realized)
         terms = [abs(1.0 - z) for z in realized]
         result = {"kind": kind, "terms_head": _head(terms)}
         if kind == "product":
@@ -763,7 +745,7 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
     ratio = parse_scalar(members["ratio"], "params.members.ratio")
     seq = geometric_matrix_sequence(matrix, ratio)
     side_model = parse_model(params["sides"], "params.sides")
-    side_fn = _sides_from_model(side_model, "side")
+    side_fn = ceil_schedule(side_model, "side")
     rank = matrix.shape[0]
     thresholds = None
     if "thresholds" in params:
@@ -777,7 +759,7 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
     try:
         report = select_product_subsequence(
             seq, lambda k: FolnerBox(rank, side_fn(k)),
-            SupNormExhaustion(IntegerLattice(rank)), count,
+            SupNormExhaustion(IntegerLattice(rank)), horizon(count, side_model),
             thresholds=thresholds, scan_horizon=ctx.scan(),
             grid_cap=ctx.grid_cap())
     except SelectionError as exc:
@@ -797,8 +779,8 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("norms", "sides"), optional=("x",))
     side_model = parse_model(params["sides"], "params.sides")
     matrix_model = parse_model(params["norms"], "params.norms")
-    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, side_model, matrix_model)
-    crit = lattice_tensor_criteria(side_model, matrix_model, n_max=n)
+    crit = lattice_tensor_criteria(side_model, matrix_model,
+                                   n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
     result = {
         "clauses": [{"holds": c.holds, "name": c.name, "reason": c.reason,
                      "series": _verdict_dict(c.series) if c.series else None}
@@ -827,11 +809,10 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
 def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("angles", "windows"))
     window_model = parse_model(params["windows"], "params.windows")
-    window_fn = _sides_from_model(window_model, "window")
     angle_fn, angle_model = parse_signed_family(params["angles"], "params.angles")
-    n = _capped_horizon(ctx, DEFAULT_SCALAR_HORIZON, window_model, angle_model)
-    report = dirichlet_condition(window_fn, window_model, angle_fn, angle_model,
-                                 n_max=n)
+    report = dirichlet_condition(ceil_schedule(window_model, "window"), window_model,
+                                 angle_fn, angle_model,
+                                 n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
     result = {
         "angles_head": _head(report.angles),
         "conclusion": report.conclusion,

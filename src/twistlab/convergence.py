@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -58,8 +57,11 @@ from .series import (
     certify,
     certify_model,
     diagnose_terms,
+    horizon,
     inconclusive,
+    model_values,
     neumaier_sum,
+    prefix_mismatch,
 )
 # perfbench/tracer.py wraps the tail kernels where this module would look
 # them up, so the names stay importable here; only Envelope.tail calls them.
@@ -169,8 +171,9 @@ def modulus_deficit_series(values: ScalarSource, model: Optional[TailModel] = No
 
 
 def box_defect(box: FolnerBox, x: Element) -> float:
-    """Translation defect 1 - #(F cap (x+F)) / #F, exact rational to float."""
-    return float(1 - Fraction(box.overlap(x), box.cardinality()))
+    """Translation defect 1 - #(F cap (x+F)) / #F; int / int division rounds once."""
+    card = box.cardinality()
+    return (card - box.overlap(x)) / card
 
 
 def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
@@ -243,12 +246,24 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
 # ---------------------------------------------------------------------------
 
 
+def ceil_schedule(model: TailModel, what: str) -> Callable[[int], int]:
+    """Integer sides (or windows) m_i = ceil(v_i) of the declared values v_i."""
+
+    def fn(i: int) -> int:
+        v = model.value(i)
+        if not math.isfinite(v):
+            raise ConstructionError(f"{what} model overflows at index {i}")
+        return math.ceil(v)
+
+    return fn
+
+
 def power_box_family(coeff: float, exponent: float) -> tuple[Callable[[int], int], PowerModel]:
     """Sides m_i = ceil(coeff * i**exponent), with the declared growth model."""
     if coeff <= 0:
         raise ValueError("coeff must be positive so every box is nonempty")
     model = PowerModel(coeff, exponent)
-    return (lambda i: math.ceil(model.value(i))), model
+    return ceil_schedule(model, "side"), model
 
 
 def geometric_box_family(coeff: float, ratio: float) -> tuple[Callable[[int], int], GeometricModel]:
@@ -258,7 +273,7 @@ def geometric_box_family(coeff: float, ratio: float) -> tuple[Callable[[int], in
     if ratio <= 0:
         raise ValueError("ratio must be positive")
     model = GeometricModel(coeff, ratio)
-    return (lambda i: math.ceil(model.value(i))), model
+    return ceil_schedule(model, "side"), model
 
 
 def geometric_matrix_family(matrix, ratio: float) -> tuple[Callable[[int], np.ndarray], GeometricModel]:
@@ -287,29 +302,9 @@ def power_matrix_family(matrix, exponent: float) -> tuple[Callable[[int], np.nda
     return matrices, PowerModel(top, exponent)
 
 
-def _declared(model: TailModel, n: int) -> list[float]:
-    return [model.value(i) for i in range(1, n + 1)]
-
-
-def _mismatch(actual: Sequence[float], declared: Sequence[float], relation: str,
-              above: str, below: Optional[str] = None,
-              width: float = 0.0) -> Optional[str]:
-    """The first value outside [v, v + width] on a side the relation vouches for."""
-    for i, (a, v) in enumerate(zip(actual, declared), start=1):
-        slack = 1e-9 * (1.0 + abs(v))
-        if below is not None and relation != MAJORANT and a < v - slack:
-            return below.format(i=i, a=a, v=v)
-        if relation != MINORANT and a > v + width + slack:
-            return above.format(i=i, a=a, v=v)
-    return None
-
-
-def _sides_mismatch(sides: Sequence[float], values: Sequence[float],
-                    relation: str) -> Optional[str]:
-    """None when every side sits in the ceil window [v, v + 1] of its declared value."""
-    return _mismatch(sides, values, relation,
-                     "side {i} = {a} exceeds the declared ceiling {v} + 1",
-                     "side {i} = {a} falls below the declared value {v}", 1.0)
+# every realized side must sit in the ceil window [v, v + 1] of its declared value
+_CEIL_WINDOW = ("side {i} = {a} exceeds the declared ceiling {v} + 1",
+                "side {i} = {a} falls below the declared value {v}", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +451,7 @@ def _translation_verdict(terms: Sequence[float], bounds: Sequence[float],
             return inconclusive(terms, f"defect at side {m} escaped its proved envelope")
     if model is None:
         return inconclusive(terms, "no growth model declared for the box sides")
-    mismatch = _sides_mismatch(sides, values, model.relation)
+    mismatch = prefix_mismatch(sides, values, model.relation, *_CEIL_WINDOW)
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     # |x|_inf / (v_i + 2) <= defect_i <= |x|_1 / v_i
@@ -476,12 +471,13 @@ def _twist_verdict(terms: Sequence[float], bounds: Sequence[float],
             return inconclusive(terms, f"term {i} escaped its proved envelope")
     if side_model is None or matrix_model is None:
         return inconclusive(terms, "twist certification needs both declared models")
-    mismatch = _sides_mismatch(sides, side_values, side_model.relation)
+    mismatch = prefix_mismatch(sides, side_values, side_model.relation, *_CEIL_WINDOW)
     if mismatch is not None:
         return inconclusive(terms, mismatch)
-    mismatch = _mismatch(norms, _declared(matrix_model, len(norms)), matrix_model.relation,
-                         "matrix norm {i} = {a} exceeds its declared value {v}",
-                         "matrix norm {i} = {a} falls below its declared value {v}")
+    mismatch = prefix_mismatch(norms, model_values(matrix_model, len(norms)),
+                               matrix_model.relation,
+                               "matrix norm {i} = {a} exceeds its declared value {v}",
+                               "matrix norm {i} = {a} falls below its declared value {v}")
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     upper, why = _product_majorant(side_model, 1.0, 0.5 * rank * l1, matrix_model)
@@ -503,10 +499,12 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
 
     ``matrices(i)`` is the phase matrix of the i-th cocycle and ``sides(i)``
     the i-th box side; the declared models carry the growth claims that turn
-    evaluated prefixes into certified tails.
+    evaluated prefixes into certified tails.  An explicit model stops the
+    horizon at the end of its prefix.
     """
     if n_max < 1:
         raise ValueError("need at least one index")
+    n_max = horizon(n_max, side_model, matrix_model)
     x = tuple(int(c) for c in x)
     rank = len(x)
     side_list = []
@@ -523,7 +521,7 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
         norm_list.append(float(np.max(np.abs(A))) if A.size else 0.0)
         trans_terms.append(box_defect(box, x))
         twist_terms.append(box_twist_mean(A, box, x, grid_cap=grid_cap))
-    side_values = _declared(side_model, n_max) if side_model is not None else None
+    side_values = model_values(side_model, n_max) if side_model is not None else None
     factor = 0.5 * rank * l1_norm(x)
     trans_bounds = _translation_bounds(side_list, x)
     twist_bounds = [min(2.0, factor * m * a) for m, a in zip(side_list, norm_list)]
@@ -546,11 +544,13 @@ def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
     """Exact defect terms for zero-offset boxes together with their verdict.
 
     Convenience wrapper for callers that already hold a realized side list
-    (the box criteria below consume models directly instead).
+    (the box criteria below consume models directly instead); an explicit
+    side model keeps only as many sides as it declares.
     """
+    sides = list(sides)[:horizon(len(sides), side_model)]
     terms = box_defect_terms(sides, x)
-    values = _declared(side_model, len(sides)) if side_model is not None else None
-    return terms, _translation_verdict(terms, _translation_bounds(sides, x), list(sides),
+    values = model_values(side_model, len(sides)) if side_model is not None else None
+    return terms, _translation_verdict(terms, _translation_bounds(sides, x), sides,
                                        side_model, values, x)
 
 
@@ -690,15 +690,17 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
     (sum 1/m_i), ``product_cocycle`` (sum a_i with a_i the sup entry norm),
     and ``tensor_product_existence`` (sum m_i a_i together with the previous
     summability clause; a sufficient condition, so it is never refuted).
-    Each declared value is evaluated once; the term vectors ride along.
+    Each declared value is evaluated once, up to n_max or the end of an
+    explicit prefix; the term vectors ride along.
     """
     coeff = getattr(side_model, "coeff", None)
     if coeff is not None and coeff <= 0:
         raise ConstructionError("side model must produce positive sides")
 
-    side_values = _declared(side_model, n_max)
+    n_max = horizon(n_max, side_model, matrix_model)
+    side_values = model_values(side_model, n_max)
     sides = [v if math.isinf(v) else float(math.ceil(v)) for v in side_values]
-    norms = _declared(matrix_model, n_max)
+    norms = model_values(matrix_model, n_max)
     sigma_terms = [1.0 / m if m >= 1 else math.inf for m in sides]
     weighted_terms = [0.0 if a == 0.0 else m * a for m, a in zip(sides, norms)]
 
@@ -876,10 +878,12 @@ def dirichlet_condition(windows: Callable[[int], int],
     bound |1 - D(n, theta)| <= (n+1) |theta| / 2, so certified tails need an
     upper envelope on both the windows and the angle sizes.  Divergence of
     the deviation series is never claimed: the Dirichlet mean oscillates and
-    admits no useful minorant.
+    admits no useful minorant.  An explicit model stops the horizon at the
+    end of its prefix.
     """
     if n_max < 1:
         raise ValueError("need at least one index")
+    n_max = horizon(n_max, window_model, angle_model)
     win_list = []
     ang_list = []
     dev_terms = []
@@ -893,8 +897,9 @@ def dirichlet_condition(windows: Callable[[int], int],
         dev_terms.append(abs(1.0 - dirichlet_value(w, theta)))
 
     inverse_terms = [1.0 / w for w in win_list]
-    matched = window_model is not None and _sides_mismatch(
-        win_list, _declared(window_model, n_max), window_model.relation) is None
+    matched = window_model is not None and prefix_mismatch(
+        win_list, model_values(window_model, n_max), window_model.relation,
+        *_CEIL_WINDOW) is None
     if matched:
         # 1/(v_j + 1) <= 1/n_j <= 1/v_j
         inverse = _inverse_side_verdict(inverse_terms, window_model, 1.0, 1.0, 1.0,
@@ -920,8 +925,9 @@ def _deviation_verdict(terms: Sequence[float], bounds: Sequence[float],
         return inconclusive(terms, "deviation certification needs both declared models")
     if not windows_matched:
         return inconclusive(terms, "window values do not match their declared model")
-    mismatch = _mismatch([abs(t) for t in angles], _declared(angle_model, len(angles)),
-                         angle_model.relation, "angle {i} exceeds its declared size {v}")
+    mismatch = prefix_mismatch([abs(t) for t in angles],
+                               model_values(angle_model, len(angles)), angle_model.relation,
+                               "angle {i} exceeds its declared size {v}")
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     upper, why = _product_majorant(window_model, 2.0, 0.5, angle_model)

@@ -344,8 +344,13 @@ class ExplicitModel:
 TailModel = Union[PowerModel, GeometricModel, ExplicitModel]
 
 
+def horizon(n: int, *models: Optional[TailModel]) -> int:
+    """The horizon n, cut to the shortest explicit prefix among the models."""
+    return min([n] + [len(m.values) for m in models if isinstance(m, ExplicitModel)])
+
+
 def model_values(model: TailModel, n: int) -> list[float]:
-    """First n declared values (the full prefix for explicit models)."""
+    """First n declared values (at most the prefix for explicit models)."""
     if isinstance(model, ExplicitModel):
         return list(model.values[:n])
     return [model.value(i) for i in range(1, n + 1)]
@@ -373,14 +378,19 @@ def _nonnegative(terms: Sequence[float]) -> list[float]:
     return [max(t, 0.0) for t in terms]
 
 
-def _consistency_witness(terms: Sequence[float], model: TailModel) -> Optional[str]:
-    relation = model.relation
-    for i, (t, claimed) in enumerate(zip(terms, model_values(model, len(terms))), start=1):
-        slack = 1e-9 + 1e-9 * abs(claimed)
-        if relation != MINORANT and t > claimed + slack:
-            return f"term {i} = {t} exceeds declared bound {claimed}"
-        if relation != MAJORANT and t < claimed - slack:
-            return f"term {i} = {t} falls below declared bound {claimed}"
+def prefix_mismatch(realized: Sequence[float], declared: Sequence[float],
+                    relation: str, above: str, below: Optional[str] = None,
+                    width: float = 0.0) -> Optional[str]:
+    """The first realized a outside [v, v + width] on a side the relation vouches for.
+
+    The texts are formatted with the index i, a and the declared value v.
+    """
+    for i, (a, v) in enumerate(zip(realized, declared), start=1):
+        slack = 1e-9 + 1e-9 * abs(v)
+        if below is not None and relation != MAJORANT and a < v - slack:
+            return below.format(i=i, a=a, v=v)
+        if relation != MINORANT and a > v + width + slack:
+            return above.format(i=i, a=a, v=v)
     return None
 
 
@@ -403,7 +413,9 @@ def diagnose_terms(terms: Sequence[float], model: Optional[TailModel]) -> Series
     terms = _nonnegative(terms)
     if model is None:
         return inconclusive(terms, "no tail model declared")
-    mismatch = _consistency_witness(terms, model)
+    mismatch = prefix_mismatch(terms, model_values(model, len(terms)), model.relation,
+                               "term {i} = {a} exceeds declared bound {v}",
+                               "term {i} = {a} falls below declared bound {v}")
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     return _model_certificate(terms, model)

@@ -1,6 +1,7 @@
 """Product-type action scenarios, extension certificates and the class obstruction."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,22 @@ def test_rep_trace_scenario_pauli_amplitudes():
             assert scn.amplitudes(i, g) == pytest.approx(tr, abs=1e-15)
     assert scn.term_model((1, 0)) == PowerModel(1.0, 0.0)
     assert scn.term_model((0, 0)) == PowerModel(0.0, 0.0)
+
+
+def test_rep_trace_scenario_computes_each_trace_once_on_demand():
+    pauli = pauli_rep()
+    calls = []
+
+    def matrix(g):
+        calls.append(g)
+        return pauli.matrix(g)
+
+    scn = rep_trace_scenario(dataclasses.replace(pauli, matrix=matrix))
+    assert calls == []
+    verdict = trace_condition(scn, (1, 0), n_max=500)
+    assert verdict.verdict == PROVED_DIVERGENT
+    assert [scn.amplitudes(i, (0, 0)) for i in (1, 2, 3)] == [1.0, 1.0, 1.0]
+    assert calls == [(1, 0), (0, 0)]
 
 
 def test_regular_trace_scenario_is_delta_at_identity():

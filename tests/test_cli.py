@@ -305,6 +305,13 @@ def test_select_inline_and_failure_exit(capsys):
     assert "selection failed" in err
 
 
+def test_select_stops_at_an_explicit_side_prefix(capsys):
+    doc = run_json(capsys, ["select", "--count", "3", "--matrix", "0,1;-1,0",
+                            "--sides", "explicit:1,2"])
+    assert len(doc["result"]["indices"]) == 2
+    assert doc["scenario"]["params"]["count"] == 3
+
+
 def test_obstruction_flags_and_group_guard(capsys):
     doc = run_json(capsys, ["obstruction", "--group", "Z2xZ2",
                             "--cocycle", "pauli"])

@@ -27,6 +27,7 @@ from twistlab.convergence import (
     box_defect_terms,
     box_sup_distance,
     box_twist_mean,
+    ceil_schedule,
     dirichlet_condition,
     dirichlet_value,
     gauge_fix,
@@ -125,6 +126,15 @@ def test_box_defect_exact_fraction():
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 600), st.data())
+def test_box_defect_is_the_correctly_rounded_fraction(rank, side, data):
+    """Sides up to 2^600 push the cardinality far past the float range."""
+    box = FolnerBox(rank, side)
+    x = tuple(data.draw(st.integers(-side - 2, side + 2)) for _ in range(rank))
+    assert box_defect(box, x) == float(1 - Fraction(box.overlap(x), box.cardinality()))
+
+
 def brute_twist_mean(matrix, box, x):
     u = MatrixCocycle(matrix)
     g = u.group
@@ -194,6 +204,16 @@ def test_family_constructors():
     pmats, pmodel = power_matrix_family(ROTATION, -2.0)
     assert np.allclose(pmats(2), ROTATION * 0.25)
     assert pmodel == PowerModel(math.pi / 2, -2.0)
+
+
+def test_ceil_schedule_rounds_up_and_names_an_overflow():
+    sides = ceil_schedule(PowerModel(1.5, 1.0), "side")
+    assert [sides(i) for i in (1, 2, 3)] == [2, 3, 5]
+    with pytest.raises(ConstructionError, match="window model overflows at index 800"):
+        ceil_schedule(GeometricModel(1.0, 10.0), "window")(800)
+    gsides, _ = geometric_box_family(1.0, 10.0)
+    with pytest.raises(ConstructionError, match="side model overflows at index 400"):
+        gsides(400)
 
 
 def test_family_validation():
@@ -285,6 +305,60 @@ def test_translation_series_wrapper():
     terms, verdict = translation_series([1, 4, 9, 16], PowerModel(1.0, 2.0), (1,))
     assert terms == box_defect_terms([1, 4, 9, 16], (1,))
     assert verdict.verdict == PROVED_CONVERGENT
+
+
+# --- explicit models shorter than the horizon cap it ---
+
+
+def test_twisted_rep_series_caps_at_an_explicit_side_model():
+    mats, mmodel = geometric_matrix_family(ROTATION, 0.5)
+    rep = twisted_rep_series(mats, mmodel, lambda i: i * i,
+                             ExplicitModel((1.0, 4.0, 9.0)), (1, 0), n_max=8)
+    assert rep.sides == (1, 4, 9)
+    assert len(rep.translation_terms) == len(rep.twist_terms) == 3
+    assert rep.translation.witness == "declared side model certifies neither direction"
+    assert rep.twist.witness == "explicit prefixes carry no tail claims"
+
+
+def test_twisted_rep_series_caps_at_an_explicit_matrix_model():
+    mats, mmodel = geometric_matrix_family(ROTATION, 0.5)
+    sides, smodel = power_box_family(1.0, 2.0)
+    norms = ExplicitModel((mmodel.value(1), mmodel.value(2)))
+    rep = twisted_rep_series(mats, norms, sides, smodel, (1, 0), n_max=8)
+    assert rep.sides == (1, 4)
+    assert len(rep.twist_terms) == 2
+    assert rep.translation.terms_evaluated == rep.twist.terms_evaluated == 2
+    assert rep.twist.witness == "explicit prefixes carry no tail claims"
+
+
+def test_criteria_cap_at_an_explicit_model():
+    crit = lattice_tensor_criteria(ExplicitModel((1.0, 2.0, 3.0)),
+                                   PowerModel(1.0, -2.0), n_max=10)
+    assert crit.sides == (1.0, 2.0, 3.0)
+    assert crit.norms == (1.0, 0.25, 1.0 / 9.0)
+    crit = lattice_tensor_criteria(PowerModel(1.0, 2.0),
+                                   ExplicitModel((0.5, 0.25)), n_max=10)
+    assert crit.sides == (1.0, 4.0)
+    assert crit.weighted_terms == (0.5, 1.0)
+    assert crit.clause("product_cocycle").series.terms_evaluated == 2
+
+
+def test_dirichlet_condition_caps_at_an_explicit_model():
+    report = dirichlet_condition(lambda j: j, ExplicitModel((1.0, 2.0, 3.0)),
+                                 lambda j: 0.1 / j ** 2, PowerModel(0.1, -2.0), n_max=10)
+    assert report.windows == (1, 2, 3)
+    assert len(report.deviation_terms) == len(report.inverse_terms) == 3
+    report = dirichlet_condition(lambda j: j, PowerModel(1.0, 1.0), lambda j: 0.1,
+                                 ExplicitModel((0.1, 0.1)), n_max=10)
+    assert report.angles == (0.1, 0.1)
+    assert report.deviation.witness == "explicit prefixes carry no tail claims"
+
+
+def test_translation_series_caps_at_an_explicit_model():
+    terms, verdict = translation_series([1, 4, 9, 16], ExplicitModel((1.0, 4.0)), (1,))
+    assert terms == box_defect_terms([1, 4], (1,))
+    assert verdict.terms_evaluated == 2
+    assert verdict.verdict == INCONCLUSIVE
 
 
 # --- the four-clause report ---

@@ -20,10 +20,12 @@ from twistlab.series import (
     diagnose_model_series,
     diagnose_terms,
     geometric_tail,
+    horizon,
     model_values,
     neumaier_sum,
     poly_geometric_tail,
     power_tail,
+    prefix_mismatch,
     running_sums,
     series_table,
 )
@@ -151,6 +153,25 @@ def test_model_values_prefix():
     assert model_values(PowerModel(2.0, -1.0), 3) == pytest.approx(
         [2.0, 1.0, 2.0 / 3.0])
     assert model_values(ExplicitModel((0.5, 0.25)), 5) == [0.5, 0.25]
+
+
+def test_horizon_stops_at_the_shortest_explicit_prefix():
+    assert horizon(10, PowerModel(1.0, 2.0), None) == 10
+    assert horizon(10, ExplicitModel((1.0, 2.0, 3.0)), ExplicitModel((1.0, 2.0))) == 2
+    assert horizon(1, ExplicitModel((1.0, 2.0))) == 1
+
+
+def test_prefix_mismatch_checks_only_the_vouched_sides():
+    above, below = "{i}: {a} > {v}", "{i}: {a} < {v}"
+    assert prefix_mismatch([1.0, 3.0], [1.0, 2.0], EXACT, above, below) == "2: 3.0 > 2.0"
+    assert prefix_mismatch([1.0, 3.0], [1.0, 2.0], MINORANT, above, below) is None
+    assert prefix_mismatch([1.0, 1.5], [1.0, 2.0], MAJORANT, above, below) is None
+    assert prefix_mismatch([1.0, 1.5], [1.0, 2.0], EXACT, above, below) == "2: 1.5 < 2.0"
+    assert prefix_mismatch([1.0, 1.5], [1.0, 2.0], EXACT, above) is None
+    # the window [v, v + width] and the relative slack 1e-9 (1 + |v|)
+    assert prefix_mismatch([2, 3], [1.5, 2.0], EXACT, above, below, width=1.0) is None
+    assert prefix_mismatch([2.0 + 2e-9], [1.0], EXACT, above, width=1.0) is None
+    assert prefix_mismatch([2.0 + 3e-9], [1.0], EXACT, above, width=1.0) is not None
 
 
 # --- verdicts: convergence needs exact or majorant ---

@@ -29,6 +29,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice, product
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -856,8 +857,7 @@ def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
             pairs = list(zip(sample_elements(sigma.a_group, count, bound, rng),
                              sample_elements(sigma.b_group, count, bound, rng)))
         sample_bs: Sequence = b_els
-        bilin_pairs = [(a, a2, b, b2) for a in a_els for a2 in a_els
-                       for b in b_els for b2 in b_els][:4096]
+        bilin_pairs = list(islice(product(a_els, a_els, b_els, b_els), 4096))
     else:
         window = _check_keys(params.get("window"), "params.window",
                              required=("side",))
@@ -1455,6 +1455,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise _schema_error("--value-only needs --n and --theta")
             if args.n < 0:
                 raise _schema_error("--n must be >= 0")
+            if 2 * args.n + 1 > sys.float_info.max:
+                raise _schema_error("--n is too large: 2 n + 1 exceeds the float range")
             value = dirichlet_value(args.n, parse_scalar(args.theta, "--theta"))
             text = _float_repr(value) + "\n"
         else:

@@ -424,17 +424,36 @@ def lift_bilinear(d) -> MatrixCocycle:
     return MatrixCocycle(block)
 
 
+class BilinearCocycle(Cocycle):
+    """u((a1,b1),(a2,b2)) = conj(sigma(a2, b1)) on A x B, evaluated lazily.
+
+    Only the identity row and column of the phase table (index 0) are read
+    up front, to reject a sigma that is not normalized with the test and
+    message of TableCocycle.
+    """
+
+    def __init__(self, sigma: TableBilinear) -> None:
+        for edge in (sigma.phases[0, :], sigma.phases[:, 0]):
+            values = np.array([cmath.exp(1j * t) for t in edge.tolist()])
+            if np.max(np.abs(values - 1.0)) > 1e-12:
+                raise ConstructionError("table must be normalized at the identity")
+        self.sigma = sigma
+        self.group = FiniteAbelianGroup(sigma.a_group.moduli + sigma.b_group.moduli)
+
+    def value(self, x: Element, y: Element) -> complex:
+        p = self.sigma.a_group.rank
+        return self.sigma.value(y[:p], x[p:]).conjugate()
+
+    def __repr__(self) -> str:
+        return f"BilinearCocycle(order={self.group.order})"
+
+
 def cocycle_from_bilinear(sigma: BilinearMap) -> Cocycle:
-    """The cocycle u((a1,b1),(a2,b2)) = conj(sigma(a2, b1)) on A x B."""
+    """The cocycle u((a1,b1),(a2,b2)) = conj(sigma(a2, b1)) on A x B, tabulated."""
     if isinstance(sigma, MatrixBilinear):
         return lift_bilinear(sigma.d)
-    g = FiniteAbelianGroup(sigma.a_group.moduli + sigma.b_group.moduli)
-    p = sigma.a_group.rank
-
-    def f(x: Element, y: Element) -> complex:
-        return sigma.value(y[:p], x[p:]).conjugate()
-
-    return TableCocycle.from_function(g, f)
+    u = BilinearCocycle(sigma)
+    return TableCocycle.from_function(u.group, u.value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Verdicts are three-valued (`ProvedConvergent`, `ProvedDivergent`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -891,6 +892,8 @@ def dirichlet_condition(windows: Callable[[int], int],
         w = int(windows(j))
         if w < 1:
             raise ConstructionError(f"window {j} must be a positive integer")
+        if 2 * w + 1 > sys.float_info.max:
+            raise ConstructionError(f"window {j} is too large: 2 n_j + 1 exceeds the float range")
         theta = float(angles(j))
         win_list.append(w)
         ang_list.append(theta)

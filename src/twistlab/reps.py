@@ -17,13 +17,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .cocycles import (
+    BilinearCocycle,
     Cocycle,
     ConstructionError,
     MatrixBilinear,
     ProductCocycle,
     TableBilinear,
     canonicalize_phases,
-    cocycle_from_bilinear,
     flatten_matrix_cocycle,
     pauli_cocycle,
 )
@@ -283,18 +283,15 @@ BDomain = Union[FiniteAbelianGroup, FolnerBox]
 class CCRPair:
     """Clock-and-shift pair over l2 of a finite group or a lattice window.
 
-    clock(a) multiplies by sigma(a, .); shift(b) translates by b.  On a
-    window, translations drop the basis points that exit; the relation
-    still holds entrywise, and the loss is reported separately through
-    boundary_deficit / unitarity_defect.
+    clock(a) multiplies by sigma(a, .); shift(b) translates by b along
+    targets(b), an index map over the lexicographic basis ccr_pair builds.
+    On a window, translations drop the basis points that exit; the relation
+    holds entrywise, and boundary_deficit / unitarity_defect report the loss.
     """
 
     sigma: Union[MatrixBilinear, TableBilinear]
     basis: tuple[Element, ...]
     b_domain: BDomain
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.basis)})
 
     @property
     def dimension(self) -> int:
@@ -304,40 +301,44 @@ class CCRPair:
     def truncated(self) -> bool:
         return isinstance(self.b_domain, FolnerBox)
 
-    def _shift_target(self, y: Element, b: Element) -> Optional[Element]:
-        if isinstance(self.b_domain, FiniteAbelianGroup):
-            t = self.b_domain.add(y, b)
-        else:
-            t = tuple(c + d for c, d in zip(y, b))
-        return t if t in self._index else None  # type: ignore[attr-defined]
+    def targets(self, b: Element) -> np.ndarray:
+        """Mixed-radix index of y + b for each basis point y (offsets cancel); -1 off a window."""
+        d = self.b_domain
+        shape = (d.side + 1,) * d.rank if self.truncated else d.moduli
+        b = b if self.truncated else d.element(b)  # residues, so the int64 sum cannot wrap
+        moved = np.indices(shape).reshape(len(shape), -1) + np.array(b)[:, None]
+        idx = np.ravel_multi_index(moved, shape, mode="wrap")
+        if self.truncated:
+            idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
+        return idx
+
+    def phases(self, a: Element) -> np.ndarray:
+        return np.array([self.sigma.value(a, y) for y in self.basis])
 
     def clock(self, a: Element) -> np.ndarray:
-        return np.diag([self.sigma.value(a, y) for y in self.basis])
+        return np.diag(self.phases(a))
 
     def shift(self, b: Element) -> np.ndarray:
-        n = self.dimension
-        mat = np.zeros((n, n), dtype=complex)
-        idx = self._index  # type: ignore[attr-defined]
-        for j, y in enumerate(self.basis):
-            t = self._shift_target(y, b)
-            if t is not None:
-                mat[idx[t], j] = 1.0
+        t = self.targets(b)
+        mat = np.zeros((self.dimension, self.dimension), dtype=complex)
+        mat[t[t >= 0], np.flatnonzero(t >= 0)] = 1.0
         return mat
 
     def boundary_deficit(self, b: Element) -> int:
         """How many basis points the translation by b pushes off the window."""
-        return sum(1 for y in self.basis if self._shift_target(y, b) is None)
+        return int(np.count_nonzero(self.targets(b) < 0))
 
     def unitarity_defect(self, b: Element) -> float:
-        return unitarity_residual(self.shift(b))
+        """max |W*W - 1|: W*W is the 0/1 diagonal of the points that stay."""
+        return 1.0 if self.boundary_deficit(b) else 0.0
 
     def relation_residual(self, samples: Sequence[tuple[Element, Element]]) -> float:
+        """max |V W - sigma W V|; V W scales the rows of W by the clock, W V its columns."""
         worst = 0.0
         for a, b in samples:
-            v = self.clock(a)
-            w = self.shift(b)
+            c, w = self.phases(a), self.shift(b)
             worst = max(worst, float(np.max(np.abs(
-                v @ w - self.sigma.value(a, b) * (w @ v)))))
+                c[:, None] * w - self.sigma.value(a, b) * (w * c)))))
         return worst
 
 
@@ -361,15 +362,14 @@ def ccr_to_projective(pair: CCRPair) -> ProjectiveRep:
     sigma = pair.sigma
     if not isinstance(sigma, TableBilinear) or not isinstance(pair.b_domain, FiniteAbelianGroup):
         raise GroupMismatchError("projective packaging needs finite groups on both sides")
-    g = FiniteAbelianGroup(sigma.a_group.moduli + sigma.b_group.moduli)
+    u = BilinearCocycle(sigma)
     p = sigma.a_group.rank
-    u = cocycle_from_bilinear(sigma)
 
     def mat(x: Element) -> np.ndarray:
-        x = g.require(x)
-        return pair.clock(x[:p]) @ pair.shift(x[p:])
+        x = u.group.require(x)
+        return pair.phases(x[:p])[:, None] * pair.shift(x[p:])  # the rows of shift(b) scaled
 
-    return ProjectiveRep(g, u, mat, pair.dimension)
+    return ProjectiveRep(u.group, u, mat, pair.dimension)
 
 
 # ---------------------------------------------------------------------------

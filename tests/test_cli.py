@@ -238,6 +238,22 @@ def test_dirichlet_value_only(capsys):
     assert "needs --n and --theta" in err
 
 
+def test_dirichlet_window_overflow_exits_2_naming_the_window(capsys):
+    code, out, err = run_cli(capsys, ["dirichlet", "--windows", "power:c=1e308,p=2",
+                                      "--angles", "power:c=1,p=-1"])
+    assert code == 2
+    assert out == ""
+    assert "window 1 is too large" in err and "float range" in err
+
+
+def test_dirichlet_value_only_overflow_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["dirichlet", "--n", str(10 ** 400), "--theta", "0.5",
+                                      "--value-only"])
+    assert code == 2
+    assert out == ""
+    assert "--n is too large" in err
+
+
 def test_dirichlet_report_conclusions(capsys):
     doc = run_json(capsys, ["dirichlet", "--windows", "power:c=1,p=2",
                             "--angles", "power:c=pi,p=-4", "--n-max", "50"])

@@ -354,6 +354,12 @@ def test_dirichlet_condition_caps_at_an_explicit_model():
     assert report.deviation.witness == "explicit prefixes carry no tail claims"
 
 
+def test_dirichlet_condition_names_a_window_beyond_the_float_range():
+    with pytest.raises(ConstructionError, match="window 3 is too large"):
+        dirichlet_condition(lambda j: 10 ** 308 if j == 3 else j, None,
+                            lambda j: 0.1, None, n_max=5)
+
+
 def test_translation_series_caps_at_an_explicit_model():
     terms, verdict = translation_series([1, 4, 9, 16], ExplicitModel((1.0, 4.0)), (1,))
     assert terms == box_defect_terms([1, 4], (1,))

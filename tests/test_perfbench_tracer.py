@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` replaces twistlab functions where their callers look
 them up (for example ``cli.translation_series`` or
 ``convergence.power_tail``).  A refactor that moves such a name fails here
-instead of crashing ``perfbench/run.py --trace 1``.  Nothing under
+instead of crashing ``perfbench/run.py --trace 1``.  The dense commands
+(ccr, fell, tensor) also run traced, because the reps hooks read the
+arguments and results of the calls they wrap.  Nothing under
 ``perfbench/`` is modified.
 """
 
@@ -41,3 +43,30 @@ def test_tracer_installs_traces_and_uninstalls():
     for module, names in zip(MODULES, before):
         assert all(vars(module)[k] is v for k, v in names.items()), module.__name__
     assert groups.FolnerBox.__dict__["points"] is points
+
+
+DENSE_SCENARIOS = (
+    ("ccr", {"sigma": {"matrix": "0.3,-0.2"}, "window": {"side": 3},
+             "samples": {"count": 8, "bound": 4}}),
+    ("ccr", {"sigma": {"name": "pauli"}}),
+    ("fell", {"u": {"name": "pauli"}, "rep": {"name": "pauli"}}),
+    ("tensor", {"factors": [{"name": "pauli"}, {"name": "pauli"}]}),
+)
+
+
+def test_tracer_hooks_run_on_the_dense_commands():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._patches)
+        for command, params in DENSE_SCENARIOS:
+            cli.run_scenario({"command": command, "schema": 1, "params": params}, command)
+    finally:
+        tracer.uninstall()
+    for name in ("reps.ccr_relation", "reps.ccr_unitarity", "reps.fell", "reps.relation_check"):
+        assert tracer.calls[name] >= 1, name
+    assert tracer.counters["reps.dense_flops"] > 0
+    assert patched and tracer._patches == []
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)

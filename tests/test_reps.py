@@ -1,14 +1,23 @@
 """Twisted regular representations, CCR pairs and the absorption check."""
 
+import copy
 import math
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twistlab import cli, reps
 from twistlab.cocycles import (
+    BilinearCocycle,
     MatrixBilinear,
     MatrixCocycle,
     ProductCocycle,
+    TableBilinear,
+    cocycle_from_bilinear,
     pauli_cocycle,
     pauli_sigma,
     perturb,
@@ -21,6 +30,7 @@ from twistlab.reps import (
     CCRPair,
     ConstructionError,
     DimensionCapError,
+    ProjectiveRep,
     TruncatedVector,
     box_vector,
     ccr_pair,
@@ -301,6 +311,212 @@ def test_ccr_to_projective_rejects_window_pairs():
     pair = ccr_pair(MatrixBilinear(np.array([[0.3]])), FolnerBox(1, 3))
     with pytest.raises(GroupMismatchError):
         ccr_to_projective(pair)
+
+
+def test_window_targets_are_mixed_radix_indices():
+    pair = ccr_pair(MatrixBilinear(np.array([[0.1, 0.2]])), FolnerBox(2, 2, (5, -1)))
+    # basis (5..7) x (-1..1) in lexicographic order; (5, -1) + (1, 1) = (6, 0) is index 4
+    assert pair.targets((1, 1)).tolist() == [4, 5, -1, 7, 8, -1, -1, -1, -1]
+    assert pair.targets((3, 0)).tolist() == [-1] * 9
+    assert pair.targets((2**62, 0)).tolist() == [-1] * 9
+
+
+def test_group_targets_wrap_modulo_the_moduli():
+    sigma = TableBilinear(FiniteAbelianGroup((2,)), FiniteAbelianGroup((2, 3)),
+                          np.zeros((2, 6)))
+    pair = ccr_pair(sigma, sigma.b_group)
+    assert pair.targets((1, 2)).tolist() == [5, 3, 4, 2, 0, 1]
+    assert pair.targets((2**64 + 1, -1)).tolist() == [5, 3, 4, 2, 0, 1]
+
+
+# --- the dense formulas the index maps replace, kept as the oracle ---
+
+
+class DenseCCRPair(CCRPair):
+    """Diagonal clock, per-point shift loop and matrix products."""
+
+    @cached_property
+    def index(self):
+        return {p: i for i, p in enumerate(self.basis)}
+
+    def target(self, y, b):
+        if isinstance(self.b_domain, FiniteAbelianGroup):
+            t = self.b_domain.add(y, b)
+        else:
+            t = tuple(c + d for c, d in zip(y, b))
+        return t if t in self.index else None
+
+    def clock(self, a):
+        return np.diag([self.sigma.value(a, y) for y in self.basis])
+
+    def shift(self, b):
+        n = self.dimension
+        mat = np.zeros((n, n), dtype=complex)
+        for j, y in enumerate(self.basis):
+            t = self.target(y, b)
+            if t is not None:
+                mat[self.index[t], j] = 1.0
+        return mat
+
+    def boundary_deficit(self, b):
+        return sum(1 for y in self.basis if self.target(y, b) is None)
+
+    def unitarity_defect(self, b):
+        return unitarity_residual(self.shift(b))
+
+    def relation_residual(self, samples):
+        worst = 0.0
+        for a, b in samples:
+            v = self.clock(a)
+            w = self.shift(b)
+            worst = max(worst, float(np.max(np.abs(
+                v @ w - self.sigma.value(a, b) * (w @ v)))))
+        return worst
+
+
+def dense_ccr_to_projective(pair):
+    sigma = pair.sigma
+    dense = DenseCCRPair(sigma, pair.basis, pair.b_domain)
+    g = FiniteAbelianGroup(sigma.a_group.moduli + sigma.b_group.moduli)
+    p = sigma.a_group.rank
+
+    def mat(x):
+        x = g.require(x)
+        return dense.clock(x[:p]) @ dense.shift(x[p:])
+
+    return ProjectiveRep(g, cocycle_from_bilinear(sigma), mat, pair.dimension)
+
+
+def assert_pair_matches_dense(pair, a_samples, b_samples):
+    dense = DenseCCRPair(pair.sigma, pair.basis, pair.b_domain)
+    samples = list(zip(a_samples, b_samples))
+    assert pair.relation_residual(samples) == dense.relation_residual(samples)
+    for a in a_samples:
+        assert np.array_equal(pair.clock(a), dense.clock(a))
+    for b in b_samples:
+        assert np.array_equal(pair.shift(b), dense.shift(b))
+        assert pair.boundary_deficit(b) == dense.boundary_deficit(b)
+        assert pair.unitarity_defect(b) == dense.unitarity_defect(b)
+
+
+@st.composite
+def windows(draw):
+    rank = draw(st.integers(1, 3))
+    side = draw(st.integers(0, 5))
+    offset = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+    a_rank = draw(st.integers(1, 2))
+    d = draw(st.lists(st.floats(-math.pi, math.pi), min_size=a_rank * rank,
+                      max_size=a_rank * rank))
+    shifts = st.tuples(*[st.integers(-(side + 2), side + 2)] * rank)
+    bs = draw(st.lists(shifts, min_size=1, max_size=6))
+    a_samples = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * a_rank), min_size=len(bs),
+                              max_size=len(bs)))
+    sigma = MatrixBilinear(np.array(d).reshape(a_rank, rank))
+    return ccr_pair(sigma, FolnerBox(rank, side, offset)), a_samples, bs
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows())
+def test_window_pair_equals_dense_reference(case):
+    pair, a_samples, b_samples = case
+    assert_pair_matches_dense(pair, a_samples, b_samples)
+
+
+def random_table(rng, a_moduli, b_moduli):
+    """Uniform phases with the identity row and column set to 0 (normalized)."""
+    a, b = FiniteAbelianGroup(a_moduli), FiniteAbelianGroup(b_moduli)
+    phases = rng.uniform(-math.pi, math.pi, size=(a.order, b.order))
+    phases[0, :] = 0.0
+    phases[:, 0] = 0.0
+    return TableBilinear(a, b, phases)
+
+
+moduli = st.lists(st.integers(2, 4), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli, moduli, st.integers(0, 2**32 - 1))
+def test_table_pair_equals_dense_reference(a_moduli, b_moduli, seed):
+    sigma = random_table(np.random.default_rng(seed), a_moduli, b_moduli)
+    pair = ccr_pair(sigma, sigma.b_group)
+    a_els, b_els = sigma.a_group.elements(), sigma.b_group.elements()
+    pairs = list(product(a_els, b_els))
+    assert_pair_matches_dense(pair, [a for a, _ in pairs], [b for _, b in pairs])
+    rep, ref = ccr_to_projective(pair), dense_ccr_to_projective(pair)
+    els = rep.group.elements()
+    for x in els:
+        assert np.array_equal(rep.matrix(x), ref.matrix(x))
+    for x, y in zip(els, els[::-1]):
+        assert rep.cocycle.value(x, y) == ref.cocycle.value(x, y)
+    assert projective_relation_check(rep, list(zip(els, els[::-1]))) == \
+        projective_relation_check(ref, list(zip(els, els[::-1])))
+
+
+def test_ccr_to_projective_evaluates_no_sigma_value(monkeypatch):
+    z44 = FiniteAbelianGroup((4, 4))
+    sigma = random_table(np.random.default_rng(5), (4, 4), (4, 4))
+    pair = ccr_pair(sigma, z44)
+    calls = []
+    value = TableBilinear.value
+    monkeypatch.setattr(TableBilinear, "value",
+                        lambda self, a, b: calls.append((a, b)) or value(self, a, b))
+    rep = ccr_to_projective(pair)
+    assert calls == []
+    rep.cocycle.value((1, 2, 3, 0), (0, 1, 2, 3))
+    assert calls == [((0, 1), (3, 0))]
+
+
+def test_bilinear_cocycle_matches_the_tabulated_cocycle():
+    sigma = random_table(np.random.default_rng(9), (2, 3), (3,))
+    lazy, table = BilinearCocycle(sigma), cocycle_from_bilinear(sigma)
+    assert lazy.group == table.group
+    for x in lazy.group.elements():
+        for y in lazy.group.elements():
+            assert lazy.value(x, y) == table.value(x, y)
+
+
+def test_bilinear_cocycle_rejects_an_unnormalized_table():
+    z3 = FiniteAbelianGroup((3,))
+    for phases in ([[0.0, 0.5, 0.0], [0.0] * 3, [0.0] * 3],
+                   [[0.0] * 3, [0.5, 0.0, 0.0], [0.0] * 3]):
+        with pytest.raises(ConstructionError, match="normalized at the identity"):
+            BilinearCocycle(TableBilinear(z3, z3, phases))
+
+
+def bilinear_table(k, m):
+    """phases(a, b) = 2 pi (a^T m b mod k) / k on Z_k^p x Z_k^q."""
+    p, q = len(m), len(m[0])
+    return {"table": {"a_moduli": [k] * p, "b_moduli": [k] * q, "phases": [
+        [2 * math.pi * (sum(a[i] * m[i][j] * b[j] for i in range(p) for j in range(q)) % k) / k
+         for b in product(range(k), repeat=q)] for a in product(range(k), repeat=p)]}}
+
+
+def ccr_docs():
+    rng = np.random.default_rng(3)
+    docs = []
+    for side in range(15):
+        rank = 1 + side % 2
+        d = ";".join(",".join(repr(float(v)) for v in row)
+                     for row in rng.uniform(-2.0, 2.0, size=(2, rank)))
+        docs.append({"sigma": {"matrix": d}, "window": {"side": side},
+                     "samples": {"count": 12, "bound": side + 2}})
+    docs.append({"sigma": {"name": "pauli"}})
+    docs.append({"sigma": bilinear_table(4, [[1, 3]])})
+    docs.append({"sigma": bilinear_table(3, [[1, 2], [0, 1]])})
+    table = random_table(rng, (3,), (2, 3))
+    docs.append({"sigma": {"table": {"a_moduli": [3], "b_moduli": [2, 3],
+                                     "phases": table.phases.tolist()}}})
+    return [{"command": "ccr", "schema": 1, "seed": k, "params": params}
+            for k, params in enumerate(docs)]
+
+
+def test_ccr_reports_equal_the_dense_reference(monkeypatch):
+    docs = ccr_docs()
+    fast = [cli.run_scenario(copy.deepcopy(doc), "ccr") for doc in docs]
+    assert all('"projective_residual":null' not in r for r in fast[15:])
+    monkeypatch.setattr(reps, "CCRPair", DenseCCRPair)
+    monkeypatch.setattr(cli, "ccr_to_projective", dense_ccr_to_projective)
+    assert [cli.run_scenario(copy.deepcopy(doc), "ccr") for doc in docs] == fast
 
 
 # --- tensor products ---

@@ -849,6 +849,8 @@ def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
         if "window" in params:
             raise _schema_error("params.window only applies to matrix sigma")
         pair = ccr_pair(sigma, sigma.b_group)
+        # Refuses a table that is not normalized before any residual is spent.
+        projective_rep = ccr_to_projective(pair)
         a_els = sigma.a_group.elements()
         b_els = sigma.b_group.elements()
         if len(a_els) * len(b_els) <= 4096:
@@ -863,6 +865,7 @@ def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
                              required=("side",))
         side = _as_int(window["side"], "params.window.side", minimum=0)
         pair = ccr_pair(sigma, FolnerBox(sigma.b_rank, side))
+        projective_rep = None
         a_samples = sample_elements(sigma.a_group, count, bound, rng)
         b_samples = sample_elements(IntegerLattice(sigma.b_rank), count, bound, rng)
         pairs = list(zip(a_samples, b_samples))
@@ -877,8 +880,8 @@ def _run_ccr(params: dict, ctx: RunContext) -> HandlerOutput:
     max_boundary = max((pair.boundary_deficit(b) for b in sample_bs), default=0)
 
     projective = None
-    if isinstance(sigma, TableBilinear):
-        projective, _ = _relation_residual(ccr_to_projective(pair), rng)
+    if projective_rep is not None:
+        projective, _ = _relation_residual(projective_rep, rng)
 
     return HandlerOutput(result={
         "bilinearity_residual": bilin,

@@ -19,9 +19,11 @@ from twistlab.cli import (
     parse_scalar,
     render_csv,
     render_json,
+    run_scenario,
 )
 from twistlab.cocycles import ProductCocycle, TableCocycle
 from twistlab.groups import FiniteAbelianGroup, IntegerLattice
+from twistlab.reps import CCRPair
 from twistlab.series import ExplicitModel, GeometricModel, PowerModel
 
 
@@ -271,6 +273,21 @@ def test_ccr_pauli_pass(capsys):
     assert res["truncated"] is False
     assert res["projective_residual"] <= 1e-12
     assert res["max_boundary_deficit"] == 0
+
+
+def test_ccr_refuses_an_unnormalized_table_before_any_residual(monkeypatch):
+    def no_residuals(self, pairs):
+        raise AssertionError("residual computed before the normalization check")
+
+    monkeypatch.setattr(CCRPair, "relation_residual", no_residuals)
+    phases = [[0.0, 0.0], [0.0, 0.0], [0.3, 0.0]]
+    doc = {"command": "ccr", "schema": 1,
+           "params": {"sigma": {"table": {"a_moduli": [3], "b_moduli": [2],
+                                          "phases": phases}}}}
+    with pytest.raises(CliError) as info:
+        run_scenario(doc, "ccr")
+    assert info.value.code == 2
+    assert info.value.message == "invalid scenario: table must be normalized at the identity"
 
 
 def test_fell_pauli_pass(capsys):

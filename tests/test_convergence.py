@@ -4,14 +4,19 @@ import cmath
 import math
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistlab import convergence
 from twistlab.cocycles import (
     ConstructionError,
     MatrixCocycle,
+    ProductCocycle,
+    flatten_matrix_cocycle,
     geometric_matrix_sequence,
     pauli_cocycle,
     perturb,
@@ -186,6 +191,160 @@ def test_box_sup_distance_matrix_and_pointwise_paths_agree():
     # a product wrapper loses the closed form but keeps the value
     wrapped = perturb(u, lambda z: 1.0 + 0.0j)
     assert box_sup_distance(wrapped, box, elements) == pytest.approx(fast, abs=1e-11)
+
+
+# --- the full-grid kernels the blocked ones replace, kept as the oracle ---
+
+
+def full_phase_grid(coeffs, box):
+    total = None
+    for j in range(box.rank):
+        start = box.offset[j]
+        axis = coeffs[j] * np.arange(start, start + box.side + 1, dtype=float)
+        total = axis if total is None else total[..., None] + axis
+    return total
+
+
+def full_grid_twist_mean(matrix, box, x):
+    coeffs = np.asarray(matrix, dtype=float) @ np.asarray(x, dtype=float)
+    return float(np.mean(2.0 * np.abs(np.sin(0.5 * full_phase_grid(coeffs, box)))))
+
+
+def per_element_sup(u, box, elements):
+    flat = flatten_matrix_cocycle(u)
+    best = 0.0
+    for x in elements:
+        coeffs = flat @ np.asarray(x, dtype=float)
+        best = max(best, float(np.max(2.0 * np.abs(np.sin(0.5 * full_phase_grid(coeffs, box))))))
+    return best
+
+
+def bits(v):
+    """Bit pattern of a float; NaN compares equal to NaN."""
+    return float(v).hex()
+
+
+@st.composite
+def scaled_matrices(draw, rank):
+    scale = 10.0 ** draw(st.floats(-12.0, 2.0))
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=rank * rank,
+                            max_size=rank * rank))
+    return scale * np.array(entries).reshape(rank, rank)
+
+
+@st.composite
+def offset_boxes(draw, max_sides):
+    rank = draw(st.integers(1, 3))
+    side = draw(st.integers(0, max_sides[rank - 1]))
+    offset = draw(st.lists(st.integers(-50, 50), min_size=rank, max_size=rank))
+    return FolnerBox(rank, side, tuple(offset))
+
+
+# Summation blocks of at least 128 points split like numpy's pairwise sum,
+# so small blocks put many block boundaries inside small grids.
+BLOCKS = st.sampled_from([128, 136, 1000, 1 << 15])
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset_boxes((3000, 60, 15)), BLOCKS, st.data())
+def test_blocked_twist_mean_equals_full_grid_mean(box, block, data):
+    a = data.draw(scaled_matrices(box.rank))
+    x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=box.rank,
+                                 max_size=box.rank)))
+    with patch.object(convergence, "_BLOCK_POINTS", block):
+        got = box_twist_mean(a, box, x)
+    assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+
+
+@pytest.mark.parametrize("box", [FolnerBox(1, 200_000, (-7,)), FolnerBox(2, 400),
+                                 FolnerBox(2, 377, (3, -40)), FolnerBox(3, 60, (1, 0, -9))],
+                         ids=repr)
+def test_blocked_twist_mean_equals_full_grid_mean_past_one_block(box):
+    rng = np.random.default_rng(box.side)
+    a = rng.uniform(-1.0, 1.0, size=(box.rank, box.rank))
+    x = tuple(int(t) for t in rng.integers(-3, 4, size=box.rank))
+    assert box.cardinality() > 1 << 15
+    assert bits(box_twist_mean(a, box, x)) == bits(full_grid_twist_mean(a, box, x))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_blocked_twist_mean_non_finite_entries(bad):
+    a = np.array([[0.3, bad], [-0.2, 0.1]])
+    for box in (FolnerBox(2, 0), FolnerBox(2, 300, (-5, 2))):
+        for x in ((1, 1), (1, 0), (0, 0)):
+            got = box_twist_mean(a, box, x)
+            assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+
+
+@st.composite
+def matrix_cocycles(draw, rank):
+    factors = [MatrixCocycle(draw(scaled_matrices(rank)))
+               for _ in range(draw(st.integers(1, 3)))]
+    return factors[0] if len(factors) == 1 else ProductCocycle(factors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset_boxes((12, 6, 4)), BLOCKS, st.data())
+def test_pruned_sup_equals_per_element_sup(box, block, data):
+    u = data.draw(matrix_cocycles(box.rank))
+    point = st.tuples(*[st.integers(-8, 8)] * box.rank)
+    elements = data.draw(st.lists(point, max_size=120))
+    with patch.object(convergence, "_BLOCK_POINTS", block):
+        got = box_sup_distance(u, box, elements)
+    assert bits(got) == bits(per_element_sup(u, box, elements))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pruned_sup_non_finite_entries_and_coefficients():
+    box = FolnerBox(2, 5, (-2, 1))
+    elements = [(1, 0), (0, 1), (3, -2), (0, 0)]
+    nan_entry = MatrixCocycle(np.array([[0.3, math.nan], [-0.2, 0.1]]))
+    assert box_sup_distance(nan_entry, box, elements) == per_element_sup(
+        nan_entry, box, elements)
+    # coordinates near the float range overflow the coefficients to inf,
+    # whose chords are NaN; the finite elements still decide the sup
+    u = MatrixCocycle(0.4 * ROTATION)
+    huge = elements + [(10 ** 308, 1), (-(10 ** 308), 10 ** 308)]
+    got = box_sup_distance(u, box, huge)
+    assert got == per_element_sup(u, box, huge) == per_element_sup(u, box, elements)
+
+
+def test_pruned_sup_validation():
+    u = MatrixCocycle(ROTATION)
+    assert box_sup_distance(u, FolnerBox(2, 3), []) == 0.0
+    with pytest.raises(GroupMismatchError):
+        box_sup_distance(u, FolnerBox(3, 3), [(1, 0, 0)])
+
+
+def test_box_kernels_name_the_grid_cap():
+    with pytest.raises(ConstructionError) as info:
+        box_twist_mean(np.zeros((2, 2)), FolnerBox(2, 99), (1, 0), grid_cap=100)
+    assert str(info.value) == (
+        "box holds 10000 points, over the grid cap 100; lower the horizon or raise grid_cap")
+    with pytest.raises(ConstructionError) as info:
+        box_sup_distance(MatrixCocycle(ROTATION), FolnerBox(2, 99), [], grid_cap=100)
+    assert str(info.value) == "box holds 10000 points, over the grid cap 100"
+
+
+def test_pruned_sup_skips_elements_that_cannot_win(monkeypatch):
+    """Small rotations bound most chords below the largest one, so the scan
+    stops long before it has taken the sine of every element's grid."""
+    u = MatrixCocycle(0.01 * ROTATION)
+    box = FolnerBox(2, 3)
+    window = SupNormExhaustion(IntegerLattice(2)).subset(5)
+    sines = []
+    real_sin = np.sin
+
+    def counting_sin(t, *args, **kwargs):
+        sines.append(t.size)
+        return real_sin(t, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counting_sin)
+    got = box_sup_distance(u, box, window)
+    monkeypatch.undo()
+    assert got == per_element_sup(u, box, window)
+    assert sum(sines) <= len(window) * box.cardinality() // 4
 
 
 # --- declared families ---

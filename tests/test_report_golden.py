@@ -4,9 +4,9 @@ Each case runs one scenario through ``run_scenario`` and compares the sha256
 of the JSON report, and of the CSV rendering of every listed series, against
 digests recorded before the certificate engine was unified.  The cases walk
 the power / geometric / explicit tail models under each relation through
-prop42 (with and without x), converge (boxes, inner, product), dirichlet and
-action, so any change in a verdict, a tail bound, a witness string or a term
-vector shows up as a digest mismatch.
+prop42 (with and without x), converge (boxes, inner, product), dirichlet,
+action and select, so any change in a verdict, a tail bound, a witness string,
+a term vector or a failed selection's message shows up as a digest mismatch.
 """
 
 import copy
@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from twistlab.cli import run_scenario
+from twistlab.cli import CliError, run_scenario
 from twistlab.convergence import (
     dirichlet_condition,
     translation_series,
@@ -169,6 +169,27 @@ CASES = [
                                "matrices": {"family": "geometric",
                                             "matrix": "0,1,0;-1,0,0.5;0,-0.5,0",
                                             "ratio": 0.4}}, 6, ()),
+    # --- converge boxes on grids past one 2^15-point summation block -------
+    ("box-big-r2", "converge", {"kind": "boxes", "x": "1,-1", "sides": SIDES_P2,
+                                "matrices": {"family": "geometric",
+                                             "matrix": "0,1.3;-0.7,0.2", "ratio": 0.6}},
+     20, ("twist",)),
+    ("box-big-r2-slow", "converge", {"kind": "boxes", "x": "2,1", "sides": SIDES_P2,
+                                     "matrices": {"family": "power",
+                                                  "matrix": "0.1,0.8;-0.6,0",
+                                                  "exponent": -0.5}}, 20, ("twist",)),
+    ("box-big-r3", "converge", {"kind": "boxes", "x": "1,1,-1", "sides": "power:c=1,p=1.5",
+                                "matrices": {"family": "power",
+                                             "matrix": "0,1,0;-1,0,0.5;0,-0.5,0",
+                                             "exponent": -3}}, 14, ("twist",)),
+    # --- select: greedy steps and their sup distances ----------------------
+    ("sel-r2", "select", {"count": 5, "members": {"matrix": "0.3,1;-1,0.2", "ratio": 0.5},
+                          "sides": "power:c=1,p=1",
+                          "thresholds": {"coeff": 1, "exponent": -2}}, 10, ("sups",)),
+    ("sel-r3", "select", {"count": 4, "members": {"matrix": "0,1,0;-1,0,0.5;0,-0.5,0",
+                                                  "ratio": 0.7},
+                          "sides": "power:c=1,p=1",
+                          "thresholds": {"coeff": 0.5, "exponent": -1.5}}, 10, ("sups",)),
     # --- converge inner / product: diagnose_terms --------------------------
     ("inner-nomodel", "converge", {"kind": "inner", "values": [0.9, 0.99, 0.999]}, 20,
      ("terms",)),
@@ -332,6 +353,18 @@ LIBRARY_CASES = [
 ]
 
 
+# Scenarios that fail: (name, command, params, horizons).  The digest covers
+# the exit code and the message, which for select names the best near miss.
+FAILURES = [
+    ("sel-fail-r2", "select", {"count": 4, "members": {"matrix": "0.3,1;-1,0.2",
+                                                       "ratio": 0.8},
+                               "sides": "power:c=1,p=1"}, {"n_max": 10, "scan": 8}),
+    ("sel-fail-r3", "select", {"count": 4, "members": {"matrix": "0,1,0;-1,0,0.5;0,-0.5,0",
+                                                       "ratio": 0.8},
+                               "sides": "power:c=1,p=1"}, {"n_max": 10, "scan": 8}),
+]
+
+
 def _report(command, params, n_max, series=None):
     doc = {"command": command, "params": copy.deepcopy(params), "schema": 1,
            "horizons": {"n_max": n_max}}
@@ -382,6 +415,18 @@ DIGESTS = {
         "cafeb23b1bd5dc202b325e82e70a3fa35ab8369907516e92c9226e9131675071",
     "act-values-trace":
         "dd1adf58e36145d6959518c46063f70e8abcc8fa6c7298f77dd5e48ee1ff6b6d",
+    "box-big-r2":
+        "58cd492c1527d76fc94c35a47806a7c2691e7239c7652890c121f6b65c0dba33",
+    "box-big-r2-slow":
+        "c5414e2075d137dacdde9b109ae587f94af87b57a088ce33668e0d6d1b0b0a01",
+    "box-big-r2-slow:twist":
+        "ad8b4705bc2bc26c4df0dd996cccd71ca6c835fc6b6d85aa657fd7d2b1d2611e",
+    "box-big-r2:twist":
+        "1aaf905593b5bde879a8bae2290bbd304a2a815951dd65cef07f88d9b0c26a00",
+    "box-big-r3":
+        "78793e027aaf513c13c7e306fdae3800fdc709bfd7b817165d5d359b2773254a",
+    "box-big-r3:twist":
+        "49764b775ffae4ddde50d3a4aa1f9b84c55470eea77eca3ca72df861e93cc526",
     "box-geo-pow2":
         "0bcc9d80bd719a3318548a5aebfc82b434ef1653e503c375bdfac3f5d981b23c",
     "box-geo-pow2:translation":
@@ -684,11 +729,24 @@ DIGESTS = {
         "682d9ab18596edcde8f124147e39dd39a806165b2050690faee843b239a7ef00",
     "prod-values-geo:terms":
         "cacd38e7a3d1aced37c44a0d5b565475c9903ca455ddba065f8f7655ad000fe6",
+    "sel-fail-r2":
+        "f753fba75aaa00fe9ad4276b339a9a599bf7b021e4c40af8742473c7bac1d743",
+    "sel-fail-r3":
+        "f634ba6f2e75df85391f2a146397806b9f6a8f57a47d2aa021e0a54edb2b43c4",
+    "sel-r2":
+        "bfb154527aebdf23afcaec34f6b20a6fa1ae3bea8845691ba0abc45c6fdfb667",
+    "sel-r2:sups":
+        "6001469fd75f4a8e7a7f9da4666ac948c7a2b5343d15f5aae99053b6e7c884c1",
+    "sel-r3":
+        "58a37227e27ffa6bd1965d3ee06d83b3c59d2cb7ddfc6e13d1f4d1502a1b0bfd",
+    "sel-r3:sups":
+        "7feac4b2fd32b6c76b507f2c385390f874907b62cd6324fc56a704c16e388b12",
 }
 
 
 def test_every_rendering_has_a_digest():
-    keys = [key for key, *_ in RENDERINGS] + [name for name, _ in LIBRARY_CASES]
+    keys = ([key for key, *_ in RENDERINGS] + [name for name, _ in LIBRARY_CASES]
+            + [name for name, *_ in FAILURES])
     assert sorted(DIGESTS) == sorted(keys)
 
 
@@ -701,3 +759,13 @@ def test_report_bytes_match_golden_digest(key, command, params, n_max, series):
 @pytest.mark.parametrize("name,thunk", LIBRARY_CASES, ids=[c[0] for c in LIBRARY_CASES])
 def test_library_verdicts_match_golden_digest(name, thunk):
     assert _digest(repr(thunk())) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,command,params,horizons", FAILURES,
+                         ids=[c[0] for c in FAILURES])
+def test_failure_messages_match_golden_digest(name, command, params, horizons):
+    doc = {"command": command, "params": copy.deepcopy(params), "schema": 1,
+           "horizons": horizons}
+    with pytest.raises(CliError) as info:
+        run_scenario(doc, command)
+    assert _digest(f"{info.value.code} {info.value.message}") == DIGESTS[name]

@@ -293,6 +293,28 @@ CASES = [
         "source": {"values": {"group": "Z3", "kind": "trace", "table": [
             {"g": "1", "amplitudes": [0.5, 0.25, 0]},
             {"g": "2", "amplitudes": [0.5, 0.5, 0.5]}]}}}, 40, ()),
+    # --- CSV edge rows: non-finite terms and sums, signed zeros, short bounds
+    ("csv-nan-norms", "prop42", {"sides": SIDES_P2, "norms": "power:c=nan,p=-2"}, 5,
+     ("norms", "weighted")),
+    ("csv-overflowed-sum", "prop42", {"sides": SIDES_P2, "norms": "power:c=1e308,p=0"}, 5,
+     ("norms", "weighted", "sigma")),
+    ("csv-negative-zero", "prop42", {"sides": SIDES_P2, "norms": "explicit:-0.0,0.5,0.25"},
+     5, ("norms", "weighted")),
+    ("csv-bounds-past-prefix", "converge",
+     {"kind": "inner", "values": [0.5, 0.75, 0.875, 0.9], "model": "explicit:0.5,0.25"},
+     10, ("terms",)),
+    ("csv-nan-value", "converge", {"kind": "inner", "values": ["nan", 0.5, 1]}, 10,
+     ("terms",)),
+    ("csv-nan-amplitude", "action", {
+        "elements": ["1"],
+        "source": {"values": {"group": "Z2", "kind": "vector", "table": [
+            {"g": "1", "amplitudes": ["nan", 0.5, {"re": 0, "im": -0.0}, 1]}]}}}, 10,
+     ("deficit:1",)),
+    # --- box defects on both sides of 2^53 points per box -------------------
+    ("p42x-cross-2^53", "prop42", {"sides": "power:c=1,p=3", "norms": NORMS_G05,
+                                   "x": "3,-1"}, 500, ("translation", "twist_majorant")),
+    ("p42x-big-r3", "prop42", {"sides": "power:c=3,p=2.5", "norms": NORMS_G05,
+                               "x": "2,-1,1"}, 400, ("translation",)),
 ]
 
 
@@ -741,6 +763,50 @@ DIGESTS = {
         "58a37227e27ffa6bd1965d3ee06d83b3c59d2cb7ddfc6e13d1f4d1502a1b0bfd",
     "sel-r3:sups":
         "7feac4b2fd32b6c76b507f2c385390f874907b62cd6324fc56a704c16e388b12",
+    # CSV edge rows and box defects past 2^53 points, recorded before the
+    # columnar certificate path replaced the per-index loops.
+    "csv-nan-norms":
+        "75dbb5e71a0ab0edc017f450c971b03aa4ed9d6627a6c462f8924b05bd2d27be",
+    "csv-nan-norms:norms":
+        "7c724ced4c232c60c253f327702dadcd63875dd315e8a20067c9a535181ccbe9",
+    "csv-nan-norms:weighted":
+        "c01b4ada966ad69f067aae036db97aea11f45a336745560b02b885a1a52f0c47",
+    "csv-overflowed-sum":
+        "c6fd750e25042e655728c5ebb627a899ff63723a693e75e75b8f48ed75af71f4",
+    "csv-overflowed-sum:norms":
+        "311fedfd498cb5d7f537a77bc071a7500fa84d59d904857806cf5083138e92ef",
+    "csv-overflowed-sum:weighted":
+        "053e3d546762bd47d9a719b896b1cf376ecdc78769807e6f5682a4e9498e35bc",
+    "csv-overflowed-sum:sigma":
+        "336a3e3df4fda672519e91a57f89522780a4bbe9c0b845a3b774d83a7f7d3019",
+    "csv-negative-zero":
+        "0c5ea621bfec195c66972f18a1deff5f0670b86be16e893bfe4c9702aff4e57a",
+    "csv-negative-zero:norms":
+        "4170b294340e952aca0908a35455e9a729e9ad75b3027915f3c136217e2358ae",
+    "csv-negative-zero:weighted":
+        "be4c9d0b59fb2ff41758e1073112d5f6019c2b8e890a3320a52ce0026c2f91d7",
+    "csv-bounds-past-prefix":
+        "19b3c8bb2b40decef1cb83161ff6834f48a441e6ddbb614278ff79d2d334add2",
+    "csv-bounds-past-prefix:terms":
+        "38b03af5b66420e3ae4be31bf44581f1a3654bb6b3da5f08eab5a7137307100f",
+    "csv-nan-value":
+        "79d369f1c1652cc1abc4005f45c0fef2235580395176912d1a573c1368f339e3",
+    "csv-nan-value:terms":
+        "7227102339d7dfb1570afb403cbf915b3a9f3091bd83e0240ce54b364fb7bbfc",
+    "csv-nan-amplitude":
+        "7f1ada38ced76b6489ea923ee7d6a57db9af19f228a9f502f751521649c34e0c",
+    "csv-nan-amplitude:deficit:1":
+        "cf292fd36c1c94b2fb3ef1437ca50f9b1e03d952eda1182b90828863ca93b83c",
+    "p42x-cross-2^53":
+        "e77fc5dbd564c73cfb89d19a0c6ea20d846746c4b58c8cf3aa7d02df8e6a9ea8",
+    "p42x-cross-2^53:translation":
+        "fee191a228d4d1d5cdbfe93e73a883cea6b9699c30858bbe0d58f214d830b7b8",
+    "p42x-cross-2^53:twist_majorant":
+        "a2cbe87fb3db5fa42469016eba8cb34f1c4f2a0770799b0db0ed3c21c2f6a14c",
+    "p42x-big-r3":
+        "db84c41f4ca8110290380faafa9c05b69d74876f509a6658cb4bea4a734c23ae",
+    "p42x-big-r3:translation":
+        "95481dd7c587b05a71a584483ef3c92923d32bc6078fefd658e9e967a7795adc",
 }
 
 

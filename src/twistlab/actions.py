@@ -160,8 +160,14 @@ def regular_trace_scenario(group: Group) -> ActionScenario:
     the amplitude data needs no cocycle at all.
     """
 
+    identity = group.identity
+    known: dict[Element, complex] = {}
+
     def amplitudes(i: int, g: Element) -> complex:
-        return 1.0 + 0.0j if group.element(g) == group.identity else 0.0 + 0.0j
+        g = tuple(g)
+        if g not in known:
+            known[g] = 1.0 + 0.0j if group.element(g) == identity else 0.0 + 0.0j
+        return known[g]
 
     def term_model(g: Element) -> PowerModel:
         trivial = group.element(g) == group.identity
@@ -176,14 +182,19 @@ def _amplitudes(scenario: ActionScenario, g: Element, n_max: int) -> list[comple
 
 
 def deficit_terms(scenario: ActionScenario, g,
-                  n_max: int = DEFAULT_SCALAR_HORIZON) -> tuple[float, ...]:
+                  n_max: int = DEFAULT_SCALAR_HORIZON) -> np.ndarray:
     """The deficits 1 - |a_i(g)| over the horizon, capped at the scenario length."""
-    return tuple(max(0.0, 1.0 - abs(complex(a)))
-                 for a in _amplitudes(scenario, scenario.group.element(g), n_max))
+    z = np.asarray(_amplitudes(scenario, scenario.group.element(g), n_max), dtype=complex)
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(z.real, z.imag)  # Python's complex abs, bit for bit
+    if (np.isinf(moduli) & np.isfinite(z.real) & np.isfinite(z.imag)).any():
+        raise OverflowError("absolute value too large")  # as Python's abs refuses it
+    deficits = 1.0 - moduli
+    return np.where(deficits > 0.0, deficits, 0.0)
 
 
 def _extension(scenario: ActionScenario, g, model: Optional[TailModel],
-               n_max: int) -> tuple[Optional[tuple[float, ...]], SeriesVerdict]:
+               n_max: int) -> tuple[Optional[np.ndarray], SeriesVerdict]:
     """Deficit terms (None at the identity, which needs none) and their verdict."""
     group = scenario.group
     g = group.element(g)
@@ -193,8 +204,7 @@ def _extension(scenario: ActionScenario, g, model: Optional[TailModel],
     values = _amplitudes(scenario, g, n_max)
     if model is None and scenario.term_model is not None:
         model = scenario.term_model(g)
-    verdict = modulus_deficit_series(values, model, n_max=len(values))
-    return tuple(max(0.0, 1.0 - abs(complex(a))) for a in values), verdict
+    return modulus_deficit_series(values, model, n_max=len(values))
 
 
 def extension_condition(scenario: ActionScenario, g,
@@ -217,18 +227,19 @@ def trace_condition(scenario: ActionScenario, g,
     return extension_condition(scenario, g, model=model, n_max=n_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionVerdict:
     """Aggregated extension verdict over the supplied elements.
 
-    ``deficits`` runs parallel to ``reports``: the evaluated deficit terms,
-    or None at the identity, whose verdict needs no amplitudes.
+    ``deficits`` runs parallel to ``reports``: the evaluated deficit terms as
+    a float64 array, or None at the identity, whose verdict needs no
+    amplitudes.
     """
 
     status: str  # InnerCertified | OuterCertified | Inconclusive
     reports: tuple[tuple[Element, SeriesVerdict], ...]
     note: str
-    deficits: tuple[Optional[tuple[float, ...]], ...] = ()
+    deficits: tuple[Optional[np.ndarray], ...] = ()
 
 
 def inner_outer_verdict(scenario: ActionScenario, elements: Sequence,

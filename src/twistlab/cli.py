@@ -112,7 +112,7 @@ from .series import (
     PowerModel,
     TailModel,
     horizon,
-    model_bounds,
+    model_values,
     running_sums,
 )
 
@@ -211,15 +211,55 @@ def _emit(obj: Any, parts: list[str]) -> None:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+# Rows per block of render_csv.
+_CSV_BLOCK = 4096
+
+
+def _csv_column(values: np.ndarray, missing: np.ndarray) -> tuple[str, Any]:
+    """The cell template of one column of a block and the values that fill it.
+
+    Finite floats print with ``{:.17g}``, which is what ``_float_repr``
+    prints for them; inf and NaN go through ``_float_repr``; missing values
+    print as empty cells.  A column missing throughout has no cells at all.
+    """
+    if missing.all():
+        return "", None
+    if missing.any():
+        return "{}", ["" if gap else _float_repr(v)
+                      for v, gap in zip(values.tolist(), missing.tolist())]
+    if np.isfinite(values).all():
+        return "{:.17g}", values.tolist()
+    return "{}", map(_float_repr, values.tolist())
+
+
 def render_csv(scenario: dict, terms: Sequence[float],
                bounds: Optional[Sequence[Optional[float]]]) -> str:
-    lines = ["# scenario=" + render_json(scenario), "index,term,partial_sum,bound"]
-    sums = running_sums([float(t) for t in terms])
-    for i, (t, s) in enumerate(zip(terms, sums), 1):
-        b = bounds[i - 1] if bounds is not None else None
-        tail = "" if b is None else _float_repr(float(b))
-        lines.append(f"{i},{_float_repr(float(t))},{_float_repr(float(s))},{tail}")
-    return "\n".join(lines) + "\n"
+    """One series as index,term,partial_sum,bound rows under the scenario line.
+
+    A bound that is None, or past the end of ``bounds`` (an explicit prefix
+    declares only so many values), is an empty cell.  Rows are formatted
+    block by block, so no column of strings is ever built.
+    """
+    terms = np.asarray(terms, dtype=float)
+    n = terms.size
+    sums = running_sums(terms)
+    given = np.array(() if bounds is None else bounds[:n], dtype=object)
+    gaps = np.ones(n, dtype=bool)
+    gaps[:given.size] = np.equal(given, None)
+    limits = np.zeros(n)
+    limits[:given.size] = np.where(gaps[:given.size], 0.0, given)
+    parts = ["# scenario=" + render_json(scenario), "index,term,partial_sum,bound"]
+    never = np.zeros(_CSV_BLOCK, dtype=bool)
+    for start in range(0, n, _CSV_BLOCK):
+        block = slice(start, min(start + _CSV_BLOCK, n))
+        size = block.stop - start
+        columns = [_csv_column(terms[block], never[:size]),
+                   _csv_column(sums[block], never[:size]),
+                   _csv_column(limits[block], gaps[block])]
+        row = ",".join(["{}"] + [spec for spec, _ in columns])
+        cells = [c for _, c in columns if c is not None]
+        parts.append("\n".join(map(row.format, range(start + 1, block.stop + 1), *cells)))
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +603,11 @@ class RunContext:
 
 @dataclass
 class HandlerOutput:
+    """The JSON result and the series a CSV report can render: per name the
+    terms and their bounds (None, or possibly shorter than the terms)."""
+
     result: dict
-    tables: dict[str, tuple[list[float], Optional[list[Optional[float]]]]] = field(
+    tables: dict[str, tuple[Sequence[float], Optional[Sequence[float]]]] = field(
         default_factory=dict)
     default_series: Optional[str] = None
 
@@ -712,8 +755,8 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
             "x": list(x),
         }
         tables = {
-            "translation": (list(rep.translation_terms), list(rep.translation_bounds)),
-            "twist": (list(rep.twist_terms), list(rep.twist_bounds)),
+            "translation": (rep.translation_terms, rep.translation_bounds),
+            "twist": (rep.twist_terms, rep.twist_bounds),
         }
         return HandlerOutput(result, tables, default_series="twist")
     if kind in ("inner", "product"):
@@ -721,18 +764,20 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
                     optional=("angles", "model", "values"))
         realized, model = _scalar_values(params, ctx)
         n = len(realized)
-        terms = [abs(1.0 - z) for z in realized]
-        result = {"kind": kind, "terms_head": _head(terms)}
+        declared = model_values(model, n) if model else None
+        result = {"kind": kind}
         if kind == "product":
-            diag = product_diagnose(realized, model, n_max=n, tol=ctx.tol)
+            diag = product_diagnose(realized, model, n_max=n, tol=ctx.tol,
+                                    declared=declared)
             result["partial_product"] = diag.partial_product
             result["product_tail"] = diag.product_tail
-            verdict = diag.series
+            terms, verdict = diag.terms, diag.series
         else:
-            verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol)
+            terms, verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol,
+                                                  declared=declared)
         result["series"] = _verdict_dict(verdict)
-        bounds = model_bounds(model, n) if model else None
-        return HandlerOutput(result, {"terms": (terms, bounds)}, default_series="terms")
+        result["terms_head"] = _head(terms)
+        return HandlerOutput(result, {"terms": (terms, declared)}, default_series="terms")
     raise _schema_error(f"params.kind must be boxes, product or inner, got {kind!r}")
 
 
@@ -791,9 +836,9 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
         "tensor_exists": crit.tensor_exists,
     }
     tables = {
-        "sigma": (list(crit.sigma_terms), None),
-        "norms": (list(crit.norms), None),
-        "weighted": (list(crit.weighted_terms), None),
+        "sigma": (crit.sigma_terms, None),
+        "norms": (crit.norms, None),
+        "weighted": (crit.weighted_terms, None),
     }
     if "x" in params:
         at = crit.at(parse_int_list(params["x"], "params.x"))
@@ -802,8 +847,8 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
         result["twist_factor"] = at.twist_factor
         result["twist_majorant_head"] = _head(at.twist_majorant)
         result["x"] = list(at.x)
-        tables["translation"] = (list(at.translation_terms), list(at.translation_bounds))
-        tables["twist_majorant"] = (list(at.twist_majorant), None)
+        tables["translation"] = (at.translation_terms, at.translation_bounds)
+        tables["twist_majorant"] = (at.twist_majorant, None)
     return HandlerOutput(result, tables, default_series="weighted")
 
 
@@ -823,8 +868,8 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
         "windows_head": _head(report.windows),
     }
     tables = {
-        "deviation": (list(report.deviation_terms), list(report.deviation_bounds)),
-        "inverse": (list(report.inverse_terms), None),
+        "deviation": (report.deviation_terms, report.deviation_bounds),
+        "inverse": (report.inverse_terms, None),
     }
     return HandlerOutput(result, tables, default_series="deviation")
 
@@ -990,7 +1035,6 @@ def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
     for (g, v), terms in zip(verdict.reports, verdict.deficits):
         if terms is None:  # the identity verdict evaluates no amplitudes
             terms = deficit_terms(scenario, g, n)
-        terms = list(terms)
         tables[f"deficit:{_element_key(g)}"] = (terms, None)
         reports.append({"g": list(g), "terms_head": _head(terms),
                         "verdict": _verdict_dict(v)})

@@ -100,70 +100,101 @@ def _values(source: ScalarSource, n_max: int) -> list[complex]:
     return list(source)[:n_max]
 
 
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
 # ---------------------------------------------------------------------------
 # scalar products and inner-product series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductDiagnosis:
     """Verdict for prod z_i together with the partial product over the prefix.
 
     When the defect series sum |1 - z_i| is proved convergent with tail bound
     t, every tail product sits within ``product_tail = e^t - 1`` of 1, so the
     full infinite product exists and differs from the reported prefix product
-    by at most that factor.
+    by at most that factor.  ``terms`` are the defects |1 - z_i|.
     """
 
     series: SeriesVerdict
     partial_product: complex
     product_tail: Optional[float]
+    terms: np.ndarray
+
+
+def _complex_values(source: ScalarSource, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values as a complex array and their moduli.
+
+    ``np.hypot`` of the parts is Python's ``abs`` of a complex number bit for
+    bit, where ``np.abs`` of a complex array is not.
+    """
+    z = np.asarray(_values(source, n_max), dtype=complex)
+    with np.errstate(over="ignore"):  # the caller refuses the infinite moduli
+        return z, np.hypot(z.real, z.imag)
+
+
+def _distances_to_one(z: np.ndarray) -> np.ndarray:
+    """|1 - z| per value, as Python's abs(1.0 - z) rounds it."""
+    with np.errstate(over="ignore"):
+        return np.hypot(1.0 - z.real, z.imag)
 
 
 def product_diagnose(values: ScalarSource, model: Optional[TailModel] = None,
-                     n_max: int = DEFAULT_SCALAR_HORIZON,
-                     tol: float = 1e-9) -> ProductDiagnosis:
-    """Diagnose convergence of an infinite product of unit-modulus scalars."""
-    zs = _values(values, n_max)
-    terms = []
+                     n_max: int = DEFAULT_SCALAR_HORIZON, tol: float = 1e-9,
+                     declared: Optional[Sequence[float]] = None) -> ProductDiagnosis:
+    """Diagnose convergence of an infinite product of unit-modulus scalars.
+
+    ``declared`` is passed on to ``diagnose_terms``.
+    """
+    zs, moduli = _complex_values(values, n_max)
+    i = _first(np.abs(moduli - 1.0) > tol)
+    if i is not None:
+        raise ConstructionError(
+            f"factor {i + 1} has modulus {abs(complex(zs[i]))}, expected a unit scalar")
     prod = 1.0 + 0.0j
-    for i, raw in enumerate(zs, start=1):
-        z = complex(raw)
-        if abs(abs(z) - 1.0) > tol:
-            raise ConstructionError(
-                f"factor {i} has modulus {abs(z)}, expected a unit scalar")
-        terms.append(abs(1.0 - z))
+    for z in zs.tolist():  # Python's complex product, one factor at a time
         prod *= z
-    verdict = diagnose_terms(terms, model)
+    terms = _distances_to_one(zs)
+    verdict = diagnose_terms(terms, model, declared)
     tail = None
     if verdict.verdict == PROVED_CONVERGENT and verdict.tail_bound is not None:
         tail = math.expm1(verdict.tail_bound)
-    return ProductDiagnosis(verdict, prod, tail)
+    return ProductDiagnosis(verdict, prod, tail, terms)
 
 
-def _inner_products(values: ScalarSource, n_max: int, tol: float) -> list[complex]:
-    """The values as complex numbers, refusing any modulus beyond 1 + tol,
-    since no pair of unit vectors produces such an inner product."""
-    vals = [complex(a) for a in _values(values, n_max)]
-    for i, a in enumerate(vals, start=1):
-        if abs(a) > 1.0 + tol:
-            raise InvalidInnerProductError(f"inner product {i} has modulus {abs(a)} > 1")
-    return vals
+def _inner_products(values: ScalarSource, n_max: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The values as a complex array with their moduli, refusing any modulus
+    beyond 1 + tol, since no pair of unit vectors produces such an inner product."""
+    vals, moduli = _complex_values(values, n_max)
+    i = _first(moduli > 1.0 + tol)
+    if i is not None:
+        raise InvalidInnerProductError(
+            f"inner product {i + 1} has modulus {abs(complex(vals[i]))} > 1")
+    return vals, moduli
 
 
 def inner_product_series(values: ScalarSource, model: Optional[TailModel] = None,
-                         n_max: int = DEFAULT_SCALAR_HORIZON,
-                         tol: float = 1e-9) -> SeriesVerdict:
-    """Series sum |1 - a_i| for inner products a_i of unit vectors."""
-    return diagnose_terms([abs(1.0 - a) for a in _inner_products(values, n_max, tol)], model)
+                         n_max: int = DEFAULT_SCALAR_HORIZON, tol: float = 1e-9,
+                         declared: Optional[Sequence[float]] = None
+                         ) -> tuple[np.ndarray, SeriesVerdict]:
+    """Terms |1 - a_i| for inner products a_i of unit vectors, with their verdict."""
+    terms = _distances_to_one(_inner_products(values, n_max, tol)[0])
+    return terms, diagnose_terms(terms, model, declared)
 
 
 def modulus_deficit_series(values: ScalarSource, model: Optional[TailModel] = None,
                            n_max: int = DEFAULT_SCALAR_HORIZON,
-                           tol: float = 1e-9) -> SeriesVerdict:
-    """Series sum (1 - |a_i|), the phase-insensitive variant."""
-    return diagnose_terms([max(0.0, 1.0 - abs(a))
-                           for a in _inner_products(values, n_max, tol)], model)
+                           tol: float = 1e-9) -> tuple[np.ndarray, SeriesVerdict]:
+    """Terms max(0, 1 - |a_i|), the phase-insensitive variant, with their verdict."""
+    deficits = 1.0 - _inner_products(values, n_max, tol)[1]
+    terms = np.where(deficits > 0.0, deficits, 0.0)  # max(0.0, d); NaN becomes 0
+    return terms, diagnose_terms(terms, model)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +208,76 @@ def box_defect(box: FolnerBox, x: Element) -> float:
     return (card - box.overlap(x)) / card
 
 
-def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
+# Below 2^53 every integer is a float64, and one division of two such floats
+# rounds as Python's int / int does.
+_EXACT_INTS = 2.0 ** 53
+# Sides per block of Python-int box defects, which hold a few object arrays.
+_BIG_BLOCK = 1 << 12
+
+
+def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
+    """``box_defect`` of the zero-offset boxes with integer sides m at x.
+
+    The defect is (s^N - prod_j max(0, s - |x_j|)) / s^N with s = m + 1.
+    While s^N < 2^53 both integers are exact in float64 and one division
+    gives the correctly rounded ratio; past that the ratio is taken in
+    Python ints.  ``sides`` holds integer-valued floats.
+    """
     rank = len(x)
-    return [box_defect(FolnerBox(rank, int(m)), x) for m in sides]
+    if sides.size and rank < 1:
+        raise ValueError("rank must be at least 1")
+    if (sides < 0).any():
+        raise ValueError("side must be nonnegative")
+    reach = [abs(int(c)) for c in x]
+    s = sides + 1.0
+    card = np.ones_like(s)
+    overlap = np.ones_like(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in map(float, reach):
+            card *= s
+            overlap *= np.where(s > a, s - a, 0.0)
+        out = (card - overlap) / card
+    big = np.flatnonzero(~(card < _EXACT_INTS))
+    for start in range(0, big.size, _BIG_BLOCK):
+        block = big[start:start + _BIG_BLOCK]
+        # object arrays: every operation below is Python's own int arithmetic
+        s = _python_ints(sides[block]) + 1
+        card = s ** rank
+        overlap = np.ones_like(s)
+        for a in reach:
+            overlap *= np.where(s > a, s - a, 0)
+        out[block] = (card - overlap) / card
+    return out
+
+
+def _python_ints(values: np.ndarray) -> np.ndarray:
+    """Integer-valued floats as an object array of Python ints."""
+    return np.array(list(map(int, values.tolist())), dtype=object)
+
+
+def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
+    """Defects of zero-offset boxes with the given integer sides at x.
+
+    Sides are read as float64, so they are exact up to 2^53; beyond that
+    they round to the nearest float.
+    """
+    return _box_defects(np.trunc(np.asarray(sides, dtype=float)), x).tolist()
+
+
+def _side_ratio(num: int, sides: np.ndarray) -> np.ndarray:
+    """num / (m + 1) per integer side m, rounded once as int / int rounds it.
+
+    Float64 where num and m + 1 are below 2^53, Python ints elsewhere.
+    """
+    den = sides + 1.0
+    if abs(num) < _EXACT_INTS:
+        out = num / den
+        inexact = np.flatnonzero(~(den < _EXACT_INTS))
+    else:
+        out = np.empty_like(den)
+        inexact = np.arange(den.size)
+    out[inexact] = num / (_python_ints(sides[inexact]) + 1)
+    return out
 
 
 # Points per leaf of the summation tree in box_twist_mean, and per batch of
@@ -389,9 +487,13 @@ def power_matrix_family(matrix, exponent: float) -> tuple[Callable[[int], np.nda
     return matrices, PowerModel(top, exponent)
 
 
-# every realized side must sit in the ceil window [v, v + 1] of its declared value
-_CEIL_WINDOW = ("side {i} = {a} exceeds the declared ceiling {v} + 1",
-                "side {i} = {a} falls below the declared value {v}", 1.0)
+def _ceil_mismatch(sides: Sequence[float], values: Sequence[float],
+                   relation: str) -> Optional[str]:
+    """The first realized side outside the ceil window [v, v + 1] of its declared value."""
+    return prefix_mismatch(sides, values, relation,
+                           "side {i} = {a} exceeds the declared ceiling {v} + 1",
+                           "side {i} = {a} falls below the declared value {v}",
+                           width=1.0, integral=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,38 +629,43 @@ class TwistedRepSeries:
         return None
 
 
-def _translation_verdict(terms: Sequence[float], bounds: Sequence[float],
-                         sides: Sequence[int], model: Optional[TailModel],
+def _translation_verdict(terms: np.ndarray, bounds: np.ndarray, sides: np.ndarray,
+                         model: Optional[TailModel],
                          values: Optional[Sequence[float]], x: Element) -> SeriesVerdict:
+    """``sides`` holds the integer sides as floats."""
     if all(c == 0 for c in x):
         return certify(terms, ZERO, None, ("the identity never leaves the box", None, None))
     linf = sup_norm(x)
-    for m, d, hi in zip(sides, terms, bounds):
-        if d > hi + 1e-9 or d < min(1.0, linf / (m + 1)) - 1e-9:
-            return inconclusive(terms, f"defect at side {m} escaped its proved envelope")
+    floor = _side_ratio(linf, sides)
+    with np.errstate(invalid="ignore"):
+        floor = np.where(floor < 1.0, floor, 1.0)
+        k = _first((terms > bounds + 1e-9) | (terms < floor - 1e-9))
+    if k is not None:
+        return inconclusive(terms, f"defect at side {int(sides[k])} escaped its proved envelope")
     if model is None:
         return inconclusive(terms, "no growth model declared for the box sides")
-    mismatch = prefix_mismatch(sides, values, model.relation, *_CEIL_WINDOW)
+    mismatch = _ceil_mismatch(sides, values, model.relation)
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     # |x|_inf / (v_i + 2) <= defect_i <= |x|_1 / v_i
     return _inverse_side_verdict(terms, model, l1_norm(x), linf, 2.0, _TRANSLATION_WORDS)
 
 
-def _twist_verdict(terms: Sequence[float], bounds: Sequence[float],
-                   sides: Sequence[int], side_values: Optional[Sequence[float]],
-                   norms: Sequence[float], side_model: Optional[TailModel],
+def _twist_verdict(terms: np.ndarray, bounds: np.ndarray,
+                   sides: np.ndarray, side_values: Optional[Sequence[float]],
+                   norms: np.ndarray, side_model: Optional[TailModel],
                    matrix_model: Optional[TailModel], x: Element) -> SeriesVerdict:
     rank = len(x)
     l1 = l1_norm(x)
     if l1 == 0:
         return certify(terms, ZERO, None, ("x = 0 twists nothing", None, None))
-    for i, (t, b) in enumerate(zip(terms, bounds), start=1):
-        if t > b + 1e-9:
-            return inconclusive(terms, f"term {i} escaped its proved envelope")
+    with np.errstate(invalid="ignore"):
+        k = _first(terms > bounds + 1e-9)
+    if k is not None:
+        return inconclusive(terms, f"term {k + 1} escaped its proved envelope")
     if side_model is None or matrix_model is None:
         return inconclusive(terms, "twist certification needs both declared models")
-    mismatch = prefix_mismatch(sides, side_values, side_model.relation, *_CEIL_WINDOW)
+    mismatch = _ceil_mismatch(sides, side_values, side_model.relation)
     if mismatch is not None:
         return inconclusive(terms, mismatch)
     mismatch = prefix_mismatch(norms, model_values(matrix_model, len(norms)),
@@ -596,7 +703,6 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
     rank = len(x)
     side_list = []
     norm_list = []
-    trans_terms = []
     twist_terms = []
     for i in range(1, n_max + 1):
         m = int(sides(i))
@@ -606,24 +712,28 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
         A = canonicalize_phases(matrices(i))
         side_list.append(m)
         norm_list.append(float(np.max(np.abs(A))) if A.size else 0.0)
-        trans_terms.append(box_defect(box, x))
         twist_terms.append(box_twist_mean(A, box, x, grid_cap=grid_cap))
     side_values = model_values(side_model, n_max) if side_model is not None else None
-    factor = 0.5 * rank * l1_norm(x)
-    trans_bounds = _translation_bounds(side_list, x)
-    twist_bounds = [min(2.0, factor * m * a) for m, a in zip(side_list, norm_list)]
-    translation = _translation_verdict(trans_terms, trans_bounds, side_list,
+    side_arr = np.array(side_list, dtype=float)
+    norms = np.array(norm_list)
+    trans_terms = _box_defects(side_arr, x)
+    twist = np.array(twist_terms)
+    trans_bounds = _translation_bounds(side_arr, x)
+    twist_bounds = (0.5 * rank * l1_norm(x)) * side_arr * norms
+    twist_bounds = np.where(twist_bounds < 2.0, twist_bounds, 2.0)
+    translation = _translation_verdict(trans_terms, trans_bounds, side_arr,
                                        side_model, side_values, x)
-    twist = _twist_verdict(twist_terms, twist_bounds, side_list, side_values, norm_list,
-                           side_model, matrix_model, x)
-    return TwistedRepSeries(x, tuple(side_list), tuple(trans_terms),
-                            tuple(twist_terms), translation, twist,
-                            tuple(trans_bounds), tuple(twist_bounds))
+    twist_verdict = _twist_verdict(twist, twist_bounds, side_arr, side_values, norms,
+                                   side_model, matrix_model, x)
+    return TwistedRepSeries(x, tuple(side_list), tuple(trans_terms.tolist()),
+                            tuple(twist_terms), translation, twist_verdict,
+                            tuple(trans_bounds.tolist()), tuple(twist_bounds.tolist()))
 
 
-def _translation_bounds(sides: Sequence[float], x: Element) -> list[float]:
-    l1 = l1_norm(x)
-    return [min(1.0, l1 / (m + 1)) for m in sides]
+def _translation_bounds(sides: np.ndarray, x: Element) -> np.ndarray:
+    """min(1, |x|_1 / (m_i + 1)) for integer sides, each ratio rounded once."""
+    bounds = _side_ratio(l1_norm(x), sides)
+    return np.where(bounds < 1.0, bounds, 1.0)
 
 
 def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
@@ -632,13 +742,14 @@ def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
 
     Convenience wrapper for callers that already hold a realized side list
     (the box criteria below consume models directly instead); an explicit
-    side model keeps only as many sides as it declares.
+    side model keeps only as many sides as it declares.  Sides are read as
+    float64, exact up to 2^53.
     """
-    sides = list(sides)[:horizon(len(sides), side_model)]
-    terms = box_defect_terms(sides, x)
+    sides = np.trunc(np.asarray(sides, dtype=float))[:horizon(len(sides), side_model)]
+    terms = _box_defects(sides, x)
     values = model_values(side_model, len(sides)) if side_model is not None else None
-    return terms, _translation_verdict(terms, _translation_bounds(sides, x), sides,
-                                       side_model, values, x)
+    return terms.tolist(), _translation_verdict(terms, _translation_bounds(sides, x), sides,
+                                                side_model, values, x)
 
 
 # ---------------------------------------------------------------------------
@@ -654,41 +765,42 @@ class ClauseReport:
     series: Optional[SeriesVerdict] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriteriaAt:
     """The translation part of the box criterion at one element x.
 
     ``translation`` is None when some declared side overflows to infinity;
     such a side contributes a zero defect and zero bound, and an infinite
-    twist majorant unless its matrix norm vanishes.
+    twist majorant unless its matrix norm vanishes.  The term vectors are
+    float64 arrays.
     """
 
     x: Element
     twist_factor: float
-    translation_terms: tuple[float, ...]
-    translation_bounds: tuple[float, ...]
-    twist_majorant: tuple[float, ...]
+    translation_terms: np.ndarray
+    translation_bounds: np.ndarray
+    twist_majorant: np.ndarray
     translation: Optional[SeriesVerdict]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxCriteria:
     """The four clauses plus the term vectors they were certified from.
 
     ``sides`` are the realized sides ceil(v_i) of the declared side values
     ``side_values`` (inf once a value overflows), ``norms`` the declared
     matrix norms a_i, ``sigma_terms`` the reciprocals 1/m_i and
-    ``weighted_terms`` the products m_i a_i.
+    ``weighted_terms`` the products m_i a_i, all float64 arrays.
     """
 
     side_model: TailModel
     matrix_model: TailModel
     clauses: tuple[ClauseReport, ...]
-    side_values: tuple[float, ...] = ()
-    sides: tuple[float, ...] = ()
-    norms: tuple[float, ...] = ()
-    sigma_terms: tuple[float, ...] = ()
-    weighted_terms: tuple[float, ...] = ()
+    side_values: np.ndarray
+    sides: np.ndarray
+    norms: np.ndarray
+    sigma_terms: np.ndarray
+    weighted_terms: np.ndarray
 
     def clause(self, name: str) -> ClauseReport:
         for c in self.clauses:
@@ -703,20 +815,22 @@ class BoxCriteria:
     def at(self, x: Element) -> CriteriaAt:
         """Box defects, their bounds and the twist majorants at x for these sides."""
         x = tuple(int(c) for c in x)
-        rank = len(x)
-        factor = 0.5 * rank * l1_norm(x)
-        terms = [0.0 if math.isinf(m) else box_defect(FolnerBox(rank, int(m)), x)
-                 for m in self.sides]
-        majorant = [0.0 if a == 0.0 else math.inf if math.isinf(m) else factor * m * a
-                    for m, a in zip(self.sides, self.norms)]
-        bounds = _translation_bounds(self.sides, x)
+        factor = 0.5 * len(x) * l1_norm(x)
+        sides, norms = self.sides, self.norms
+        overflowed = np.isinf(sides)
+        terms = np.zeros(sides.size)
+        terms[~overflowed] = _box_defects(sides[~overflowed], x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            majorant = np.where(norms == 0.0, 0.0,
+                                np.where(overflowed, math.inf, factor * sides * norms))
+            # the float sides round m + 1 here, unlike the exact ratios of the check
+            bounds = float(l1_norm(x)) / (sides + 1.0)
+        bounds = np.where(bounds < 1.0, bounds, 1.0)
         translation = None
-        if not any(math.isinf(m) for m in self.sides):
-            translation = _translation_verdict(
-                terms, bounds, [int(m) for m in self.sides], self.side_model,
-                self.side_values, x)
-        return CriteriaAt(x, factor, tuple(terms), tuple(bounds), tuple(majorant),
-                          translation)
+        if not overflowed.any():
+            translation = _translation_verdict(terms, bounds, sides, self.side_model,
+                                               self.side_values, x)
+        return CriteriaAt(x, factor, terms, bounds, majorant, translation)
 
 
 def _folner_clause(model: TailModel) -> ClauseReport:
@@ -785,11 +899,14 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
         raise ConstructionError("side model must produce positive sides")
 
     n_max = horizon(n_max, side_model, matrix_model)
-    side_values = model_values(side_model, n_max)
-    sides = [v if math.isinf(v) else float(math.ceil(v)) for v in side_values]
-    norms = model_values(matrix_model, n_max)
-    sigma_terms = [1.0 / m if m >= 1 else math.inf for m in sides]
-    weighted_terms = [0.0 if a == 0.0 else m * a for m, a in zip(sides, norms)]
+    side_values = np.array(model_values(side_model, n_max), dtype=float)
+    if np.isnan(side_values).any():
+        raise ValueError("cannot convert float NaN to integer")  # math.ceil's message
+    sides = np.ceil(side_values) + 0.0  # + 0.0 clears the sign of a zero ceiling
+    norms = np.array(model_values(matrix_model, n_max), dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sigma_terms = np.where(sides >= 1, 1.0 / sides, math.inf)
+        weighted_terms = np.where(norms == 0.0, 0.0, sides * norms)
 
     # 1/(v_i + 1) <= 1/m_i <= 1/v_i
     sigma = _inverse_side_verdict(sigma_terms, side_model, 1.0, 1.0, 1.0, _SIGMA_WORDS)
@@ -819,8 +936,7 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
     return BoxCriteria(side_model, matrix_model,
                        (_folner_clause(side_model), sigma_clause, norm_clause,
                         tensor_clause),
-                       tuple(side_values), tuple(sides), tuple(norms),
-                       tuple(sigma_terms), tuple(weighted_terms))
+                       side_values, sides, norms, sigma_terms, weighted_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -985,10 +1101,12 @@ def dirichlet_condition(windows: Callable[[int], int],
         ang_list.append(theta)
         dev_terms.append(abs(1.0 - dirichlet_value(w, theta)))
 
-    inverse_terms = [1.0 / w for w in win_list]
-    matched = window_model is not None and prefix_mismatch(
-        win_list, model_values(window_model, n_max), window_model.relation,
-        *_CEIL_WINDOW) is None
+    # Exact integers: w + 1 is formed before it is rounded to a float.
+    wins = np.array(win_list, dtype=object)
+    inverse_terms = 1.0 / wins.astype(float)
+    window_values = model_values(window_model, n_max) if window_model is not None else None
+    matched = window_model is not None and _ceil_mismatch(
+        wins, window_values, window_model.relation) is None
     if matched:
         # 1/(v_j + 1) <= 1/n_j <= 1/v_j
         inverse = _inverse_side_verdict(inverse_terms, window_model, 1.0, 1.0, 1.0,
@@ -996,26 +1114,32 @@ def dirichlet_condition(windows: Callable[[int], int],
     else:
         inverse = inconclusive(inverse_terms, "window values lack a matching growth model")
 
-    dev_bounds = [min(2.0, 0.5 * (w + 1) * abs(t)) for w, t in zip(win_list, ang_list)]
-    deviation = _deviation_verdict(dev_terms, dev_bounds, ang_list, window_model,
+    sizes = np.abs(np.array(ang_list))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev_bounds = 0.5 * (wins + 1).astype(float) * sizes
+    dev_bounds = np.where(dev_bounds < 2.0, dev_bounds, 2.0)
+    deviation = _deviation_verdict(np.array(dev_terms), dev_bounds, sizes, window_model,
                                    matched, angle_model)
     return DirichletReport(tuple(win_list), tuple(ang_list), tuple(dev_terms),
-                           inverse, deviation, tuple(inverse_terms), tuple(dev_bounds))
+                           inverse, deviation, tuple(inverse_terms.tolist()),
+                           tuple(dev_bounds.tolist()))
 
 
-def _deviation_verdict(terms: Sequence[float], bounds: Sequence[float],
-                       angles: Sequence[float], window_model: Optional[TailModel],
+def _deviation_verdict(terms: np.ndarray, bounds: np.ndarray,
+                       sizes: np.ndarray, window_model: Optional[TailModel],
                        windows_matched: bool,
                        angle_model: Optional[TailModel]) -> SeriesVerdict:
-    for j, (t, b) in enumerate(zip(terms, bounds), start=1):
-        if t > b + 1e-9:
-            return inconclusive(terms, f"term {j} escaped the chord bound")
+    """``sizes`` are the angle sizes |theta_j|."""
+    with np.errstate(invalid="ignore"):
+        k = _first(terms > bounds + 1e-9)
+    if k is not None:
+        return inconclusive(terms, f"term {k + 1} escaped the chord bound")
     if window_model is None or angle_model is None:
         return inconclusive(terms, "deviation certification needs both declared models")
     if not windows_matched:
         return inconclusive(terms, "window values do not match their declared model")
-    mismatch = prefix_mismatch([abs(t) for t in angles],
-                               model_values(angle_model, len(angles)), angle_model.relation,
+    mismatch = prefix_mismatch(sizes, model_values(angle_model, sizes.size),
+                               angle_model.relation,
                                "angle {i} exceeds its declared size {v}")
     if mismatch is not None:
         return inconclusive(terms, mismatch)

@@ -333,10 +333,18 @@ class CCRPair:
         return 1.0 if self.boundary_deficit(b) else 0.0
 
     def relation_residual(self, samples: Sequence[tuple[Element, Element]]) -> float:
-        """max |V W - sigma W V|; V W scales the rows of W by the clock, W V its columns."""
+        """max |V W - sigma W V|; V W scales the rows of W by the clock, W V its columns.
+
+        The clock phases are computed once per distinct a.  The residual keeps
+        the n x n layout: a gathered O(n) form rounds s * (w * c) differently.
+        """
         worst = 0.0
+        clocks: dict[Element, np.ndarray] = {}
         for a, b in samples:
-            c, w = self.phases(a), self.shift(b)
+            key = tuple(a)
+            if key not in clocks:
+                clocks[key] = self.phases(a)
+            c, w = clocks[key], self.shift(b)
             worst = max(worst, float(np.max(np.abs(
                 c[:, None] * w - self.sigma.value(a, b) * (w * c)))))
         return worst
@@ -377,15 +385,27 @@ def ccr_to_projective(pair: CCRPair) -> ProjectiveRep:
 
 
 def spectral_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy matching distance between two equal-size eigenvalue multisets."""
+    """Greedy matching distance between two equal-size eigenvalue multisets.
+
+    Each a_i in turn takes the nearest unmatched b_j, the first one on ties,
+    and the result is the largest matched distance.  Distances come from one
+    matrix of ``np.hypot`` of the differences, which is Python's complex abs
+    bit for bit (``np.abs`` of a complex array is not).  NaN distances follow
+    a sequential ``min``: a NaN in the first unmatched column wins, any other
+    NaN never does, and the running maximum skips NaNs.
+    """
     if a.shape != b.shape:
         raise ValueError("spectra must have equal size")
-    rem = list(b)
+    diff = np.asarray(b)[None, :] - np.asarray(a)[:, None]
+    dist = np.hypot(diff.real, diff.imag)
+    free = np.ones(dist.shape[1], dtype=bool)
     worst = 0.0
-    for z in a:
-        k = min(range(len(rem)), key=lambda i: abs(rem[i] - z))
-        worst = max(worst, abs(rem[k] - z))
-        rem.pop(k)
+    for row in dist:
+        cols = np.flatnonzero(free)
+        cand = row[cols]
+        k = 0 if np.isnan(cand[0]) else int(np.argmin(np.where(np.isnan(cand), np.inf, cand)))
+        free[cols[k]] = False
+        worst = max(worst, cand[k])
     return float(worst)
 
 

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
+import numpy as np
+
 PROVED_CONVERGENT = "ProvedConvergent"
 PROVED_DIVERGENT = "ProvedDivergent"
 INCONCLUSIVE = "Inconclusive"
@@ -49,34 +51,56 @@ class SeriesVerdict:
     witness: Optional[str] = None
 
 
-def running_sums(values: Sequence[float]) -> list[float]:
+# Values per block of running_sums: the temporaries stay at a few 256 KB arrays.
+_SUM_BLOCK = 1 << 15
+
+
+def running_sums(values: Sequence[float]) -> np.ndarray:
     """Neumaier-compensated running partial sums, ascending index order.
 
-    Once a partial sum overflows it stays infinite.
-    """
-    out = []
-    total = 0.0
-    comp = 0.0
-    for v in values:
+    Bit for bit the sequential loop
+
         t = total + v
-        if math.isinf(t):
-            out.append(t)
-            total = t
-            comp = 0.0
-            continue
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out.append(total + comp)
+        comp += (total - t) + v  if |total| >= |v|  else  (v - t) + total
+        total = t;  out = total + comp
+
+    whose output, from the first infinite total on, is the total itself (it
+    stays infinite, or turns NaN).  It is bit-exact because every operation
+    is the loop's own, in the loop's order: ``np.add.accumulate`` adds
+    strictly left to right, so the running totals and the running
+    compensation are the same sequential IEEE additions, and ``np.where``
+    picks the same branch of the correction per element.  Each accumulation
+    starts from the carried value (0.0 at first) rather than from the first
+    element, so 0.0 + -0.0 rounds to 0.0 as in the loop.  Blocks of 2^15
+    values carry the total and the compensation across.
+    """
+    vals = np.asarray(values, dtype=float).ravel()
+    out = np.empty(vals.size)
+    total = comp = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, vals.size, _SUM_BLOCK):
+            v = vals[start:start + _SUM_BLOCK]
+            seg = out[start:start + v.size]
+            acc = np.add.accumulate(np.concatenate(([total], v)))
+            prev, t = acc[:-1], acc[1:]
+            total = float(acc[-1])
+            if not math.isfinite(prev[0]):
+                seg[:] = t
+                continue
+            corr = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+            corr = np.add.accumulate(np.concatenate(([comp], corr)))
+            comp = float(corr[-1])
+            np.add(t, corr[1:], out=seg)
+            overflow = np.flatnonzero(np.isinf(t))
+            if overflow.size:
+                seg[overflow[0]:] = t[overflow[0]:]
     return out
 
 
 def neumaier_sum(values: Sequence[float]) -> float:
     """Compensated sum; accumulation error stays near one ulp of the result."""
     sums = running_sums(values)
-    return sums[-1] if sums else 0.0
+    return float(sums[-1]) if sums.size else 0.0
 
 
 def power_tail(coeff: float, exponent: float, n: int) -> float:
@@ -350,10 +374,22 @@ def horizon(n: int, *models: Optional[TailModel]) -> int:
 
 
 def model_values(model: TailModel, n: int) -> list[float]:
-    """First n declared values (at most the prefix for explicit models)."""
+    """First n declared values (at most the prefix for explicit models).
+
+    The values are Python's ``c * float(i) ** q`` and ``c * r ** i``, as
+    ``value`` computes them; numpy's power rounds differently.  A power that
+    overflows raises, and then ``value`` turns each overflow into inf.
+    """
     if isinstance(model, ExplicitModel):
         return list(model.values[:n])
-    return [model.value(i) for i in range(1, n + 1)]
+    try:
+        if isinstance(model, PowerModel):
+            c, q = model.coeff, model.exponent
+            return [c * float(i) ** q for i in range(1, n + 1)]
+        c, r = model.coeff, model.ratio
+        return [c * r ** i for i in range(1, n + 1)]
+    except OverflowError:
+        return [model.value(i) for i in range(1, n + 1)]
 
 
 def model_bounds(model: TailModel, n: int) -> list[Optional[float]]:
@@ -370,31 +406,55 @@ _TERM_TEXTS = {
 }
 
 
-def _nonnegative(terms: Sequence[float]) -> list[float]:
-    terms = [float(t) for t in terms]
-    for i, t in enumerate(terms, start=1):
-        if t < -1e-12:
-            raise ValueError(f"term {i} is negative: {t}")
-    return [max(t, 0.0) for t in terms]
+def _nonnegative(terms: Sequence[float]) -> np.ndarray:
+    """The terms as floats, refusing any below -1e-12 and lifting the rest to 0.
+
+    Negative zeros and NaNs pass unchanged, as ``max(t, 0.0)`` leaves them.
+    """
+    terms = np.array(terms, dtype=float)
+    negative = np.flatnonzero(terms < -1e-12)
+    if negative.size:
+        i = negative[0]
+        raise ValueError(f"term {i + 1} is negative: {float(terms[i])}")
+    return np.where(terms < 0.0, 0.0, terms)
+
+
+def _shown(value):
+    """A sequence element as the Python number a witness prints."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def prefix_mismatch(realized: Sequence[float], declared: Sequence[float],
                     relation: str, above: str, below: Optional[str] = None,
-                    width: float = 0.0) -> Optional[str]:
+                    width: float = 0.0, integral: bool = False) -> Optional[str]:
     """The first realized a outside [v, v + width] on a side the relation vouches for.
 
-    The texts are formatted with the index i, a and the declared value v.
+    Both sides carry the slack 1e-9 + 1e-9 |v|, and the comparisons run in
+    float64.  The texts are formatted with the index i, a and the declared
+    value v as the inputs hold them (numpy elements as Python numbers);
+    ``integral`` prints a as an integer, for sides held as floats.
     """
-    for i, (a, v) in enumerate(zip(realized, declared), start=1):
-        slack = 1e-9 + 1e-9 * abs(v)
-        if below is not None and relation != MAJORANT and a < v - slack:
-            return below.format(i=i, a=a, v=v)
-        if relation != MINORANT and a > v + width + slack:
-            return above.format(i=i, a=a, v=v)
-    return None
+    n = min(len(realized), len(declared))
+    a = np.asarray(realized, dtype=float)[:n]
+    v = np.asarray(declared, dtype=float)[:n]
+    slack = 1e-9 + 1e-9 * np.abs(v)
+    low = np.zeros(n, dtype=bool)
+    high = np.zeros(n, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if below is not None and relation != MAJORANT:
+            low = a < v - slack
+        if relation != MINORANT:
+            high = a > (v + width) + slack
+    hits = np.flatnonzero(low | high)
+    if not hits.size:
+        return None
+    k = hits[0]
+    text = below if low[k] else above
+    a = int(realized[k]) if integral else _shown(realized[k])
+    return text.format(i=k + 1, a=a, v=_shown(declared[k]))
 
 
-def _model_certificate(terms: list[float], model: TailModel) -> SeriesVerdict:
+def _model_certificate(terms: np.ndarray, model: TailModel) -> SeriesVerdict:
     env = model.envelope
     if env is None:
         return inconclusive(terms, "explicit prefix carries no tail claims")
@@ -408,12 +468,19 @@ def _model_certificate(terms: list[float], model: TailModel) -> SeriesVerdict:
                    (derivation, witness, "declared model cannot certify either direction"))
 
 
-def diagnose_terms(terms: Sequence[float], model: Optional[TailModel]) -> SeriesVerdict:
-    """Verdict for a nonnegative-term series from an evaluated prefix and a model."""
+def diagnose_terms(terms: Sequence[float], model: Optional[TailModel],
+                   declared: Optional[Sequence[float]] = None) -> SeriesVerdict:
+    """Verdict for a nonnegative-term series from an evaluated prefix and a model.
+
+    ``declared`` holds ``model_values(model, len(terms))`` when the caller
+    has already read them.
+    """
     terms = _nonnegative(terms)
     if model is None:
         return inconclusive(terms, "no tail model declared")
-    mismatch = prefix_mismatch(terms, model_values(model, len(terms)), model.relation,
+    if declared is None:
+        declared = model_values(model, len(terms))
+    mismatch = prefix_mismatch(terms, declared, model.relation,
                                "term {i} = {a} exceeds declared bound {v}",
                                "term {i} = {a} falls below declared bound {v}")
     if mismatch is not None:
@@ -433,7 +500,7 @@ def diagnose_model_series(model: TailModel, n_max: int) -> SeriesVerdict:
 
 def series_table(terms: Sequence[float], model: Optional[TailModel]) -> list[tuple[int, float, float, Optional[float]]]:
     """Rows (index, term, partial_sum, declared bound or None) for reporting."""
-    sums = running_sums([float(t) for t in terms])
+    sums = running_sums(terms).tolist()
     bounds = model_bounds(model, len(sums)) if model is not None else [None] * len(sums)
     return [(i, float(t), s, b)
             for i, (t, s, b) in enumerate(zip(terms, sums, bounds), start=1)]

@@ -1,0 +1,375 @@
+"""The array kernels of the certificate path against the loops they replaced.
+
+Each oracle below is the per-index Python loop that computed the same
+quantity before the certificate path became columnar.  The properties
+compare bit patterns (``float.hex``, so the sign of a zero counts) and
+witness strings, over inputs that include signed zeros, infinities, NaNs,
+subnormals, sums that overflow, block boundaries, explicit prefixes and
+integer sides past 2^53.
+"""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistlab import cli, convergence, series
+from twistlab.convergence import (
+    _box_defects,
+    _side_ratio,
+    box_defect,
+    lattice_tensor_criteria,
+)
+from twistlab.groups import FolnerBox
+from twistlab.reps import spectral_multiset_distance
+from twistlab.series import (
+    MAJORANT,
+    MINORANT,
+    EXACT,
+    ExplicitModel,
+    GeometricModel,
+    PowerModel,
+    _nonnegative,
+    model_values,
+    neumaier_sum,
+    prefix_mismatch,
+    running_sums,
+)
+
+# --- oracles: the loops the array code replaced ---------------------------
+
+
+def oracle_running_sums(values):
+    out = []
+    total = 0.0
+    comp = 0.0
+    for v in values:
+        t = total + v
+        if math.isinf(t):
+            out.append(t)
+            total = t
+            comp = 0.0
+            continue
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out.append(total + comp)
+    return out
+
+
+def oracle_nonnegative(terms):
+    terms = [float(t) for t in terms]
+    for i, t in enumerate(terms, start=1):
+        if t < -1e-12:
+            raise ValueError(f"term {i} is negative: {t}")
+    return [max(t, 0.0) for t in terms]
+
+
+def oracle_prefix_mismatch(realized, declared, relation, above, below=None, width=0.0):
+    for i, (a, v) in enumerate(zip(realized, declared), start=1):
+        slack = 1e-9 + 1e-9 * abs(v)
+        if below is not None and relation != MAJORANT and a < v - slack:
+            return below.format(i=i, a=a, v=v)
+        if relation != MINORANT and a > v + width + slack:
+            return above.format(i=i, a=a, v=v)
+    return None
+
+
+def oracle_box_defect_terms(sides, x):
+    return [box_defect(FolnerBox(len(x), int(m)), x) for m in sides]
+
+
+def oracle_spectral_distance(a, b):
+    rem = list(b)
+    worst = 0.0
+    for z in a:
+        k = min(range(len(rem)), key=lambda i: abs(rem[i] - z))
+        worst = max(worst, abs(rem[k] - z))
+        rem.pop(k)
+    return float(worst)
+
+
+def oracle_render_csv(scenario, terms, bounds):
+    lines = ["# scenario=" + cli.render_json(scenario), "index,term,partial_sum,bound"]
+    sums = oracle_running_sums([float(t) for t in terms])
+    for i, (t, s) in enumerate(zip(terms, sums), 1):
+        b = bounds[i - 1] if bounds is not None and i - 1 < len(bounds) else None
+        tail = "" if b is None else cli._float_repr(float(b))
+        lines.append(f"{i},{cli._float_repr(float(t))},{cli._float_repr(float(s))},{tail}")
+    return "\n".join(lines) + "\n"
+
+
+def bits(values):
+    return [float.hex(float(v)) for v in values]
+
+
+# --- strategies -------------------------------------------------------------
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1e308, -1e308, 1.7976931348623157e308, 1e16, -1e16, 1.0, -1.0]
+
+floats = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=True, allow_infinity=True),
+                   st.floats(-1e3, 1e3))
+finite_nonneg = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, 1e-13]),
+                          st.floats(0.0, 1e6), st.floats(-2e-12, 0.0))
+
+
+@contextmanager
+def with_block(size):
+    """Run running_sums with a small block, so short inputs cross boundaries."""
+    saved = series._SUM_BLOCK
+    series._SUM_BLOCK = size
+    try:
+        yield
+    finally:
+        series._SUM_BLOCK = saved
+
+
+# --- compensated sums -------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(floats, max_size=40), st.integers(1, 7))
+def test_running_sums_match_the_loop_bit_for_bit(values, block):
+    expected = bits(oracle_running_sums(values))
+    with with_block(block):
+        assert bits(running_sums(values)) == expected
+    assert bits(running_sums(values)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite_nonneg, max_size=30), st.integers(1, 5))
+def test_neumaier_sum_matches_the_loop(values, block):
+    sums = oracle_running_sums(values)
+    with with_block(block):
+        assert float.hex(neumaier_sum(values)) == float.hex(sums[-1] if sums else 0.0)
+    assert type(neumaier_sum(values)) is float
+
+
+def test_running_sums_across_a_full_block_boundary():
+    rng = np.random.default_rng(5)
+    n = 2 * (1 << 15) + 7
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)).tolist()
+    values[1 << 15] = -0.0
+    assert bits(running_sums(values)) == bits(oracle_running_sums(values))
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0], [-0.0, -0.0], [1e308, 1e308, -5.0], [1e308, 1e308, -math.inf, 1.0],
+    [math.nan, math.inf, 1.0], [math.inf, -math.inf], [5e-324, -5e-324, 5e-324],
+    [1e16, 1.0, -1e16],
+])
+def test_running_sums_edge_rows(values):
+    for block in (1, 2, 1 << 15):
+        with with_block(block):
+            assert bits(running_sums(values)) == bits(oracle_running_sums(values))
+
+
+# --- term checks and prefix checks ------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(finite_nonneg, st.sampled_from([math.nan, math.inf, -1.0])),
+                max_size=20))
+def test_nonnegative_matches_the_loop(terms):
+    try:
+        expected = bits(oracle_nonnegative(terms))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _nonnegative(terms)
+        assert str(info.value) == str(exc)
+        return
+    assert bits(_nonnegative(terms)) == expected
+
+
+RELATIONS = st.sampled_from([EXACT, MAJORANT, MINORANT])
+ABOVE, BELOW = "a[{i}] = {a} > {v}", "a[{i}] = {a} < {v}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(floats, floats), max_size=15), RELATIONS,
+       st.sampled_from([0.0, 1.0]), st.booleans(), st.integers(0, 3))
+def test_prefix_mismatch_matches_the_loop(pairs, relation, width, has_below, extra):
+    realized = [a for a, _ in pairs]
+    declared = [v for _, v in pairs] + [1.0] * extra  # an explicit prefix may be longer
+    below = BELOW if has_below else None
+    expected = oracle_prefix_mismatch(realized, declared, relation, ABOVE, below, width)
+    assert prefix_mismatch(realized, declared, relation, ABOVE, below, width) == expected
+    arrays = prefix_mismatch(np.array(realized), np.array(declared), relation,
+                             ABOVE, below, width)
+    assert arrays == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 70), st.floats(0.0, 2e21)), max_size=12),
+       RELATIONS)
+def test_integer_sides_print_as_integers(pairs, relation):
+    # realized sides are ceil values, so they are exact floats
+    sides = [int(float(m)) for m, _ in pairs]
+    values = [v for _, v in pairs]
+    expected = oracle_prefix_mismatch(sides, values, relation, ABOVE, BELOW, 1.0)
+    got = prefix_mismatch(np.array(sides, dtype=float), values, relation, ABOVE, BELOW,
+                          1.0, integral=True)
+    assert got == expected
+
+
+# --- declared values --------------------------------------------------------
+
+coeffs = st.one_of(st.sampled_from([0.0, 1.0, 1e300, 1e308, 5e-324, math.inf, math.nan]),
+                   st.floats(0.0, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs, st.one_of(st.floats(-400, 400), st.sampled_from([0.0, -1.0, 2.0, 400.0])),
+       st.integers(0, 60))
+def test_power_model_values_are_pythons_powers(c, q, n):
+    model = PowerModel(c, q)
+    assert bits(model_values(model, n)) == bits([model.value(i) for i in range(1, n + 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs, st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, 10.0, 1e300])),
+       st.integers(0, 60))
+def test_geometric_model_values_are_pythons_powers(c, r, n):
+    model = GeometricModel(c, r)
+    assert bits(model_values(model, n)) == bits([model.value(i) for i in range(1, n + 1)])
+
+
+def test_overflowing_model_values_become_infinite():
+    assert model_values(GeometricModel(1.0, 1e300), 3) == [1e300, math.inf, math.inf]
+    assert model_values(ExplicitModel((-0.0, 0.5)), 5) == [-0.0, 0.5]
+
+
+# --- box defects ------------------------------------------------------------
+
+sides_st = st.one_of(st.integers(0, 40), st.integers(0, 2 ** 26), st.integers(0, 2 ** 80),
+                     st.sampled_from([2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 2]))
+x_st = st.lists(st.one_of(st.integers(-5, 5), st.integers(-2 ** 60, 2 ** 60)),
+                min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sides_st, max_size=12), x_st)
+def test_box_defects_match_folner_boxes(sides, x):
+    sides = [int(float(m)) for m in sides]  # sides are exact floats
+    expected = bits(oracle_box_defect_terms(sides, x))
+    assert bits(_box_defects(np.array(sides, dtype=float), tuple(x))) == expected
+    assert bits(convergence.box_defect_terms(sides, tuple(x))) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(sides_st, max_size=12),
+       st.one_of(st.integers(0, 20), st.integers(0, 2 ** 60)))
+def test_side_ratios_round_as_int_division(sides, num):
+    sides = [int(float(m)) for m in sides]
+    expected = bits([num / (m + 1) for m in sides])
+    assert bits(_side_ratio(num, np.array(sides, dtype=float))) == expected
+
+
+def test_box_defects_refuse_what_folner_boxes_refuse():
+    with pytest.raises(ValueError, match="side must be nonnegative"):
+        _box_defects(np.array([3.0, -1.0]), (1, 0))
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        _box_defects(np.array([3.0]), ())
+    assert _box_defects(np.array([]), ()).size == 0
+
+
+@pytest.mark.parametrize("sides,x", [
+    ("power:c=1,p=3", (3, -1)), ("power:c=3,p=2.5", (2, -1, 1)),
+    ("power:c=1,p=400", (1, 1)), ("explicit:0,1,2,2.5,9007199254740993", (1, 4)),
+])
+def test_criteria_at_matches_the_per_index_formulas(sides, x):
+    side_model = cli.parse_model(sides, "sides")
+    crit = lattice_tensor_criteria(side_model, PowerModel(2.0, -3.0), n_max=300)
+    at = crit.at(x)
+    ceil = [v if math.isinf(v) else float(math.ceil(v))
+            for v in model_values(side_model, crit.sides.size)]
+    norms = model_values(PowerModel(2.0, -3.0), crit.sides.size)
+    factor = 0.5 * len(x) * sum(abs(c) for c in x)
+    assert bits(crit.sides) == bits(ceil)
+    assert bits(crit.sigma_terms) == bits([1.0 / m if m >= 1 else math.inf for m in ceil])
+    assert bits(crit.weighted_terms) == bits([0.0 if a == 0.0 else m * a
+                                              for m, a in zip(ceil, norms)])
+    assert bits(at.translation_terms) == bits(
+        [0.0 if math.isinf(m) else box_defect(FolnerBox(len(x), int(m)), x) for m in ceil])
+    assert bits(at.translation_bounds) == bits(
+        [min(1.0, sum(abs(c) for c in x) / (m + 1)) for m in ceil])
+    assert bits(at.twist_majorant) == bits(
+        [0.0 if a == 0.0 else math.inf if math.isinf(m) else factor * m * a
+         for m, a in zip(ceil, norms)])
+
+
+# --- complex moduli and spectral matching -----------------------------------
+
+complexes = st.builds(complex, floats, floats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(complexes, max_size=20))
+def test_hypot_is_pythons_complex_abs(values):
+    z = np.array(values, dtype=complex)
+    with np.errstate(over="ignore"):
+        moduli = np.hypot(z.real, z.imag)
+    for got, expected in ((moduli, lambda v: abs(v)),
+                          (convergence._distances_to_one(z), lambda v: abs(1.0 - v))):
+        for g, v in zip(got.tolist(), values):
+            try:
+                e = expected(v)
+            except OverflowError:
+                # Python refuses a modulus past the float range.  It also
+                # raises for a NaN part when a C call before it left errno at
+                # ERANGE, as numpy's hypot above may: abs() reads errno
+                # without clearing it on that branch.
+                assert math.isinf(g) or math.isnan(g)
+                continue
+            assert float.hex(g) == float.hex(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(complexes, st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))),
+             min_size=n, max_size=n),
+    st.lists(st.one_of(complexes, st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))),
+             min_size=n, max_size=n))))
+def test_spectral_distance_matches_the_greedy_loop(pair):
+    a, b = (np.array(v, dtype=complex) for v in pair)
+    with np.errstate(all="ignore"):
+        try:
+            expected = oracle_spectral_distance(a, b)
+        except OverflowError:
+            return
+        assert float.hex(spectral_multiset_distance(a, b)) == float.hex(expected)
+
+
+def test_spectral_distance_of_real_spectra_and_ties():
+    a = np.array([1.0, 1.0, -1.0])
+    b = np.array([-1.0, 1.0, 1.0])
+    assert spectral_multiset_distance(a, b) == oracle_spectral_distance(a, b) == 0.0
+    a = np.array([0j, 0j])
+    b = np.array([complex(math.nan, 0), 1j])
+    assert spectral_multiset_distance(a, b) == oracle_spectral_distance(a, b)
+
+
+# --- CSV rows ---------------------------------------------------------------
+
+
+bound_entries = st.one_of(st.none(), floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite_nonneg | floats, max_size=30),
+       st.one_of(st.none(), st.lists(bound_entries, max_size=35)), st.integers(1, 6))
+def test_render_csv_matches_the_row_loop(terms, bounds, block):
+    saved = cli._CSV_BLOCK
+    cli._CSV_BLOCK = block
+    try:
+        text = cli.render_csv({"k": 1}, terms, bounds)
+    finally:
+        cli._CSV_BLOCK = saved
+    assert text == oracle_render_csv({"k": 1}, terms, bounds)
+    assert cli.render_csv({"k": 1}, np.array(terms, dtype=float), bounds) == text

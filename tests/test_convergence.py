@@ -101,17 +101,19 @@ def test_product_rejects_non_unit_factors():
 
 
 def test_inner_product_series_verdict_and_validation():
-    v = inner_product_series(lambda i: 1.0 - 0.5 / i ** 2,
-                             PowerModel(0.5, -2.0), n_max=50)
+    terms, v = inner_product_series(lambda i: 1.0 - 0.5 / i ** 2,
+                                    PowerModel(0.5, -2.0), n_max=50)
     assert v.verdict == PROVED_CONVERGENT
+    assert terms.tolist() == [abs(1.0 - (1.0 - 0.5 / i ** 2)) for i in range(1, 51)]
     with pytest.raises(InvalidInnerProductError):
         inner_product_series([1.5], None, n_max=1)
 
 
 def test_modulus_deficit_ignores_phase():
     vals = [(1.0 - 2.0 ** -i) * cmath.exp(1j * 0.4 * i) for i in range(1, 12)]
-    v = modulus_deficit_series(vals, GeometricModel(1.0, 0.5), n_max=11)
+    terms, v = modulus_deficit_series(vals, GeometricModel(1.0, 0.5), n_max=11)
     assert v.verdict == PROVED_CONVERGENT
+    assert terms.tolist() == [max(0.0, 1.0 - abs(a)) for a in vals]
     assert v.partial_sum == pytest.approx(
         sum(2.0 ** -i for i in range(1, 12)), abs=1e-12)
 
@@ -493,12 +495,12 @@ def test_twisted_rep_series_caps_at_an_explicit_matrix_model():
 def test_criteria_cap_at_an_explicit_model():
     crit = lattice_tensor_criteria(ExplicitModel((1.0, 2.0, 3.0)),
                                    PowerModel(1.0, -2.0), n_max=10)
-    assert crit.sides == (1.0, 2.0, 3.0)
-    assert crit.norms == (1.0, 0.25, 1.0 / 9.0)
+    assert crit.sides.tolist() == [1.0, 2.0, 3.0]
+    assert crit.norms.tolist() == [1.0, 0.25, 1.0 / 9.0]
     crit = lattice_tensor_criteria(PowerModel(1.0, 2.0),
                                    ExplicitModel((0.5, 0.25)), n_max=10)
-    assert crit.sides == (1.0, 4.0)
-    assert crit.weighted_terms == (0.5, 1.0)
+    assert crit.sides.tolist() == [1.0, 4.0]
+    assert crit.weighted_terms.tolist() == [0.5, 1.0]
     assert crit.clause("product_cocycle").series.terms_evaluated == 2
 
 

@@ -36,10 +36,17 @@ def test_tracer_installs_traces_and_uninstalls():
                "params": {"sides": "power:c=1,p=2", "norms": "geometric:c=1,r=0.5",
                           "x": [1, 0]}}
         cli.run_scenario(doc, "prop42")
+        # prop42 takes its box defects from integer side arrays, so the
+        # box_defect hook only fires for the single box of a folner run.
+        box_defects_prop42 = tracer.calls["convergence.box_defect"]
+        folner = {"command": "folner", "schema": 1,
+                  "params": {"rank": 2, "side": 3, "x": [1, 0]}}
+        cli.run_scenario(folner, "folner")
     finally:
         tracer.uninstall()
     assert tracer.calls["convergence.lattice_tensor_criteria"] == 1
-    assert tracer.calls["convergence.box_defect"] == 20
+    assert box_defects_prop42 == 0
+    assert tracer.calls["convergence.box_defect"] == 1
     for module, names in zip(MODULES, before):
         assert all(vars(module)[k] is v for k, v in names.items()), module.__name__
     assert groups.FolnerBox.__dict__["points"] is points

@@ -11,16 +11,26 @@ a term vector or a failed selection's message shows up as a digest mismatch.
 
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from twistlab.actions import (
+    extension_condition,
+    inner_outer_verdict,
+    scenario_from_regular_vectors,
+    scenario_from_rep_vectors,
+)
 from twistlab.cli import CliError, run_scenario
+from twistlab.cocycles import MatrixCocycle, from_list, geometric_matrix_sequence
 from twistlab.convergence import (
     dirichlet_condition,
     translation_series,
     twisted_rep_series,
 )
+from twistlab.groups import FolnerBox, IntegerLattice
+from twistlab.reps import box_vector, pauli_rep
 from twistlab.series import ExplicitModel, GeometricModel, PowerModel
 
 SIDES_P2 = "power:c=1,p=2"
@@ -331,6 +341,24 @@ def _dirichlet(*args, **kwargs):
     return r.windows, r.angles, r.deviation_terms, r.inverse_window, r.deviation
 
 
+def _action(verdict):
+    deficits = [None if d is None else d.tolist() for d in verdict.deficits]
+    return verdict.status, verdict.reports, verdict.note, deficits
+
+
+LATTICE2 = IntegerLattice(2)
+BOX_VECTORS = {i: box_vector(FolnerBox(2, i)) for i in range(1, 7)}
+
+
+def _regular_scenario(cocycles):
+    return scenario_from_regular_vectors(LATTICE2, cocycles, BOX_VECTORS.__getitem__)
+
+
+def _rep_scenario():
+    return scenario_from_rep_vectors(
+        lambda i: pauli_rep(), lambda i: np.array([math.cos(1.0 / i), math.sin(1.0 / i)]))
+
+
 # Prefix checks that the CLI never reaches, since it derives the realized
 # sequences from the declared models: (name, thunk whose repr is hashed).
 LIBRARY_CASES = [
@@ -372,6 +400,19 @@ LIBRARY_CASES = [
     ("lib-dirichlet-angle-minorant", lambda: _dirichlet(
         lambda j: j * j, PowerModel(1.0, 2.0), lambda j: -1.0 / j ** 3,
         PowerModel(1.0, -3.0, "minorant"), n_max=20)),
+    # Action scenarios built from vectors, which the CLI has no source for.
+    ("lib-action-regular-ext", lambda: extension_condition(
+        _regular_scenario(geometric_matrix_sequence(ROTATION, 0.5)), (1, 0),
+        model=PowerModel(0.5, -1.0, "minorant"), n_max=6)),
+    ("lib-action-regular-capped", lambda: _action(inner_outer_verdict(
+        _regular_scenario(from_list([MatrixCocycle(ROTATION * 0.5 ** i)
+                                     for i in (1, 2, 3)])),
+        [(0, 0), (1, 0), (1, -1)], n_max=6))),
+    ("lib-action-rep-ext", lambda: extension_condition(
+        _rep_scenario(), (0, 1), model=PowerModel(2.0, -2.0, "majorant"), n_max=8)),
+    ("lib-action-rep-verdict", lambda: _action(inner_outer_verdict(
+        _rep_scenario(), [(1, 1), (0, 0), (0, 1)],
+        models={(0, 1): PowerModel(2.0, -2.0, "majorant")}, n_max=8))),
 ]
 
 
@@ -384,6 +425,22 @@ FAILURES = [
     ("sel-fail-r3", "select", {"count": 4, "members": {"matrix": "0,1,0;-1,0,0.5;0,-0.5,0",
                                                        "ratio": 0.8},
                                "sides": "power:c=1,p=1"}, {"n_max": 10, "scan": 8}),
+    ("act-fail-missing-row", "action", {"elements": ["0"], "source": {"values": {
+        "group": "Z2", "kind": "vector",
+        "table": [{"g": "1", "amplitudes": [0.5, 0.75]}]}}}, {"n_max": 10}),
+    ("act-fail-ragged", "action", {"elements": ["1"], "source": {"values": {
+        "group": "Z2", "kind": "vector",
+        "table": [{"g": "1", "amplitudes": [0.5, 0.75]},
+                  {"g": "0", "amplitudes": [1]}]}}}, {"n_max": 10}),
+    ("act-fail-kind", "action", {"elements": ["1"], "source": {"values": {
+        "group": "Z2", "kind": "state",
+        "table": [{"g": "1", "amplitudes": [0.5]}]}}}, {"n_max": 10}),
+    ("act-fail-modulus", "action", {"elements": ["1"], "source": {"values": {
+        "group": "Z2", "kind": "vector",
+        "table": [{"g": "1", "amplitudes": [2, 0.5]}]}}}, {"n_max": 10}),
+    ("act-fail-rank", "action", {"elements": ["1"],
+                                 "source": {"regular_trace": {"group": "Z^2"}}},
+     {"n_max": 10}),
 ]
 
 
@@ -807,6 +864,24 @@ DIGESTS = {
         "db84c41f4ca8110290380faafa9c05b69d74876f509a6658cb4bea4a734c23ae",
     "p42x-big-r3:translation":
         "95481dd7c587b05a71a584483ef3c92923d32bc6078fefd658e9e967a7795adc",
+    "lib-action-regular-ext":
+        "813fad3642c4262523df67690e837f110592816bf05fbfdf78a62273723383f8",
+    "lib-action-regular-capped":
+        "72425c2425b34c273afd5496f90b253a1ad7870a0d28c5dc1e4f5f024d25de48",
+    "lib-action-rep-ext":
+        "2d41f89c67195e2faf0cdafa2b8e909480e2c267286e6bf3aff6974195c3827b",
+    "lib-action-rep-verdict":
+        "d0f1c78e5be5cbb4d463afb5d64070fa9dfbcc6191bd9ae7857f969af1ff4e60",
+    "act-fail-missing-row":
+        "d8bf7763f9a8aaea5530e499500501f83822bcde669c0a557fcfbd208be40d6f",
+    "act-fail-ragged":
+        "a18f7f36a54c95fb176e93a08c2e0aed0f52e3a5a8afc7dbf9f7f02f204f1c3e",
+    "act-fail-kind":
+        "ac330b543f235ae1dd80bb018268b6085de53c76e2eafb8c04c7b5393fb7880e",
+    "act-fail-modulus":
+        "9717fea61d070c7f33d0d01a6f6b4a3d09631e2198763ceb0839ec1e5201f943",
+    "act-fail-rank":
+        "bda1ea67428a0bd55510a822ebb86198b591ee3831d177f4a4aa6ac5d960dce9",
 }
 
 

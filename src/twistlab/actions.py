@@ -53,6 +53,9 @@ _KINDS = ("vector", "trace")
 class ActionScenario:
     """Amplitudes a_i(g) for one product-type action.
 
+    ``amplitudes(g, n)`` returns a_1(g), ..., a_m(g) as one complex array,
+    where m is n or, for finite amplitude data, the shorter length of the
+    data; ``g`` is an element as ``group.element`` returns it and n >= 0.
     ``kind`` records where the amplitudes come from: ``"vector"`` for vector
     states and ``"trace"`` for normalized traces.  ``term_model`` optionally
     supplies, per group element, a tail model for the deficit terms
@@ -62,8 +65,7 @@ class ActionScenario:
 
     group: Group
     kind: str
-    amplitudes: Callable[[int, Element], complex]
-    length: Optional[int] = None
+    amplitudes: Callable[[Element, int], np.ndarray]
     term_model: Optional[Callable[[Element], Optional[TailModel]]] = None
 
     def __post_init__(self) -> None:
@@ -77,7 +79,7 @@ def scenario_from_values(group: Group, table: dict, kind: str = "vector") -> Act
     length = None
     for g, vs in table.items():
         key = group.element(g)
-        vals = tuple(complex(v) for v in vs)
+        vals = np.array([complex(v) for v in vs], dtype=complex)
         if length is None:
             length = len(vals)
         elif len(vals) != length:
@@ -86,31 +88,28 @@ def scenario_from_values(group: Group, table: dict, kind: str = "vector") -> Act
     if not data:
         raise ValueError("need amplitude data for at least one element")
 
-    def amplitudes(i: int, g: Element) -> complex:
-        key = group.element(g)
-        if key not in data:
-            raise KeyError(f"no amplitude data for {key}")
-        return data[key][i - 1]
+    def amplitudes(g: Element, n: int) -> np.ndarray:
+        if g not in data:
+            raise KeyError(f"no amplitude data for {g}")
+        return data[g][:n]
 
-    return ActionScenario(group, kind, amplitudes, length=length)
-
-
-def _cocycle_at(cocycles: Union[CocycleSequence, Callable[[int], Cocycle]], i: int) -> Cocycle:
-    if isinstance(cocycles, CocycleSequence):
-        return cocycles.member(i)
-    return cocycles(i)
+    return ActionScenario(group, kind, amplitudes)
 
 
 def scenario_from_regular_vectors(group: Group,
                                   cocycles: Union[CocycleSequence, Callable[[int], Cocycle]],
                                   vectors: Callable[[int], TruncatedVector]) -> ActionScenario:
     """a_i(g) = <lambda_{u_i}(g) phi_i, phi_i> inside twisted regular representations."""
-    length = cocycles.length if isinstance(cocycles, CocycleSequence) else None
+    length = None
+    if isinstance(cocycles, CocycleSequence):
+        cocycles, length = cocycles.member, cocycles.length
 
-    def amplitudes(i: int, g: Element) -> complex:
-        return twisted_inner_product(_cocycle_at(cocycles, i), vectors(i), g)
+    def amplitudes(g: Element, n: int) -> np.ndarray:
+        m = n if length is None else min(n, length)
+        return np.array([twisted_inner_product(cocycles(i), vectors(i), g)
+                         for i in range(1, m + 1)], dtype=complex)
 
-    return ActionScenario(group, "vector", amplitudes, length=length)
+    return ActionScenario(group, "vector", amplitudes)
 
 
 def scenario_from_rep_vectors(reps: Callable[[int], ProjectiveRep],
@@ -118,13 +117,16 @@ def scenario_from_rep_vectors(reps: Callable[[int], ProjectiveRep],
     """a_i(g) = <U_i(g) v_i, v_i> for dense matrix representations."""
     group = reps(1).group
 
-    def amplitudes(i: int, g: Element) -> complex:
+    def amplitude(i: int, g: Element) -> complex:
         rep = reps(i)
         v = np.asarray(vectors(i), dtype=complex)
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"vector {i} has norm {nrm}, expected a unit vector")
         return complex(np.vdot(v, rep.matrix(g) @ v))
+
+    def amplitudes(g: Element, n: int) -> np.ndarray:
+        return np.array([amplitude(i, g) for i in range(1, n + 1)], dtype=complex)
 
     return ActionScenario(group, "vector", amplitudes)
 
@@ -134,20 +136,21 @@ def rep_trace_scenario(rep: ProjectiveRep) -> ActionScenario:
 
     The terms are constant in i, so the attached model is exact and the
     verdict machinery settles each element from a single evaluation.  Each
-    trace is computed on first use and then reused for every index.
+    trace is computed on first use and then reused.
     """
     group = rep.group
     traces: dict[Element, complex] = {}
 
-    def amplitudes(i: int, g: Element) -> complex:
-        g = group.require(g)
+    def trace(g: Element) -> complex:
         if g not in traces:
-            traces[g] = complex(np.trace(rep.matrix(g))) / rep.dimension
+            traces[g] = complex(np.trace(rep.matrix(group.require(g)))) / rep.dimension
         return traces[g]
 
+    def amplitudes(g: Element, n: int) -> np.ndarray:
+        return np.full(n, trace(g), dtype=complex)
+
     def term_model(g: Element) -> PowerModel:
-        deficit = max(0.0, 1.0 - abs(amplitudes(1, group.element(g))))
-        return PowerModel(deficit, 0.0)
+        return PowerModel(max(0.0, 1.0 - abs(trace(group.element(g)))), 0.0)
 
     return ActionScenario(group, "trace", amplitudes, term_model=term_model)
 
@@ -160,14 +163,8 @@ def regular_trace_scenario(group: Group) -> ActionScenario:
     the amplitude data needs no cocycle at all.
     """
 
-    identity = group.identity
-    known: dict[Element, complex] = {}
-
-    def amplitudes(i: int, g: Element) -> complex:
-        g = tuple(g)
-        if g not in known:
-            known[g] = 1.0 + 0.0j if group.element(g) == identity else 0.0 + 0.0j
-        return known[g]
+    def amplitudes(g: Element, n: int) -> np.ndarray:
+        return np.full(n, 1.0 if g == group.identity else 0.0, dtype=complex)
 
     def term_model(g: Element) -> PowerModel:
         trivial = group.element(g) == group.identity
@@ -176,15 +173,10 @@ def regular_trace_scenario(group: Group) -> ActionScenario:
     return ActionScenario(group, "trace", amplitudes, term_model=term_model)
 
 
-def _amplitudes(scenario: ActionScenario, g: Element, n_max: int) -> list[complex]:
-    n = n_max if scenario.length is None else min(n_max, scenario.length)
-    return [scenario.amplitudes(i, g) for i in range(1, n + 1)]
-
-
 def deficit_terms(scenario: ActionScenario, g,
                   n_max: int = DEFAULT_SCALAR_HORIZON) -> np.ndarray:
-    """The deficits 1 - |a_i(g)| over the horizon, capped at the scenario length."""
-    z = np.asarray(_amplitudes(scenario, scenario.group.element(g), n_max), dtype=complex)
+    """The deficits 1 - |a_i(g)| over the horizon, capped at the data's length."""
+    z = scenario.amplitudes(scenario.group.element(g), max(n_max, 0))
     with np.errstate(over="ignore"):
         moduli = np.hypot(z.real, z.imag)  # Python's complex abs, bit for bit
     if (np.isinf(moduli) & np.isfinite(z.real) & np.isfinite(z.imag)).any():
@@ -201,7 +193,7 @@ def _extension(scenario: ActionScenario, g, model: Optional[TailModel],
     if g == group.identity:
         return None, SeriesVerdict(PROVED_CONVERGENT, 0.0, 0, tail_bound=0.0,
                                    tail_derivation="the identity fixes every unit vector")
-    values = _amplitudes(scenario, g, n_max)
+    values = scenario.amplitudes(g, max(n_max, 0))
     if model is None and scenario.term_model is not None:
         model = scenario.term_model(g)
     return modulus_deficit_series(values, model, n_max=len(values))

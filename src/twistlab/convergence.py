@@ -77,7 +77,7 @@ CERTIFIED = "Certified"
 REFUTED = "Refuted"
 UNDETERMINED = "Undetermined"
 
-ScalarSource = Union[Sequence[complex], Callable[[int], complex]]
+ScalarSource = Sequence[complex]
 
 
 class SelectionError(RuntimeError):
@@ -90,14 +90,6 @@ class SelectionError(RuntimeError):
         self.step = step
         self.best_index = best_index
         self.best_sup = best_sup
-
-
-def _values(source: ScalarSource, n_max: int) -> list[complex]:
-    if n_max < 1:
-        raise ValueError("need at least one term")
-    if callable(source):
-        return [source(i) for i in range(1, n_max + 1)]
-    return list(source)[:n_max]
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
@@ -128,12 +120,14 @@ class ProductDiagnosis:
 
 
 def _complex_values(source: ScalarSource, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values as a complex array and their moduli.
+    """The first ``n_max`` values as a complex array and their moduli.
 
     ``np.hypot`` of the parts is Python's ``abs`` of a complex number bit for
     bit, where ``np.abs`` of a complex array is not.
     """
-    z = np.asarray(_values(source, n_max), dtype=complex)
+    if n_max < 1:
+        raise ValueError("need at least one term")
+    z = np.asarray(source[:n_max], dtype=complex)
     with np.errstate(over="ignore"):  # the caller refuses the infinite moduli
         return z, np.hypot(z.real, z.imag)
 
@@ -1044,9 +1038,10 @@ def dirichlet_value(window: int, theta: float) -> float:
         raise ValueError("window must be nonnegative")
     m = 2 * window + 1
     t = math.remainder(float(theta), TWO_PI)
-    if t == 0.0:
+    denominator = m * math.sin(0.5 * t)
+    if denominator == 0.0:  # t is 0, or 0.5 t underflows to 0 and D rounds to 1
         return 1.0
-    return math.sin(0.5 * m * t) / (m * math.sin(0.5 * t))
+    return math.sin(0.5 * m * t) / denominator
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,17 @@ def test_dirichlet_value_only(capsys):
     assert "needs --n and --theta" in err
 
 
+def test_dirichlet_smallest_subnormal_angle_exits_0(capsys):
+    doc = run_json(capsys, ["dirichlet", "--windows", "power:c=1,p=2",
+                            "--angles", "geometric:c=5e-324,r=0.999"])
+    assert doc["result"]["deviation"]["partial_sum"] == 0
+    assert doc["result"]["conclusion"] == "ProvedConvergent"
+    code, out, err = run_cli(capsys, ["dirichlet", "--value-only", "--n", "3",
+                                      "--theta", "5e-324"])
+    assert code == 0, err
+    assert float(out.strip()) == 1.0
+
+
 def test_dirichlet_window_overflow_exits_2_naming_the_window(capsys):
     code, out, err = run_cli(capsys, ["dirichlet", "--windows", "power:c=1e308,p=2",
                                       "--angles", "power:c=1,p=-1"])

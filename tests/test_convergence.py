@@ -77,7 +77,7 @@ ROTATION = np.array([[0.0, math.pi / 2], [-math.pi / 2, 0.0]])
 def test_product_of_halved_angles_converges_to_minus_one():
     n = 20
     diag = product_diagnose(
-        lambda i: cmath.exp(1j * math.pi / 2 ** i),
+        [cmath.exp(1j * math.pi / 2 ** i) for i in range(1, n + 1)],
         GeometricModel(math.pi, 0.5, relation=MAJORANT),
         n_max=n)
     assert diag.series.verdict == PROVED_CONVERGENT
@@ -101,7 +101,7 @@ def test_product_rejects_non_unit_factors():
 
 
 def test_inner_product_series_verdict_and_validation():
-    terms, v = inner_product_series(lambda i: 1.0 - 0.5 / i ** 2,
+    terms, v = inner_product_series([1.0 - 0.5 / i ** 2 for i in range(1, 51)],
                                     PowerModel(0.5, -2.0), n_max=50)
     assert v.verdict == PROVED_CONVERGENT
     assert terms.tolist() == [abs(1.0 - (1.0 - 0.5 / i ** 2)) for i in range(1, 51)]
@@ -715,6 +715,15 @@ def test_dirichlet_value_periodic_reduction():
         dirichlet_value(7, 0.3), abs=1e-12)
     with pytest.raises(ValueError):
         dirichlet_value(-1, 0.5)
+
+
+def test_dirichlet_value_of_the_smallest_subnormal_angle():
+    # 0.5 * 5e-324 rounds to 0, so the sine quotient has no denominator;
+    # 1 - D(n, theta) < (m theta)^2 / 24 is far below half an ulp of 1.
+    for window in (0, 3, 10 ** 8, 10 ** 300):
+        assert dirichlet_value(window, 5e-324) == 1.0
+        assert dirichlet_value(window, -5e-324) == 1.0
+    assert dirichlet_value(3, 1e-323) == 1.0
 
 
 def test_dirichlet_condition_convergent_case():

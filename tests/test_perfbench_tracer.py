@@ -77,3 +77,36 @@ def test_tracer_hooks_run_on_the_dense_commands():
     assert patched and tracer._patches == []
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+# The command kinds that make up the certify-long workload, one of each
+# amplitude source included, since the tracer rebuilds each scenario the
+# three factories return with a wrapped ``amplitudes`` field.
+CERTIFY_SCENARIOS = (
+    ("action", {"elements": ["0,0", "1,1"], "source": {"rep_trace": {"name": "pauli"}}}),
+    ("action", {"elements": ["1,0", "0,0"], "source": {"regular_trace": {"group": "Z^2"}}}),
+    ("action", {"elements": ["1"], "model": "geometric:c=1,r=0.5",
+                "source": {"values": {"group": "Z2", "kind": "vector", "table": [
+                    {"g": "1", "amplitudes": [0.5, 0.75, 0.875]}]}}}),
+    ("dirichlet", {"windows": "power:c=1,p=2", "angles": "power:c=1,p=-4"}),
+    ("converge", {"kind": "inner", "values": [0.5, 0.75, 0.875], "model": "power:c=0.5,p=-2"}),
+)
+
+
+def test_tracer_hooks_run_on_the_certify_commands():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._patches)
+        for command, params in CERTIFY_SCENARIOS:
+            cli.run_scenario({"command": command, "schema": 1, "params": params,
+                              "horizons": {"n_max": 20}}, command)
+    finally:
+        tracer.uninstall()
+    for name in ("actions.amplitude", "actions.inner_outer_verdict",
+                 "convergence.dirichlet_condition", "convergence.scalar_series"):
+        assert tracer.calls[name] >= 1, name
+    assert patched and tracer._patches == []
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)

@@ -257,6 +257,8 @@ CASES = [
      ("deviation", "inverse")),
     ("dir-pow0.5", "dirichlet", {"windows": "power:c=1,p=0.5", "angles": "power:c=-2,p=-4"},
      80, ("deviation",)),
+    ("dir-subnormal-angle", "dirichlet",
+     {"windows": SIDES_P2, "angles": "geometric:c=5e-324,r=0.999"}, 10_000, ()),
     ("dir-pow-slow", "dirichlet", {"windows": "power:c=1,p=1", "angles": "power:c=1,p=-0.5"},
      60, ()),
     ("dir-geo1.5", "dirichlet", {"windows": "geometric:c=1,r=1.5",
@@ -882,6 +884,8 @@ DIGESTS = {
         "9717fea61d070c7f33d0d01a6f6b4a3d09631e2198763ceb0839ec1e5201f943",
     "act-fail-rank":
         "bda1ea67428a0bd55510a822ebb86198b591ee3831d177f4a4aa6ac5d960dce9",
+    "dir-subnormal-angle":
+        "c8fe9acdc2e8432a303e5319562dc53cfcbda18e4c3748b199ae490402f81207",
 }
 
 

@@ -12,7 +12,6 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 from twistlab import cli
 from twistlab.actions import (
@@ -33,7 +32,6 @@ from twistlab.groups import FiniteAbelianGroup, FolnerBox, IntegerLattice
 from twistlab.reps import ProjectiveRep, box_vector, pauli_rep, twisted_inner_product
 
 INF, NAN = math.inf, math.nan
-Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
 Z2Z2 = FiniteAbelianGroup((2, 2))
 LATTICE2 = IntegerLattice(2)
@@ -129,12 +127,6 @@ EDGE_TABLE = {
 def test_values_table_vectors_match_the_closure():
     assert_same_vectors(scenario_from_values(Z3, EDGE_TABLE),
                         oracle_values(Z3, EDGE_TABLE), [(0,), (1,), (2,), (4,), (-1,)])
-
-
-def test_values_table_missing_row_raises_when_read():
-    scn = scenario_from_values(Z3, {(1,): [0.5, 0.5]})
-    with pytest.raises(KeyError, match=r"no amplitude data for \(2,\)"):
-        scn.amplitudes((2,), 2)
 
 
 def test_regular_vector_vectors_match_the_closure():

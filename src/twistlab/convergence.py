@@ -18,10 +18,13 @@ Verdicts are three-valued (`ProvedConvergent`, `ProvedDivergent`,
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -278,6 +281,15 @@ def _side_ratio(num: int, sides: np.ndarray) -> np.ndarray:
 # elements in box_sup_distance: one 256 KB block of phases at a time.
 _BLOCK_POINTS = 1 << 15
 
+# Threads that share the leaves of one box_twist_mean: the CPUs this process
+# may run on.
+try:
+    _THREADS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _THREADS = os.cpu_count() or 1
+
+_T = TypeVar("_T")
+
 
 def _axis_points(box: FolnerBox) -> list[np.ndarray]:
     """The coordinates along each axis of the box, as floats."""
@@ -293,9 +305,12 @@ def _chords(phases: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _pairwise(leaf: Callable[[int, int], float], start: int, count: int) -> float:
-    """Sum of ``count`` values from ``start``, split the way numpy's pairwise
-    summation splits them; ``leaf`` sums each block of at most _BLOCK_POINTS."""
+def _pairwise(leaf: Callable[[int, int], _T], start: int, count: int) -> _T:
+    """``leaf`` over the blocks of at most _BLOCK_POINTS values into which
+    numpy's pairwise summation splits ``count`` values from ``start``, joined
+    with ``+`` along that tree, left block first.  With block sums this is
+    the pairwise sum; with ``[(start, count)]`` it lists the blocks in tree
+    order."""
     if count <= _BLOCK_POINTS:
         return leaf(start, count)
     half = count // 2
@@ -311,11 +326,17 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
     order the phase at point k of the box is lead[k // m] + last[k % m], with
     ``last`` the last axis (m points) and ``lead`` the grid of the others,
     added in the order a broadcast grid adds them.  Blocks of at most 2^15
-    points are built from that, turned into chords in place and summed, and
-    the block sums are added along numpy's pairwise summation tree, so the
-    mean equals ``np.mean`` over the full grid bit for bit while only one
-    block is held.  ``grid_cap`` bounds the number of points, which is the
-    work.
+    points are built from that, turned into chords in place and summed; they
+    are the leaves of numpy's pairwise summation tree, so the mean equals
+    ``np.mean`` over the full grid bit for bit while each thread holds one
+    block.  The calling thread and up to _THREADS - 1 more, all in the
+    caller's context (its ``np.errstate``), take the leaves in tree order
+    from one queue, so a thread on a slow CPU takes fewer of them; every
+    thread is joined before the leaf sums are folded along the tree.  The
+    fold fixes the order of every addition, so the bits do not depend on
+    the thread count.  Once a leaf fails the threads stop taking leaves, and
+    the first exception in leaf order is re-raised.  ``grid_cap`` bounds the
+    number of points, which is the work.
     """
     A = np.asarray(matrix, dtype=float)
     n = box.rank
@@ -338,9 +359,8 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
     for axis in head[1:]:
         lead = (lead[:, None] + axis).ravel()
     m = last.size
-    buf = np.empty(min(card, _BLOCK_POINTS))
 
-    def leaf(start: int, count: int) -> float:
+    def leaf(buf: np.ndarray, start: int, count: int) -> float:
         out = buf[:count]
         r0, c0 = divmod(start, m)
         r1, c1 = divmod(start + count, m)
@@ -355,7 +375,39 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
             np.add(lead[r1:r1 + 1], last[:c1], out=out[first + rows * m:])
         return np.add.reduce(_chords(out))
 
-    return float(_pairwise(leaf, 0, card)) / card
+    leaves = _pairwise(lambda start, count: [(start, count)], 0, card)
+    sums: list = [None] * len(leaves)
+    errors: list[tuple[int, BaseException]] = []
+    todo = iter(range(len(leaves)))
+    lock = threading.Lock()
+
+    def sum_leaves() -> None:
+        buf = np.empty(min(card, _BLOCK_POINTS))
+        while not errors:
+            with lock:
+                j = next(todo, None)
+            if j is None:
+                return
+            try:
+                sums[j] = leaf(buf, *leaves[j])
+            except BaseException as exc:  # re-raised by the caller, in leaf order
+                errors.append((j, exc))
+
+    threads = []
+    try:
+        for _ in range(min(_THREADS, len(leaves)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(sum_leaves,))
+            thread.start()
+            threads.append(thread)
+        sum_leaves()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    folded = iter(sums)
+    return float(_pairwise(lambda start, count: next(folded), 0, card)) / card
 
 
 def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],

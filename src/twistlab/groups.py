@@ -124,8 +124,11 @@ class FiniteAbelianGroup:
         return (0,) * self.rank
 
     def element(self, coords) -> Element:
-        x = tuple(int(c) % k for c, k in zip(coords, self.moduli, strict=True))
-        return x
+        coords = tuple(coords)
+        if len(coords) != self.rank:
+            raise GroupMismatchError(
+                f"expected {self.rank} coordinates, got {len(coords)}")
+        return tuple(int(c) % k for c, k in zip(coords, self.moduli))
 
     def contains(self, x) -> bool:
         return (

@@ -437,6 +437,7 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep, cap: int = DIMENSION_
     w = np.zeros((n * d, n * d), dtype=complex)
     for i, el in enumerate(g.elements()):
         w[i * d:(i + 1) * d, i * d:(i + 1) * d] = vrep.matrix(g.neg(el))
+    w_adj = w.conj().T
     eye = np.eye(d)
     rows = []
     worst_res = 0.0
@@ -444,7 +445,7 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep, cap: int = DIMENSION_
     for x in g.elements():
         left = np.kron(lam_u.matrix(x), vrep.matrix(x))
         right = np.kron(lam_uv.matrix(x), eye)
-        res = float(np.max(np.abs(w @ left @ w.conj().T - right)))
+        res = float(np.max(np.abs(w @ left @ w_adj - right)))
         spec = spectral_multiset_distance(np.linalg.eigvals(left), np.linalg.eigvals(right))
         rows.append((x, res, spec))
         worst_res = max(worst_res, res)

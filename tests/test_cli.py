@@ -335,6 +335,16 @@ def test_action_identity_only_is_inner(capsys):
     assert doc["result"]["status"] == "InnerCertified"
 
 
+def test_action_element_of_the_wrong_rank_exits_2(tmp_path, capsys):
+    path = tmp_path / "short-element.json"
+    path.write_text(json.dumps({"schema": 1, "command": "action",
+                                "params": {"elements": ["1"],
+                                           "source": {"rep_trace": {"name": "pauli"}}}}))
+    code, out, err = run_cli(capsys, ["action", "--scenario", str(path)])
+    assert code == 2 and out == ""
+    assert "invalid scenario: expected 2 coordinates, got 1" in err
+
+
 def test_select_inline_and_failure_exit(capsys):
     doc = run_json(capsys, ["select", "--count", "3", "--matrix", "0,1;-1,0",
                             "--sides", "power:c=1,p=1"])

@@ -2,7 +2,11 @@
 
 import cmath
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from unittest.mock import patch
 
@@ -277,6 +281,180 @@ def test_blocked_twist_mean_non_finite_entries(bad):
         for x in ((1, 1), (1, 0), (0, 0)):
             got = box_twist_mean(a, box, x)
             assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+
+
+# --- the leaves of box_twist_mean on threads ---
+# The tests patch _THREADS, so they need no second CPU; small blocks give
+# small grids many leaves for the threads to share.
+
+THREAD_COUNTS = (1, 2, 3, 7)
+
+
+def leaves_of(card):
+    return convergence._pairwise(lambda start, count: [(start, count)], 0, card)
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset_boxes((3000, 60, 15)), st.sampled_from([128, 136, 1000]),
+       st.sampled_from(THREAD_COUNTS), st.data())
+def test_threaded_twist_mean_equals_full_grid_mean(box, block, threads, data):
+    a = data.draw(scaled_matrices(box.rank))
+    x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=box.rank,
+                                 max_size=box.rank)))
+    running = threading.active_count()
+    with patch.object(convergence, "_BLOCK_POINTS", block), \
+            patch.object(convergence, "_THREADS", threads):
+        got = box_twist_mean(a, box, x)
+    assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+    assert threading.active_count() == running
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_threaded_twist_mean_non_finite_entries(bad):
+    a = np.array([[0.3, bad], [-0.2, 0.1]])
+    box = FolnerBox(2, 300, (-5, 2))
+    assert len(leaves_of(box.cardinality())) > 3
+    with patch.object(convergence, "_THREADS", 3):
+        for x in ((1, 1), (1, 0), (0, 0)):
+            got = box_twist_mean(a, box, x)
+            assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+
+
+def test_threaded_twist_mean_under_fast_thread_switching():
+    """More threads than CPUs, switched every microsecond: a leaf taken
+    twice or never would change the bits or leave a sum missing."""
+    box = FolnerBox(2, 300, (-5, 2))
+    expected = bits(full_grid_twist_mean(ROTATION, box, (1, 2)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with patch.object(convergence, "_THREADS", 7), \
+                patch.object(convergence, "_BLOCK_POINTS", 128):
+            assert len(leaves_of(box.cardinality())) > 500
+            for _ in range(20):
+                assert bits(box_twist_mean(ROTATION, box, (1, 2))) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class CountingThreads:
+    """Stands in for the threading module in convergence, keeping every
+    thread it makes."""
+
+    Lock = threading.Lock
+
+    def __init__(self):
+        self.made = []
+
+    def Thread(self, *args, **kwargs):
+        thread = threading.Thread(*args, **kwargs)
+        self.made.append(thread)
+        return thread
+
+
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_threaded_twist_mean_starts_and_joins_its_threads(threads):
+    box = FolnerBox(2, 300, (-5, 2))
+    workers = min(threads, len(leaves_of(box.cardinality()))) - 1
+    made = CountingThreads()
+    running = threading.active_count()
+    with patch.object(convergence, "_THREADS", threads), \
+            patch.object(convergence, "threading", made):
+        got = box_twist_mean(ROTATION, box, (1, 2))
+    assert bits(got) == bits(full_grid_twist_mean(ROTATION, box, (1, 2)))
+    assert len(made.made) == workers
+    assert not any(t.is_alive() for t in made.made)
+    assert threading.active_count() == running
+
+
+def test_one_thread_starts_no_thread():
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    box = FolnerBox(2, 400)
+    assert len(leaves_of(box.cardinality())) > 1
+    with patch.object(convergence, "_THREADS", 1), \
+            patch.object(convergence, "threading",
+                         SimpleNamespace(Thread=no_thread, Lock=threading.Lock)):
+        got = box_twist_mean(ROTATION, box, (1, 0))
+    assert bits(got) == bits(full_grid_twist_mean(ROTATION, box, (1, 0)))
+
+
+def recorded_chords(spread):
+    """A _chords that records the thread and the np.errstate of every leaf.
+    With ``spread`` it holds the calling thread's first leaf until another
+    thread has begun one, so that some leaf is summed off the caller's
+    thread however the threads are scheduled."""
+    chords = convergence._chords
+    caller = threading.get_ident()
+    other_began = threading.Event()
+    seen = []
+
+    def record(phases):
+        me = threading.get_ident()
+        seen.append((me, np.geterr()))
+        if me != caller:
+            other_began.set()
+        elif spread and sum(t == caller for t, _ in seen) == 1:
+            assert other_began.wait(10)
+        return chords(phases)
+
+    return record, seen
+
+
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_threaded_leaves_keep_the_callers_errstate(threads):
+    """Rows 180 on overflow the phases to inf, whose sine is invalid, so the
+    mean raises under invalid="raise"; every leaf, on whichever thread,
+    must see the caller's np.errstate.  A NaN entry propagates quietly and
+    raises nowhere, on the serial path too."""
+    box = FolnerBox(2, 300)
+    assert len(leaves_of(box.cardinality())) > 3
+    record, seen = recorded_chords(spread=threads > 1)
+    running = threading.active_count()
+    with patch.object(convergence, "_THREADS", threads), \
+            np.errstate(over="ignore", invalid="raise"):
+        caller = np.geterr()
+        with patch.object(convergence, "_chords", record), \
+                pytest.raises(FloatingPointError, match="invalid value encountered in sin"):
+            box_twist_mean(np.array([[1e306, 0.0], [0.0, 0.1]]), box, (1, 1))
+        nan_mean = box_twist_mean(np.array([[0.3, math.nan], [-0.2, 0.1]]), box, (1, 1))
+    assert math.isnan(nan_mean)
+    assert all(err == caller for _, err in seen)
+    assert (len({t for t, _ in seen}) > 1) == (threads > 1)
+    assert threading.active_count() == running
+
+
+class LeafError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_threaded_twist_mean_raises_the_first_leaf_error(threads):
+    """On Z with A = 1 and x = 1 each leaf's first phase is its start, so a
+    _chords that fails from the middle of the box on names the leaf that
+    raised.  The first failing leaf fails last, after the leaves other
+    threads took meanwhile, and its error must still reach the caller."""
+    box = FolnerBox(1, 200_000)
+    starts = [start for start, _ in leaves_of(box.cardinality())]
+    expected = min(start for start in starts if start >= 100_000)
+
+    def failing_chords(phases):
+        if phases[0] == expected:
+            time.sleep(0.05)
+        if phases[0] >= 100_000:
+            raise LeafError(phases[0])
+        return chords(phases)
+
+    chords = convergence._chords
+    running = threading.active_count()
+    with patch.object(convergence, "_THREADS", threads), \
+            patch.object(convergence, "_chords", failing_chords):
+        with pytest.raises(LeafError) as info:
+            box_twist_mean(np.eye(1), box, (1,))
+    assert info.value.args == (expected,)
+    assert threading.active_count() == running
 
 
 @st.composite

@@ -63,6 +63,14 @@ def test_finite_group_reduces_mod_k():
     assert g.order == 6
 
 
+def test_finite_group_element_names_a_wrong_coordinate_count():
+    g = FiniteAbelianGroup((2, 2))
+    with pytest.raises(GroupMismatchError, match=r"^expected 2 coordinates, got 1$"):
+        g.element((1,))
+    with pytest.raises(GroupMismatchError, match=r"^expected 2 coordinates, got 3$"):
+        g.element(iter((1, 0, 1)))
+
+
 def test_finite_group_elements_lexicographic():
     g = FiniteAbelianGroup((2, 2))
     assert g.elements() == ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -10,7 +10,10 @@ arguments and results of the calls they wrap.  Nothing under
 """
 
 import importlib.util
+import threading
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 from twistlab import actions, cli, cocycles, convergence, groups, reps, series
 
@@ -110,3 +113,52 @@ def test_tracer_hooks_run_on_the_certify_commands():
     assert patched and tracer._patches == []
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_tracer_sees_box_twist_means_only_on_the_calling_thread():
+    """Boxes of sides i^2 pass 2^15 points from i = 14 on, so their twist
+    means split into leaves that up to two more threads share with the
+    caller.  The tracer's span stack is not thread-safe: every span must
+    come from the caller."""
+    tracing = _load_tracer()
+    caller = threading.get_ident()
+    span_threads = set()
+
+    class ThreadRecordingTracer(tracing.Tracer):
+        def wrap(self, name, fn, hook=None):
+            traced = super().wrap(name, fn, hook)
+
+            def recorded(*args, **kwargs):
+                span_threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return recorded
+
+    made = []
+
+    def counting_thread(*args, **kwargs):
+        made.append(threading.Thread(*args, **kwargs))
+        return made[-1]
+
+    n_max = 16
+    doc = {"command": "converge", "schema": 1, "horizons": {"n_max": n_max},
+           "params": {"kind": "boxes", "x": "1,1", "sides": "power:c=1,p=2",
+                      "matrices": {"family": "geometric", "matrix": "0,1;-1,0",
+                                   "ratio": 0.5}}}
+    tracer = ThreadRecordingTracer()
+    with patch.object(convergence, "_THREADS", 3), \
+            patch.object(convergence, "threading",
+                         SimpleNamespace(Thread=counting_thread, Lock=threading.Lock)):
+        try:
+            tracing.install(tracer)
+            patched = list(tracer._patches)
+            cli.run_scenario(doc, "converge")
+        finally:
+            tracer.uninstall()
+    assert tracer.calls["convergence.box_twist_mean"] == n_max
+    assert span_threads == {caller}
+    assert made and not any(t.is_alive() for t in made)
+    assert patched and tracer._patches == []
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)
+    assert convergence.__dict__["threading"] is threading

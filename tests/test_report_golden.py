@@ -5,13 +5,17 @@ of the JSON report, and of the CSV rendering of every listed series, against
 digests recorded before the certificate engine was unified.  The cases walk
 the power / geometric / explicit tail models under each relation through
 prop42 (with and without x), converge (boxes, inner, product), dirichlet,
-action and select, so any change in a verdict, a tail bound, a witness string,
-a term vector or a failed selection's message shows up as a digest mismatch.
+action and select; the dense commands (ccr, fell, tensor, check-cocycle,
+obstruction) have cases of their own.  Any change in a verdict, a tail bound,
+a witness string, a residual, a term vector or a failed selection's message
+shows up as a digest mismatch.  The fell cases stay below dimension 64, where
+the eigenvalue bytes do not depend on the BLAS thread count.
 """
 
 import copy
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -35,6 +39,17 @@ from twistlab.series import ExplicitModel, GeometricModel, PowerModel
 
 SIDES_P2 = "power:c=1,p=2"
 NORMS_G05 = "geometric:c=1,r=0.5"
+
+
+def _bilinear_table(k, a_rank, b_rank, m):
+    """sigma(a, b) = exp(2 pi i (a^T m b mod k) / k) on Z_k^a_rank x Z_k^b_rank."""
+    a_els = list(product(range(k), repeat=a_rank))
+    b_els = list(product(range(k), repeat=b_rank))
+    phases = [[2.0 * math.pi * (sum(a[i] * m[i][j] * b[j] for i in range(a_rank)
+                                     for j in range(b_rank)) % k) / k
+               for b in b_els] for a in a_els]
+    return {"table": {"a_moduli": [k] * a_rank, "b_moduli": [k] * b_rank, "phases": phases}}
+
 
 # (name, command, params, n_max, csv series)
 CASES = [
@@ -327,6 +342,52 @@ CASES = [
                                    "x": "3,-1"}, 500, ("translation", "twist_majorant")),
     ("p42x-big-r3", "prop42", {"sides": "power:c=3,p=2.5", "norms": NORMS_G05,
                                "x": "2,-1,1"}, 400, ("translation",)),
+    # --- dense commands (n_max is unused) ------------------------------------
+    # Windows of 1, 8, 121 and 196 points: the last two sit below and above
+    # the 128 x 128 complex (256 KiB) residual matrix.
+    ("ccr-window-0", "ccr", {"sigma": {"matrix": "0.7,-0.4"}, "window": {"side": 0}}, 10, ()),
+    ("ccr-window-1", "ccr", {"sigma": {"matrix": "0.3,1.1,-0.5;0.2,-0.9,0.6"},
+                             "window": {"side": 1}, "samples": {"count": 50, "bound": 3}},
+     10, ()),
+    ("ccr-window-10", "ccr", {"sigma": {"matrix": "1.2,-0.35"}, "window": {"side": 10},
+                              "samples": {"count": 60, "bound": 6}}, 10, ()),
+    ("ccr-window-13", "ccr", {"sigma": {"matrix": "0.45,-1.3;0.8,0.25"},
+                              "window": {"side": 13}, "samples": {"count": 40, "bound": 7}},
+     10, ()),
+    ("ccr-table-b-larger", "ccr", {"sigma": _bilinear_table(3, 1, 2, [[1, 2]])}, 10, ()),
+    ("ccr-table-sampled", "ccr", {"sigma": _bilinear_table(9, 2, 2, [[1, 4], [2, 7]]),
+                                  "samples": {"count": 30, "bound": 4}}, 10, ()),
+    ("ccr-pauli", "ccr", {"sigma": {"name": "pauli"}}, 10, ()),
+    ("fell-pauli-coboundary", "fell", {
+        "u": {"coboundary": {"epsilon": 0.9, "group": "Z2xZ2"}}, "rep": {"name": "pauli"}},
+     10, ()),
+    ("fell-regular-perturb", "fell", {
+        "u": {"coboundary": {"epsilon": 0.35, "group": "Z6"}},
+        "rep": {"regular": {"cocycle": {"perturb": {"base": {"trivial": "Z6"},
+                                                    "epsilon": 1.1}},
+                            "group": "Z6"}}}, 10, ()),
+    ("fell-regular-product", "fell", {
+        "u": {"perturb": {"base": {"trivial": "Z2xZ3"}, "epsilon": 0.6}},
+        "rep": {"regular": {"cocycle": {"product": [
+            {"coboundary": {"epsilon": 0.2, "group": "Z2xZ3"}},
+            {"coboundary": {"epsilon": 1.4, "group": "Z2xZ3"}}]}, "group": "Z2xZ3"}}},
+     10, ()),
+    ("fell-regular-coboundary", "fell", {
+        "u": {"product": [{"coboundary": {"epsilon": 0.5, "group": "Z5"}}, {"trivial": "Z5"}]},
+        "rep": {"regular": {"cocycle": {"coboundary": {"epsilon": 1.3, "group": "Z5"}},
+                            "group": "Z5"}}}, 10, ()),
+    ("tensor-three", "tensor", {"factors": [
+        {"regular": {"cocycle": {"coboundary": {"epsilon": 0.8, "group": "Z2xZ2"}},
+                     "group": "Z2xZ2"}},
+        {"name": "pauli"}, {"name": "pauli"}]}, 10, ()),
+    ("check-cocycle-table", "check-cocycle", {
+        "cocycle": {"product": [{"name": "pauli"},
+                                {"coboundary": {"epsilon": 0.3, "group": "Z2xZ2"}}]},
+        "samples": {"count": 50, "bound": 3}}, 10, ()),
+    ("obstruction-matrix", "obstruction", {"u": {"matrix": "0,0.9;-0.9,0"}}, 10, ()),
+    ("obstruction-list-v", "obstruction", {
+        "u": [{"name": "pauli"}, {"perturb": {"base": {"name": "pauli"}, "epsilon": 0.4}}],
+        "v": {"name": "pauli"}}, 10, ()),
 ]
 
 
@@ -886,6 +947,37 @@ DIGESTS = {
         "bda1ea67428a0bd55510a822ebb86198b591ee3831d177f4a4aa6ac5d960dce9",
     "dir-subnormal-angle":
         "c8fe9acdc2e8432a303e5319562dc53cfcbda18e4c3748b199ae490402f81207",
+    # dense commands
+    "ccr-window-0":
+        "a49d3e7549433fbf93fe2dffafae910ec3c5b30bf4b724f1ddb7b9bc1b643d4e",
+    "ccr-window-1":
+        "3384aa9f9b923d9853d280e06dc40946909e9ee832c83b5b5fd2118b4bb546e6",
+    "ccr-window-10":
+        "56d69086f5b8b74a6329d9f066bd45039570f166440a1ebca1a26fc42d96aa6f",
+    "ccr-window-13":
+        "592d33025df63f4eacb22185b0e9f5ec8b3729397e50822739befee8f0fa44a0",
+    "ccr-table-b-larger":
+        "5392ac8bb302541e65e6bd02e0d038be01090c506f4a2d05796cc492585128f7",
+    "ccr-table-sampled":
+        "8ed1b895365438b2f25898685fbfc178ac69957d4e620547336914af252715a5",
+    "ccr-pauli":
+        "9993453eb8d99683f829a6142d467d8f6058289a8d6e62e32a13f914cfe3d3a3",
+    "fell-pauli-coboundary":
+        "5aef03e254a9d0be786380e4b09d4b882f62e557d9bb84fb592d4e257cc998db",
+    "fell-regular-perturb":
+        "75adf9cfdea5cf0f3643c364e17e6c5be038c776a18229c769b4b06753ecbb1f",
+    "fell-regular-product":
+        "41e9e37651350c2468565699679676ff6255ddc300973308c0fa1201111ac2e9",
+    "fell-regular-coboundary":
+        "1c2ef78f133ceae259b9a0840826a2a151a038d258cdd879ed4daedb54c606dd",
+    "tensor-three":
+        "ec7e8bb05b45e266dec2d788488890236ee3d719fc92c2b831622bce4437af7f",
+    "check-cocycle-table":
+        "ef5b1edab4c200d3181ff6edb80e7b93cb64d73facf3d8f9c98810fd8c172d15",
+    "obstruction-matrix":
+        "6872fe6c92dd2317a8b1abe580a711534a61c2c354615ff03399b14609cdf6a7",
+    "obstruction-list-v":
+        "82b3583b6742464ff90e25c320c20bd58960e1c38e67bed094f76d2656c5db0f",
 }
 
 

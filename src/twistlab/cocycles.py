@@ -361,8 +361,15 @@ class MatrixBilinear:
         self.a_group = IntegerLattice(self.a_rank)
         self.b_group = IntegerLattice(self.b_rank)
 
-    def phase(self, a: Element, b: Element) -> float:
-        return float(np.dot(np.asarray(a, float), self.d @ np.asarray(b, float)))
+    def image(self, b: Element) -> np.ndarray:
+        """D b, the vector that sigma(a, b) dots a against for every a."""
+        return self.d @ np.asarray(b, float)
+
+    def phase(self, a: Element, b: Element, image: Optional[np.ndarray] = None) -> float:
+        """a . (D b); a caller holding image = self.image(b) skips the product."""
+        if image is None:
+            image = self.image(b)
+        return float(np.dot(np.asarray(a, float), image))
 
     def value(self, a: Element, b: Element) -> complex:
         return cmath.exp(1j * self.phase(a, b))
@@ -399,13 +406,23 @@ def pauli_sigma() -> TableBilinear:
 
 
 def bilinearity_residual(sigma: BilinearMap, samples) -> float:
-    """Max deviation of sigma from multiplicativity in each slot over sample pairs."""
+    """Max deviation of sigma from multiplicativity in each slot over sample pairs.
+
+    sigma is evaluated once per distinct (a, b) of the call.
+    """
+    values: dict[tuple[Element, Element], complex] = {}
+
+    def value(a: Element, b: Element) -> complex:
+        key = (tuple(a), tuple(b))
+        if key not in values:
+            values[key] = sigma.value(a, b)
+        return values[key]
+
     worst = 0.0
     for (a, ap, b, bp) in samples:
-        worst = max(worst, abs(
-            sigma.value(sigma.a_group.add(a, ap), b) - sigma.value(a, b) * sigma.value(ap, b)))
-        worst = max(worst, abs(
-            sigma.value(a, sigma.b_group.add(b, bp)) - sigma.value(a, b) * sigma.value(a, bp)))
+        ab = value(a, b)
+        worst = max(worst, abs(value(sigma.a_group.add(a, ap), b) - ab * value(ap, b)))
+        worst = max(worst, abs(value(a, sigma.b_group.add(b, bp)) - ab * value(a, bp)))
     return worst
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -283,8 +284,10 @@ BDomain = Union[FiniteAbelianGroup, FolnerBox]
 class CCRPair:
     """Clock-and-shift pair over l2 of a finite group or a lattice window.
 
-    clock(a) multiplies by sigma(a, .); shift(b) translates by b along
-    targets(b), an index map over the lexicographic basis ccr_pair builds.
+    clock(a) multiplies by the phase row sigma(a, .); shift(b) translates by b
+    along targets(b), an index map over the lexicographic basis ccr_pair
+    builds.  Both rows are computed once per distinct argument and kept, read
+    only, for the life of the pair; a dense matrix is built only on request.
     On a window, translations drop the basis points that exit; the relation
     holds entrywise, and boundary_deficit / unitarity_defect report the loss.
     """
@@ -292,6 +295,8 @@ class CCRPair:
     sigma: Union[MatrixBilinear, TableBilinear]
     basis: tuple[Element, ...]
     b_domain: BDomain
+    _phase_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _target_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -301,19 +306,55 @@ class CCRPair:
     def truncated(self) -> bool:
         return isinstance(self.b_domain, FolnerBox)
 
+    @cached_property
+    def _shape(self) -> tuple[int, ...]:
+        d = self.b_domain
+        return (d.side + 1,) * d.rank if self.truncated else d.moduli
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """Mixed-radix coordinates of the basis points, one column per point."""
+        return np.indices(self._shape).reshape(len(self._shape), -1)
+
+    @cached_property
+    def _images(self) -> list[np.ndarray]:
+        """D y per basis point y of a matrix sigma."""
+        return [self.sigma.image(y) for y in self.basis]
+
     def targets(self, b: Element) -> np.ndarray:
         """Mixed-radix index of y + b for each basis point y (offsets cancel); -1 off a window."""
-        d = self.b_domain
-        shape = (d.side + 1,) * d.rank if self.truncated else d.moduli
-        b = b if self.truncated else d.element(b)  # residues, so the int64 sum cannot wrap
-        moved = np.indices(shape).reshape(len(shape), -1) + np.array(b)[:, None]
-        idx = np.ravel_multi_index(moved, shape, mode="wrap")
-        if self.truncated:
-            idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
+        key = tuple(b)
+        idx = self._target_rows.get(key)
+        if idx is None:
+            d = self.b_domain
+            b = key if self.truncated else d.element(b)  # residues, so the int64 sum cannot wrap
+            moved = self._coords + np.array(b)[:, None]
+            idx = np.ravel_multi_index(moved, self._shape, mode="wrap")
+            if self.truncated:
+                idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
+            idx.setflags(write=False)
+            self._target_rows[key] = idx
         return idx
 
     def phases(self, a: Element) -> np.ndarray:
-        return np.array([self.sigma.value(a, y) for y in self.basis])
+        """sigma(a, y) for each basis point y, as MatrixBilinear / TableBilinear.value computes it.
+
+        A table row is read whole: ccr_pair makes the basis the b group's
+        elements, in the table's column order.
+        """
+        key = tuple(a)
+        row = self._phase_rows.get(key)
+        if row is None:
+            sigma = self.sigma
+            if isinstance(sigma, TableBilinear):
+                angles = sigma.phases[sigma.a_group.index(key)].tolist()
+            else:
+                av = np.asarray(key, float)
+                angles = [sigma.phase(av, y, image) for y, image in zip(self.basis, self._images)]
+            row = np.array([cmath.exp(1j * t) for t in angles])
+            row.setflags(write=False)
+            self._phase_rows[key] = row
+        return row
 
     def clock(self, a: Element) -> np.ndarray:
         return np.diag(self.phases(a))
@@ -335,16 +376,17 @@ class CCRPair:
     def relation_residual(self, samples: Sequence[tuple[Element, Element]]) -> float:
         """max |V W - sigma W V|; V W scales the rows of W by the clock, W V its columns.
 
-        The clock phases are computed once per distinct a.  The residual keeps
-        the n x n layout: a gathered O(n) form rounds s * (w * c) differently.
+        The residual keeps the n x n expression as written, because numpy's
+        temporary elision decides its last bits.  From 256 KiB (n >= 128
+        here) numpy reuses the unnamed temporary w * c for s * (w * c): it
+        computes w * c * s in place, with the operands swapped, and the
+        fused multiply-add of the complex loop then rounds the imaginary part
+        in the other order.  Naming w * c, or gathering the O(n) nonzero
+        entries, keeps s first and changes the last bit of some entries.
         """
         worst = 0.0
-        clocks: dict[Element, np.ndarray] = {}
         for a, b in samples:
-            key = tuple(a)
-            if key not in clocks:
-                clocks[key] = self.phases(a)
-            c, w = clocks[key], self.shift(b)
+            c, w = self.phases(a), self.shift(b)
             worst = max(worst, float(np.max(np.abs(
                 c[:, None] * w - self.sigma.value(a, b) * (w * c)))))
         return worst
@@ -392,20 +434,34 @@ def spectral_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     matrix of ``np.hypot`` of the differences, which is Python's complex abs
     bit for bit (``np.abs`` of a complex array is not).  NaN distances follow
     a sequential ``min``: a NaN in the first unmatched column wins, any other
-    NaN never does, and the running maximum skips NaNs.
+    NaN never does, a row with no finite unmatched distance takes its first
+    unmatched column, and the running maximum skips NaNs.
+
+    Each row takes one argmin over a working copy in which NaN reads as +inf
+    and every matched column is +inf.
     """
     if a.shape != b.shape:
         raise ValueError("spectra must have equal size")
     diff = np.asarray(b)[None, :] - np.asarray(a)[:, None]
     dist = np.hypot(diff.real, diff.imag)
+    nan = np.isnan(dist)
+    work = np.where(nan, np.inf, dist)
     free = np.ones(dist.shape[1], dtype=bool)
+    first = 0
     worst = 0.0
-    for row in dist:
-        cols = np.flatnonzero(free)
-        cand = row[cols]
-        k = 0 if np.isnan(cand[0]) else int(np.argmin(np.where(np.isnan(cand), np.inf, cand)))
-        free[cols[k]] = False
-        worst = max(worst, cand[k])
+    for i, row in enumerate(work):
+        k = first
+        if not nan[i, first]:
+            k = int(np.argmin(row))
+            if row[k] == np.inf:
+                k = first
+        d = dist[i, k]
+        if d > worst:
+            worst = d
+        work[i + 1:, k] = np.inf
+        free[k] = False
+        while first < free.size - 1 and not free[first]:
+            first += 1
     return float(worst)
 
 

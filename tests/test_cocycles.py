@@ -280,6 +280,27 @@ def test_pauli_sigma_values():
     assert bilinearity_residual(s, [((1,), (1,), (1,), (1,))]) < 1e-12
 
 
+def test_bilinearity_residual_evaluates_sigma_once_per_distinct_pair(monkeypatch):
+    sigma = MatrixBilinear(np.array([[0.3, -1.1], [0.7, 0.2]]))
+    rng = np.random.default_rng(4)
+    samples = [tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(4))
+               for _ in range(40)]
+    expected = 0.0
+    for (a, ap, b, bp) in samples:
+        expected = max(expected, abs(
+            sigma.value(sigma.a_group.add(a, ap), b) - sigma.value(a, b) * sigma.value(ap, b)))
+        expected = max(expected, abs(
+            sigma.value(a, sigma.b_group.add(b, bp)) - sigma.value(a, b) * sigma.value(a, bp)))
+    calls = []
+    value = MatrixBilinear.value
+    monkeypatch.setattr(MatrixBilinear, "value",
+                        lambda self, a, b: calls.append((a, b)) or value(self, a, b))
+    assert bilinearity_residual(sigma, samples) == expected
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {pair for (a, ap, b, bp) in samples for pair in (
+        (a, b), (ap, b), (a, bp), (sigma.a_group.add(a, ap), b), (a, sigma.b_group.add(b, bp)))}
+
+
 def test_matrix_bilinear_value():
     s = MatrixBilinear(np.array([[math.pi / 2]]))
     assert s.value((1,), (1,)) == pytest.approx(1j)

@@ -330,20 +330,57 @@ def test_hypot_is_pythons_complex_abs(values):
             assert float.hex(g) == float.hex(e)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.one_of(complexes, st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))),
-             min_size=n, max_size=n),
-    st.lists(st.one_of(complexes, st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))),
-             min_size=n, max_size=n))))
-def test_spectral_distance_matches_the_greedy_loop(pair):
-    a, b = (np.array(v, dtype=complex) for v in pair)
+lattice_points = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+spectrum_entries = st.one_of(complexes, lattice_points, lattice_points,
+                             st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.nan),
+                                              complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                                              complex(1.0, -math.inf)]))
+
+
+def assert_spectral_distance_matches(a, b):
     with np.errstate(all="ignore"):
         try:
             expected = oracle_spectral_distance(a, b)
         except OverflowError:
             return
         assert float.hex(spectral_multiset_distance(a, b)) == float.hex(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda n: st.tuples(
+    st.lists(spectrum_entries, min_size=n, max_size=n),
+    st.lists(spectrum_entries, min_size=n, max_size=n))))
+def test_spectral_distance_matches_the_greedy_loop(pair):
+    """Integer points force ties; NaN and infinite parts give NaN distances in
+    first and later free columns and rows whose free distances are all +inf."""
+    a, b = (np.array(v, dtype=complex) for v in pair)
+    assert_spectral_distance_matches(a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectral_distance_matches_the_greedy_loop_at_size_64(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, 64) + 1j * rng.integers(-2, 3, 64)
+    b = rng.permutation(a) + rng.choice([0.0, 1.0, 1j], 64)
+    for values, count in ((a, seed), (b, 3)):
+        spots = rng.choice(64, size=count, replace=False)
+        values[spots] = rng.choice([complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                    complex(-math.inf, -math.inf)], size=count)
+    assert_spectral_distance_matches(a, b)
+
+
+def test_spectral_distance_nan_and_infinite_rules():
+    nan, inf = complex(math.nan, 0.0), complex(math.inf, 0.0)
+    # A NaN in the first free column beats a zero distance further right.
+    assert spectral_multiset_distance(np.array([0j, 5j]), np.array([nan, 0j])) == 5.0
+    # A NaN in a later column never wins, and the maximum skips NaN.
+    a, b = np.array([0j, 1j]), np.array([3 + 0j, nan])
+    assert spectral_multiset_distance(a, b) == oracle_spectral_distance(a, b) == 3.0
+    # A row with only infinite free distances takes its first free column,
+    # never a matched one, even where the matched distance is finite.
+    for a, b in ((np.array([0j, inf, 0j]), np.array([1 + 0j, 2 + 0j, 0j])),
+                 (np.array([0j, 0j]), np.array([0j, inf]))):
+        assert spectral_multiset_distance(a, b) == oracle_spectral_distance(a, b) == math.inf
 
 
 def test_spectral_distance_of_real_spectra_and_ties():

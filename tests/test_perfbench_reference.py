@@ -55,7 +55,10 @@ def _openblas_thread_controls():
         lib = ctypes.CDLL(str(path))
         for get, put in OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get) and hasattr(lib, put):
-                return getattr(lib, get), getattr(lib, put)
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
 
 

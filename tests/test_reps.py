@@ -466,6 +466,62 @@ def test_ccr_to_projective_evaluates_no_sigma_value(monkeypatch):
     assert calls == [((0, 1), (3, 0))]
 
 
+def memo_pairs():
+    sigma = MatrixBilinear(np.array([[0.45, -1.3], [0.8, 0.25]]))
+    table = random_table(np.random.default_rng(7), (3,), (2, 3))
+    return [(ccr_pair(sigma, FolnerBox(2, 3, (1, -2))), [(1, -2), (0, 3), (1, -2), (-4, 1)],
+             [(1, 0), (-2, 5), (1, 0), (0, 0)]),
+            (ccr_pair(table, table.b_group), [(1,), (2,), (1,), (0,)],
+             [(1, 2), (0, 1), (1, 2), (0, 0)])]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_pair_memos_match_the_dense_oracle_bit_for_bit(case):
+    pair, a_samples, b_samples = memo_pairs()[case]
+    dense = DenseCCRPair(pair.sigma, pair.basis, pair.b_domain)
+    samples = list(zip(a_samples, b_samples)) * 2
+    assert pair.relation_residual(samples) == dense.relation_residual(samples)
+    for a in a_samples:
+        assert pair.phases(a) is pair.phases(list(a))
+        assert np.array_equal(pair.clock(a), dense.clock(a))
+    for b in b_samples:
+        assert pair.targets(b) is pair.targets(list(b))
+        assert np.array_equal(pair.shift(b), dense.shift(b))
+        assert pair.boundary_deficit(b) == dense.boundary_deficit(b)
+    assert len(pair._phase_rows) == len(set(a_samples))
+    assert len(pair._target_rows) == len(set(b_samples))
+
+
+def test_matrix_phase_runs_once_per_distinct_a_and_basis_point(monkeypatch):
+    pair, a_samples, b_samples = memo_pairs()[0]
+    counts = {"phase": 0, "image": 0}
+    for name in counts:
+        method = getattr(MatrixBilinear, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixBilinear, name, counted)
+    for a in a_samples * 3:
+        pair.phases(a)
+        pair.clock(a)
+    assert counts == {"phase": len(set(a_samples)) * pair.dimension, "image": pair.dimension}
+    # The relation adds one sigma(a, b) per sample and no phase row.
+    samples = list(zip(a_samples, b_samples))
+    pair.relation_residual(samples)
+    assert counts["phase"] == len(set(a_samples)) * pair.dimension + len(samples)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_pair_memo_rows_are_read_only(case):
+    pair, a_samples, b_samples = memo_pairs()[case]
+    for row in (pair.phases(a_samples[0]), pair.targets(b_samples[0])):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+
+
 def test_bilinear_cocycle_matches_the_tabulated_cocycle():
     sigma = random_table(np.random.default_rng(9), (2, 3), (3,))
     lazy, table = BilinearCocycle(sigma), cocycle_from_bilinear(sigma)

@@ -83,6 +83,7 @@ from .convergence import (
 )
 # perfbench/tracer.py wraps this name where the handlers would look it up.
 from .convergence import translation_series  # noqa: F401
+from .csvrows import float_repr as _float_repr, rows_text
 from .groups import (
     FiniteAbelianGroup,
     FolnerBox,
@@ -140,14 +141,6 @@ def _schema_error(message: str) -> CliError:
 # ---------------------------------------------------------------------------
 # deterministic emitters
 # ---------------------------------------------------------------------------
-
-
-def _float_repr(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(float(v), ".17g")
 
 
 def render_json(obj: Any) -> str:
@@ -215,30 +208,20 @@ def _emit(obj: Any, parts: list[str]) -> None:
 _CSV_BLOCK = 4096
 
 
-def _csv_column(values: np.ndarray, missing: np.ndarray) -> tuple[str, Any]:
-    """The cell template of one column of a block and the values that fill it.
-
-    Finite floats print with ``{:.17g}``, which is what ``_float_repr``
-    prints for them; inf and NaN go through ``_float_repr``; missing values
-    print as empty cells.  A column missing throughout has no cells at all.
-    """
-    if missing.all():
-        return "", None
-    if missing.any():
-        return "{}", ["" if gap else _float_repr(v)
-                      for v, gap in zip(values.tolist(), missing.tolist())]
-    if np.isfinite(values).all():
-        return "{:.17g}", values.tolist()
-    return "{}", map(_float_repr, values.tolist())
-
-
 def render_csv(scenario: dict, terms: Sequence[float],
                bounds: Optional[Sequence[Optional[float]]]) -> str:
     """One series as index,term,partial_sum,bound rows under the scenario line.
 
     A bound that is None, or past the end of ``bounds`` (an explicit prefix
-    declares only so many values), is an empty cell.  Rows are formatted
-    block by block, so no column of strings is ever built.
+    declares only so many values), is an empty cell.  Every other cell is
+    ``_float_repr`` of its float: ``format(v, ".17g")``, or ``inf``, ``-inf``,
+    ``nan``.  Rows are built in blocks of ``_CSV_BLOCK`` by
+    ``csvrows.rows_text``.  It takes the 17 digits of a finite cell as the
+    integer nearest to v = |x| * 10^(16 - k), from a double-double v whose
+    error is at most 2^-46 of a unit in the 17th digit.  Where v's fraction
+    lies within 2^-30 of one half, which includes every exact tie (Python
+    rounds those half to even), and for inf and NaN, the cell's text comes
+    from ``_float_repr`` itself.
     """
     terms = np.asarray(terms, dtype=float)
     n = terms.size
@@ -248,18 +231,16 @@ def render_csv(scenario: dict, terms: Sequence[float],
     gaps[:given.size] = np.equal(given, None)
     limits = np.zeros(n)
     limits[:given.size] = np.where(gaps[:given.size], 0.0, given)
-    parts = ["# scenario=" + render_json(scenario), "index,term,partial_sum,bound"]
-    never = np.zeros(_CSV_BLOCK, dtype=bool)
+    parts = ["# scenario=", render_json(scenario), "\nindex,term,partial_sum,bound"]
+    missing = np.zeros((min(n, _CSV_BLOCK), 3), dtype=bool)
     for start in range(0, n, _CSV_BLOCK):
         block = slice(start, min(start + _CSV_BLOCK, n))
         size = block.stop - start
-        columns = [_csv_column(terms[block], never[:size]),
-                   _csv_column(sums[block], never[:size]),
-                   _csv_column(limits[block], gaps[block])]
-        row = ",".join(["{}"] + [spec for spec, _ in columns])
-        cells = [c for _, c in columns if c is not None]
-        parts.append("\n".join(map(row.format, range(start + 1, block.stop + 1), *cells)))
-    return "\n".join(parts) + "\n"
+        missing[:size, 2] = gaps[block]
+        cells = np.stack((terms[block], sums[block], limits[block]), axis=1)
+        parts.append(rows_text(start + 1, cells, missing[:size]))
+    parts.append("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

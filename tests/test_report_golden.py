@@ -337,6 +337,33 @@ CASES = [
         "source": {"values": {"group": "Z2", "kind": "vector", "table": [
             {"g": "1", "amplitudes": ["nan", 0.5, {"re": 0, "im": -0.0}, 1]}]}}}, 10,
      ("deficit:1",)),
+    # --- CSV cells: explicit norms and bounds print as they are given, so
+    # these reach the subnormals, the .17g ties (half-even), both notation
+    # switches with their float neighbours, two- and three-digit exponents
+    # and floats whose 17-digit rounding carries into the next decade.
+    ("csv-subnormal-ties", "prop42",
+     {"sides": SIDES_P2, "norms": "explicit:5e-324,2.98023223876953125e-08,"
+                                  "660824967240747.375,2.2250738585072014e-308"},
+     10, ("norms",)),
+    ("csv-notation-switches", "prop42",
+     {"sides": SIDES_P2, "norms": "explicit:9.999999999999999e-05,0.0001,"
+                                  "0.00010000000000000002,9999999999999998,1e16,"
+                                  "1.0000000000000002e16,9.999999999999998e16,1e17,"
+                                  "1.0000000000000002e17"},
+     10, ("norms",)),
+    ("csv-exponent-widths", "prop42",
+     {"sides": SIDES_P2, "norms": "explicit:1e-100,1.2345678901234567e-99,9.87e99,"
+                                  "1e100,1.7976931348623157e308"},
+     10, ("norms",)),
+    ("csv-decade-carry", "prop42",
+     {"sides": SIDES_P2, "norms": "explicit:1e-14,1e-305,1e98,1e220"}, 10, ("norms",)),
+    ("csv-bound-cells", "converge",
+     {"kind": "inner", "values": [0.5, 0.75, 0.875, 0.9, 0.95, 0.99, 0.999, 1, 0.25, 0.125],
+      "model": "explicit:5e-324,2.98023223876953125e-08,9.999999999999999e-05,1e16,"
+               "9.999999999999998e16,1e-100,1e100,1.7976931348623157e308,1e-14"},
+     10, ("terms",)),
+    ("csv-row-indices", "converge", {"kind": "product", "angles": "power:c=-1.3,p=-2"}, 101,
+     ("terms",)),
     # --- box defects on both sides of 2^53 points per box -------------------
     ("p42x-cross-2^53", "prop42", {"sides": "power:c=1,p=3", "norms": NORMS_G05,
                                    "x": "3,-1"}, 500, ("translation", "twist_majorant")),
@@ -918,6 +945,32 @@ DIGESTS = {
         "7f1ada38ced76b6489ea923ee7d6a57db9af19f228a9f502f751521649c34e0c",
     "csv-nan-amplitude:deficit:1":
         "cf292fd36c1c94b2fb3ef1437ca50f9b1e03d952eda1182b90828863ca93b83c",
+    # CSV cells past the edge rows above, recorded before the vectorized
+    # .17g kernel replaced one str.format per cell.
+    "csv-subnormal-ties":
+        "5a6f65021317d71718ee1b335caaa79f88e73068cc5d704e0132e621026ae202",
+    "csv-subnormal-ties:norms":
+        "ff83563411417afec790aabdb5602ce81ce2caf485f66d265513457068afa51a",
+    "csv-notation-switches":
+        "8542f7655fa2b2cd91af26beb1330c1ac3be855151912f9d5755ad7a6d79793f",
+    "csv-notation-switches:norms":
+        "bcc44f86cf4a03e99ffb217577562f560d89ae0e5f6809dd7b9d276ad4ba78f7",
+    "csv-exponent-widths":
+        "70b2acdaae021f0ac4fdcf11ed536b0b32aed74954383dd4ea9742f8eb90bc23",
+    "csv-exponent-widths:norms":
+        "f632f27c1e05354b24ce528d8fe97fb68628e23cdace34d1e1a13096e5243729",
+    "csv-decade-carry":
+        "02a20dda738d5e6337908fabb0dd6fd84605f41062a8a364ba146fb25409984e",
+    "csv-decade-carry:norms":
+        "27458287d1a534f26d9ac1adb7290c585e8f0d3e5709132c96f48408ad86230d",
+    "csv-bound-cells":
+        "6f4404927aaec0a90ae3a03dc6fb7b0faa0eda0d5802ab31a8d3422f9d5ccaa6",
+    "csv-bound-cells:terms":
+        "a06510d919cf20449fe87266895b7afcb77af0c1df37a86e2d3a86242d14cbcf",
+    "csv-row-indices":
+        "ca536f56fa64ed33b8c2e6050b09e0a7dcc2cda97f45e3e392f8cd72c8a6556e",
+    "csv-row-indices:terms":
+        "197b84729569561e48fa6ec1f29f0a0db6e96a8e25d5eea09f1655000e9ba0ae",
     "p42x-cross-2^53":
         "e77fc5dbd564c73cfb89d19a0c6ea20d846746c4b58c8cf3aa7d02df8e6a9ea8",
     "p42x-cross-2^53:translation":

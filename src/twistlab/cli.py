@@ -780,7 +780,7 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
                             required=("coeff", "exponent"))
         c = parse_scalar(block["coeff"], "params.thresholds.coeff")
         p = parse_scalar(block["exponent"], "params.thresholds.exponent")
-        if c <= 0:
+        if not c > 0:
             raise _schema_error("params.thresholds.coeff must be > 0")
         thresholds = lambda k: c * float(k) ** p
     try:

@@ -215,17 +215,17 @@ _BIG_BLOCK = 1 << 12
 def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
     """``box_defect`` of the zero-offset boxes with integer sides m at x.
 
-    The defect is (s^N - prod_j max(0, s - |x_j|)) / s^N with s = m + 1.
-    While s^N < 2^53 both integers are exact in float64 and one division
-    gives the correctly rounded ratio; past that the ratio is taken in
-    Python ints.  ``sides`` holds integer-valued floats.
+    The defect is (s^K - prod_j max(0, s - a_j)) / s^K with s = m + 1 and
+    a_j the K nonzero |x_j| (a zero coordinate cancels).  While s^K < 2^53
+    both integers are exact in float64 and one division gives the correctly
+    rounded ratio; past that it is taken in Python ints.  ``sides`` holds
+    integer-valued floats.
     """
-    rank = len(x)
-    if sides.size and rank < 1:
+    if sides.size and len(x) < 1:
         raise ValueError("rank must be at least 1")
     if (sides < 0).any():
         raise ValueError("side must be nonnegative")
-    reach = [abs(int(c)) for c in x]
+    reach = [a for a in (abs(int(c)) for c in x) if a]
     s = sides + 1.0
     card = np.ones_like(s)
     overlap = np.ones_like(s)
@@ -239,7 +239,7 @@ def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
         block = big[start:start + _BIG_BLOCK]
         # object arrays: every operation below is Python's own int arithmetic
         s = _python_ints(sides[block]) + 1
-        card = s ** rank
+        card = s ** len(reach)
         overlap = np.ones_like(s)
         for a in reach:
             overlap *= np.where(s > a, s - a, 0)
@@ -259,22 +259,6 @@ def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
     they round to the nearest float.
     """
     return _box_defects(np.trunc(np.asarray(sides, dtype=float)), x).tolist()
-
-
-def _side_ratio(num: int, sides: np.ndarray) -> np.ndarray:
-    """num / (m + 1) per integer side m, rounded once as int / int rounds it.
-
-    Float64 where num and m + 1 are below 2^53, Python ints elsewhere.
-    """
-    den = sides + 1.0
-    if abs(num) < _EXACT_INTS:
-        out = num / den
-        inexact = np.flatnonzero(~(den < _EXACT_INTS))
-    else:
-        out = np.empty_like(den)
-        inexact = np.arange(den.size)
-    out[inexact] = num / (_python_ints(sides[inexact]) + 1)
-    return out
 
 
 # Points per leaf of the summation tree in box_twist_mean, and per batch of
@@ -462,8 +446,10 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
             size *= 2
         return best
     group = u.group
-    if box.cardinality() * max(1, len(elements)) > grid_cap:
-        raise ConstructionError("pointwise sup scan exceeds the grid cap")
+    points = box.cardinality() * max(1, len(elements))
+    if points > grid_cap:
+        raise ConstructionError(
+            f"pointwise sup scan covers {points} points, over the grid cap {grid_cap}")
     for x in elements:
         gx = group.element(x)
         for y in box.points():
@@ -682,9 +668,8 @@ def _translation_verdict(terms: np.ndarray, bounds: np.ndarray, sides: np.ndarra
     if all(c == 0 for c in x):
         return certify(terms, ZERO, None, ("the identity never leaves the box", None, None))
     linf = sup_norm(x)
-    floor = _side_ratio(linf, sides)
+    floor = _box_defects(sides, (linf,))
     with np.errstate(invalid="ignore"):
-        floor = np.where(floor < 1.0, floor, 1.0)
         k = _first((terms > bounds + 1e-9) | (terms < floor - 1e-9))
     if k is not None:
         return inconclusive(terms, f"defect at side {int(sides[k])} escaped its proved envelope")
@@ -762,13 +747,10 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
     side_values = model_values(side_model, n_max) if side_model is not None else None
     side_arr = np.array(side_list, dtype=float)
     norms = np.array(norm_list)
-    trans_terms = _box_defects(side_arr, x)
+    trans_terms, trans_bounds, translation = _translation(side_arr, side_model, side_values, x)
     twist = np.array(twist_terms)
-    trans_bounds = _translation_bounds(side_arr, x)
     twist_bounds = (0.5 * rank * l1_norm(x)) * side_arr * norms
     twist_bounds = np.where(twist_bounds < 2.0, twist_bounds, 2.0)
-    translation = _translation_verdict(trans_terms, trans_bounds, side_arr,
-                                       side_model, side_values, x)
     twist_verdict = _twist_verdict(twist, twist_bounds, side_arr, side_values, norms,
                                    side_model, matrix_model, x)
     return TwistedRepSeries(x, tuple(side_list), tuple(trans_terms.tolist()),
@@ -776,10 +758,17 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
                             tuple(trans_bounds.tolist()), tuple(twist_bounds.tolist()))
 
 
-def _translation_bounds(sides: np.ndarray, x: Element) -> np.ndarray:
-    """min(1, |x|_1 / (m_i + 1)) for integer sides, each ratio rounded once."""
-    bounds = _side_ratio(l1_norm(x), sides)
-    return np.where(bounds < 1.0, bounds, 1.0)
+def _translation(sides: np.ndarray, model: Optional[TailModel],
+                 values: Optional[Sequence[float]],
+                 x: Element) -> tuple[np.ndarray, np.ndarray, SeriesVerdict]:
+    """Box defects at x for integer sides, their bounds and their verdict.
+
+    The bound min(1, |x|_1 / (m + 1)) is the defect of the rank-one shift by
+    |x|_1, so both come from ``_box_defects``.
+    """
+    terms = _box_defects(sides, x)
+    bounds = _box_defects(sides, (l1_norm(x),))
+    return terms, bounds, _translation_verdict(terms, bounds, sides, model, values, x)
 
 
 def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
@@ -792,10 +781,9 @@ def translation_series(sides: Sequence[int], side_model: Optional[TailModel],
     float64, exact up to 2^53.
     """
     sides = np.trunc(np.asarray(sides, dtype=float))[:horizon(len(sides), side_model)]
-    terms = _box_defects(sides, x)
     values = model_values(side_model, len(sides)) if side_model is not None else None
-    return terms.tolist(), _translation_verdict(terms, _translation_bounds(sides, x), sides,
-                                                side_model, values, x)
+    terms, _, verdict = _translation(sides, side_model, values, x)
+    return terms.tolist(), verdict
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1029,7 @@ def select_product_subsequence(seq: CocycleSequence,
     prev = 0
     for step in range(1, count + 1):
         thr = float(thresholds(step))
-        if thr <= 0:
+        if not thr > 0:
             raise ValueError("thresholds must be positive")
         window = exhaustion.subset(step)
         box = box_at(step)

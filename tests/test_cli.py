@@ -359,6 +359,22 @@ def test_select_inline_and_failure_exit(capsys):
     assert "selection failed" in err
 
 
+@pytest.mark.parametrize("thresholds,message", [
+    ({"coeff": "nan", "exponent": 2}, "schema violation: params.thresholds.coeff must be > 0"),
+    ({"coeff": 1, "exponent": "nan"}, "invalid scenario: thresholds must be positive"),
+])
+def test_select_nan_thresholds_exit_2(tmp_path, capsys, thresholds, message):
+    path = tmp_path / "nan-thresholds.json"
+    path.write_text(json.dumps({"schema": 1, "command": "select",
+                                "params": {"count": 3, "members": {"matrix": "0,1;-1,0",
+                                                                   "ratio": 0.5},
+                                           "sides": "power:c=1,p=1",
+                                           "thresholds": thresholds}}))
+    code, out, err = run_cli(capsys, ["select", "--scenario", str(path)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_select_stops_at_an_explicit_side_prefix(capsys):
     doc = run_json(capsys, ["select", "--count", "3", "--matrix", "0,1;-1,0",
                             "--sides", "explicit:1,2"])

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from twistlab import cli, convergence, series
 from twistlab.convergence import (
     _box_defects,
-    _side_ratio,
     box_defect,
     lattice_tensor_criteria,
 )
@@ -263,12 +262,52 @@ def test_box_defects_match_folner_boxes(sides, x):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.lists(sides_st, max_size=12), x_st, st.lists(st.integers(0, 4), max_size=4))
+def test_box_defects_ignore_zero_coordinates(sides, x, where):
+    sides = np.array([int(float(m)) for m in sides], dtype=float)
+    padded = list(x)
+    for k in where:
+        padded.insert(k % (len(padded) + 1), 0)
+    assert bits(_box_defects(sides, tuple(padded))) == bits(_box_defects(sides, tuple(x)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.lists(sides_st, max_size=12),
        st.one_of(st.integers(0, 20), st.integers(0, 2 ** 60)))
 def test_side_ratios_round_as_int_division(sides, num):
+    """The translation bounds min(1, n / (m + 1)) are rank-one box defects."""
     sides = [int(float(m)) for m in sides]
-    expected = bits([num / (m + 1) for m in sides])
-    assert bits(_side_ratio(num, np.array(sides, dtype=float))) == expected
+    expected = bits([min(1.0, num / (m + 1)) for m in sides])
+    assert bits(_box_defects(np.array(sides, dtype=float), (num,))) == expected
+
+
+@contextmanager
+def refusing_python_ints():
+    def refuse(values):
+        raise AssertionError("took the Python-int path")
+    saved = convergence._python_ints
+    convergence._python_ints = refuse
+    try:
+        yield
+    finally:
+        convergence._python_ints = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 26), st.integers(0, 2 ** 53 - 2)),
+                min_size=1, max_size=12),
+       st.one_of(st.integers(-5, 5), st.integers(-2 ** 60, 2 ** 60)).filter(bool),
+       st.integers(1, 4), st.integers(0, 3))
+def test_one_nonzero_coordinate_stays_in_float64(sides, a, rank, at):
+    """Sides below 2^53 - 1 with one nonzero |x_j| never reach Python ints,
+    in the defects, their bounds or the escape check's floor."""
+    x = [0] * rank
+    x[at % rank] = a
+    expected = bits([min(1.0, abs(a) / (m + 1)) for m in sides])
+    with refusing_python_ints():
+        assert bits(_box_defects(np.array(sides, dtype=float), tuple(x))) == expected
+        terms, _ = convergence.translation_series(sides, None, tuple(x))
+    assert bits(terms) == expected
 
 
 def test_box_defects_refuse_what_folner_boxes_refuse():

@@ -505,6 +505,10 @@ def test_box_kernels_name_the_grid_cap():
     with pytest.raises(ConstructionError) as info:
         box_sup_distance(MatrixCocycle(ROTATION), FolnerBox(2, 99), [], grid_cap=100)
     assert str(info.value) == "box holds 10000 points, over the grid cap 100"
+    pointwise = perturb(MatrixCocycle(ROTATION), lambda z: 1.0 + 0.0j)
+    with pytest.raises(ConstructionError) as info:
+        box_sup_distance(pointwise, FolnerBox(2, 9), [(1, 0), (0, 1)], grid_cap=100)
+    assert str(info.value) == "pointwise sup scan covers 200 points, over the grid cap 100"
 
 
 def test_pruned_sup_skips_elements_that_cannot_win(monkeypatch):
@@ -837,6 +841,24 @@ def test_selection_input_validation():
     with pytest.raises(ValueError):
         select_product_subsequence(seq, lambda k: FolnerBox(2, 1), ex, count=1,
                                    thresholds=lambda k: 0.0)
+
+
+def test_selection_rejects_nan_thresholds_before_scanning(monkeypatch):
+    # no sup meets sup <= nan, so a NaN step would scan its whole horizon
+    scanned = []
+    monkeypatch.setattr(convergence, "box_sup_distance",
+                        lambda *args, **kw: scanned.append(args) or 0.0)
+    seq = geometric_matrix_sequence(ROTATION, 0.5)
+    ex = SupNormExhaustion(IntegerLattice(2))
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        select_product_subsequence(seq, lambda k: FolnerBox(2, 1), ex, count=1,
+                                   thresholds=lambda k: math.nan)
+    assert scanned == []
+    # 1 ** nan is 1, so a NaN exponent first shows at step 2
+    with pytest.raises(ValueError, match="thresholds must be positive"):
+        select_product_subsequence(seq, lambda k: FolnerBox(2, 1), ex, count=3,
+                                   thresholds=lambda k: 0.5 * float(k) ** math.nan)
+    assert len(scanned) == 1
 
 
 def test_selection_accepts_box_list():

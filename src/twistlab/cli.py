@@ -226,11 +226,14 @@ def render_csv(scenario: dict, terms: Sequence[float],
     terms = np.asarray(terms, dtype=float)
     n = terms.size
     sums = running_sums(terms)
-    given = np.array(() if bounds is None else bounds[:n], dtype=object)
-    gaps = np.ones(n, dtype=bool)
-    gaps[:given.size] = np.equal(given, None)
+    given = np.asarray(() if bounds is None else bounds[:n])
+    gaps = np.zeros(n, dtype=bool)
+    gaps[given.size:] = True
+    if given.dtype == object:  # a sequence with None bounds
+        gaps[:given.size] = np.equal(given, None)
+        given = np.where(gaps[:given.size], 0.0, given)
     limits = np.zeros(n)
-    limits[:given.size] = np.where(gaps[:given.size], 0.0, given)
+    limits[:given.size] = given
     parts = ["# scenario=", render_json(scenario), "\nindex,term,partial_sum,bound"]
     missing = np.zeros((min(n, _CSV_BLOCK), 3), dtype=bool)
     for start in range(0, n, _CSV_BLOCK):

@@ -46,7 +46,6 @@ from .groups import (
 )
 from .reps import TruncatedVector
 from .series import (
-    Envelope,
     GeometricModel,
     INCONCLUSIVE,
     InvalidInnerProductError,
@@ -571,6 +570,20 @@ _WEIGHTED_SIDE_WORDS = {
     "geometric": ("m_i a_i >= {c:g} * i^{q:g} * {r:g}^i, which grows without bound",),
 }
 
+# escape, missing model, a_i above and below its model, and the product bound
+_TWIST_WORDS = ("term {k} escaped its proved envelope",
+                "twist certification needs both declared models",
+                "matrix norm {i} = {a} exceeds its declared value {v}",
+                "matrix norm {i} = {a} falls below its declared value {v}",
+                "term_i <= (N |x|_1 / 2) m_i a_i with N={rank}, |x|_1={l1}, "
+                "m_i <= {side} + 1, a_i <= {value}")
+
+_DEVIATION_WORDS = ("term {k} escaped the chord bound",
+                    "deviation certification needs both declared models",
+                    "angle {i} exceeds its declared size {v}", None,
+                    "|1 - D(n_j, theta_j)| <= (n_j + 1) |theta_j| / 2 with "
+                    "n_j <= {side} + 1 and |theta_j| <= {value}")
+
 
 def _words(table: dict, family: str, term, **fields) -> tuple[str, ...]:
     c, q, r = term
@@ -602,15 +615,35 @@ def _inverse_side_verdict(terms: Sequence[float], model: TailModel,
     return certify(terms, upper, lower, texts + (_NEITHER_SIDE,))
 
 
-def _product_majorant(left: TailModel, plus: float, factor: float,
-                      right: TailModel) -> tuple[Optional[Envelope], str]:
-    """factor * (left_i + plus) * right_i as a majorant, or why there is none."""
-    if MINORANT in (left.relation, right.relation):
-        return None, "declared relations give no upper envelope"
-    if left.envelope is None or right.envelope is None:
-        return None, "explicit prefixes carry no tail claims"
-    upper = left.envelope.upper().plus(plus).scale(factor).times(right.envelope.upper())
-    return upper, "declared models admit no summable envelope"
+def _majorant_verdict(terms: np.ndarray, bounds: np.ndarray, side_model: Optional[TailModel],
+                      side_mismatch: Optional[str], sizes: np.ndarray,
+                      model: Optional[TailModel], plus: float, factor: float,
+                      words: tuple, **fields) -> SeriesVerdict:
+    """Certify term_i <= factor * (m_i + plus) * a_i from two declared models.
+
+    The sides m_i are ceil-matched to ``side_model`` unless ``side_mismatch``
+    names the first that is not; the sizes a_i must match ``model``.
+    ``words`` holds the escape, missing-model, size and derivation texts.
+    """
+    escaped, missing, above, below, derivation = words
+    with np.errstate(invalid="ignore"):
+        k = _first(terms > bounds + 1e-9)
+    if k is not None:
+        return inconclusive(terms, escaped.format(k=k + 1))
+    if side_model is None or model is None:
+        return inconclusive(terms, missing)
+    mismatch = side_mismatch or prefix_mismatch(
+        sizes, model_values(model, sizes.size), model.relation, above, below)
+    if mismatch is not None:
+        return inconclusive(terms, mismatch)
+    if MINORANT in (side_model.relation, model.relation):
+        return inconclusive(terms, "declared relations give no upper envelope")
+    if side_model.envelope is None or model.envelope is None:
+        return inconclusive(terms, "explicit prefixes carry no tail claims")
+    upper = side_model.envelope.upper().plus(plus).scale(factor).times(model.envelope.upper())
+    derivation = derivation.format(side=_describe(side_model), value=_describe(model), **fields)
+    return certify(terms, upper, None,
+                   (derivation, None, "declared models admit no summable envelope"))
 
 
 # ---------------------------------------------------------------------------
@@ -682,37 +715,6 @@ def _translation_verdict(terms: np.ndarray, bounds: np.ndarray, sides: np.ndarra
     return _inverse_side_verdict(terms, model, l1_norm(x), linf, 2.0, _TRANSLATION_WORDS)
 
 
-def _twist_verdict(terms: np.ndarray, bounds: np.ndarray,
-                   sides: np.ndarray, side_values: Optional[Sequence[float]],
-                   norms: np.ndarray, side_model: Optional[TailModel],
-                   matrix_model: Optional[TailModel], x: Element) -> SeriesVerdict:
-    rank = len(x)
-    l1 = l1_norm(x)
-    if l1 == 0:
-        return certify(terms, ZERO, None, ("x = 0 twists nothing", None, None))
-    with np.errstate(invalid="ignore"):
-        k = _first(terms > bounds + 1e-9)
-    if k is not None:
-        return inconclusive(terms, f"term {k + 1} escaped its proved envelope")
-    if side_model is None or matrix_model is None:
-        return inconclusive(terms, "twist certification needs both declared models")
-    mismatch = _ceil_mismatch(sides, side_values, side_model.relation)
-    if mismatch is not None:
-        return inconclusive(terms, mismatch)
-    mismatch = prefix_mismatch(norms, model_values(matrix_model, len(norms)),
-                               matrix_model.relation,
-                               "matrix norm {i} = {a} exceeds its declared value {v}",
-                               "matrix norm {i} = {a} falls below its declared value {v}")
-    if mismatch is not None:
-        return inconclusive(terms, mismatch)
-    upper, why = _product_majorant(side_model, 1.0, 0.5 * rank * l1, matrix_model)
-    derivation = upper and (
-        f"term_i <= (N |x|_1 / 2) m_i a_i with N={rank}, |x|_1={l1}, "
-        f"m_i <= {_describe(side_model)} + 1, "
-        f"a_i <= {_describe(matrix_model)}")
-    return certify(terms, upper, None, (derivation, None, why))
-
-
 def twisted_rep_series(matrices: Callable[[int], np.ndarray],
                        matrix_model: Optional[TailModel],
                        sides: Callable[[int], int],
@@ -749,10 +751,16 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
     norms = np.array(norm_list)
     trans_terms, trans_bounds, translation = _translation(side_arr, side_model, side_values, x)
     twist = np.array(twist_terms)
-    twist_bounds = (0.5 * rank * l1_norm(x)) * side_arr * norms
+    l1 = l1_norm(x)
+    factor = 0.5 * rank * l1
+    twist_bounds = factor * side_arr * norms
     twist_bounds = np.where(twist_bounds < 2.0, twist_bounds, 2.0)
-    twist_verdict = _twist_verdict(twist, twist_bounds, side_arr, side_values, norms,
-                                   side_model, matrix_model, x)
+    if l1 == 0:
+        twist_verdict = certify(twist, ZERO, None, ("x = 0 twists nothing", None, None))
+    else:
+        mismatch = side_model and _ceil_mismatch(side_arr, side_values, side_model.relation)
+        twist_verdict = _majorant_verdict(twist, twist_bounds, side_model, mismatch, norms,
+                                          matrix_model, 1.0, factor, _TWIST_WORDS, rank=rank, l1=l1)
     return TwistedRepSeries(x, tuple(side_list), tuple(trans_terms.tolist()),
                             tuple(twist_terms), translation, twist_verdict,
                             tuple(trans_bounds.tolist()), tuple(twist_bounds.tolist()))
@@ -1153,37 +1161,13 @@ def dirichlet_condition(windows: Callable[[int], int],
     with np.errstate(over="ignore", invalid="ignore"):
         dev_bounds = 0.5 * (wins + 1).astype(float) * sizes
     dev_bounds = np.where(dev_bounds < 2.0, dev_bounds, 2.0)
-    deviation = _deviation_verdict(np.array(dev_terms), dev_bounds, sizes, window_model,
-                                   matched, angle_model)
+    deviation = _majorant_verdict(
+        np.array(dev_terms), dev_bounds, window_model,
+        None if matched else "window values do not match their declared model",
+        sizes, angle_model, 2.0, 0.5, _DEVIATION_WORDS)
     return DirichletReport(tuple(win_list), tuple(ang_list), tuple(dev_terms),
                            inverse, deviation, tuple(inverse_terms.tolist()),
                            tuple(dev_bounds.tolist()))
-
-
-def _deviation_verdict(terms: np.ndarray, bounds: np.ndarray,
-                       sizes: np.ndarray, window_model: Optional[TailModel],
-                       windows_matched: bool,
-                       angle_model: Optional[TailModel]) -> SeriesVerdict:
-    """``sizes`` are the angle sizes |theta_j|."""
-    with np.errstate(invalid="ignore"):
-        k = _first(terms > bounds + 1e-9)
-    if k is not None:
-        return inconclusive(terms, f"term {k + 1} escaped the chord bound")
-    if window_model is None or angle_model is None:
-        return inconclusive(terms, "deviation certification needs both declared models")
-    if not windows_matched:
-        return inconclusive(terms, "window values do not match their declared model")
-    mismatch = prefix_mismatch(sizes, model_values(angle_model, sizes.size),
-                               angle_model.relation,
-                               "angle {i} exceeds its declared size {v}")
-    if mismatch is not None:
-        return inconclusive(terms, mismatch)
-    upper, why = _product_majorant(window_model, 2.0, 0.5, angle_model)
-    derivation = upper and (
-        f"|1 - D(n_j, theta_j)| <= (n_j + 1) |theta_j| / 2 with "
-        f"n_j <= {_describe(window_model)} + 1 and "
-        f"|theta_j| <= {_describe(angle_model)}")
-    return certify(terms, upper, None, (derivation, None, why))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistlab
 from twistlab.cli import (
     CliError,
     main,
@@ -565,8 +567,9 @@ def test_csv_needs_a_series_output(capsys):
 
 
 def run_module(args):
+    src = str(Path(twistlab.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "twistlab", *args],
-                          capture_output=True, timeout=300)
+                          capture_output=True, env={"PYTHONPATH": src, "PATH": ""}, timeout=300)
 
 
 @pytest.mark.parametrize("argv", [

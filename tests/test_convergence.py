@@ -644,6 +644,34 @@ def test_twisted_rep_series_rejects_negative_sides():
         twisted_rep_series(mats, mmodel, lambda i: -1, None, (1, 0), n_max=2)
 
 
+def twist_part(exponent):
+    mats, mmodel = power_matrix_family(ROTATION, exponent)
+    sides, smodel = power_box_family(1.0, 2.0)
+    return twisted_rep_series(mats, mmodel, sides, smodel, (1, 0), n_max=6).twist
+
+
+def deviation_part(exponent):
+    return dirichlet_condition(lambda j: j ** 2, PowerModel(1.0, 2.0),
+                               lambda j: float(j) ** exponent,
+                               PowerModel(1.0, exponent, relation=MAJORANT), n_max=25).deviation
+
+
+@pytest.mark.parametrize("target, value, part, witness", [
+    ("box_twist_mean", 3.0, lambda: twist_part(-4.0), "term 1 escaped its proved envelope"),
+    ("dirichlet_value", -2.0, lambda: deviation_part(-4.0), "term 1 escaped the chord bound"),
+    # m_i a_i ~ i^2 * i^-1: the product majorant is not summable
+    (None, None, lambda: twist_part(-1.0), "declared models admit no summable envelope"),
+    (None, None, lambda: deviation_part(-1.0), "declared models admit no summable envelope"),
+])
+def test_product_majorant_parts_name_their_witness(monkeypatch, target, value, part, witness):
+    assert part().verdict == (INCONCLUSIVE if target is None else PROVED_CONVERGENT)
+    if target is not None:
+        monkeypatch.setattr(convergence, target, lambda *args, **kwargs: value)
+    verdict = part()
+    assert verdict.verdict == INCONCLUSIVE
+    assert verdict.witness == witness
+
+
 def test_translation_series_wrapper():
     terms, verdict = translation_series([1, 4, 9, 16], PowerModel(1.0, 2.0), (1,))
     assert terms == box_defect_terms([1, 4, 9, 16], (1,))

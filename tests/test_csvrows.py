@@ -163,6 +163,11 @@ def test_render_csv_matches_the_format_loop_across_block_edges(n):
     text = cli.render_csv({"n": n}, terms, bounds)
     assert text == oracle_render_csv({"n": n}, terms, bounds)
     assert text.count("\n") == n + 2
+    dense = terms[: n - n // 3] * 2  # float bounds with NaN (index 2) and inf (index 3)
+    dense[3:4] = math.inf
+    want = oracle_render_csv({"n": n}, terms, dense.tolist())
+    assert cli.render_csv({"n": n}, terms, dense) == want
+    assert cli.render_csv({"n": n}, terms, tuple(dense.tolist())) == want
 
 
 # --- the per-cell fallback ----------------------------------------------------

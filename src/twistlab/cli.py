@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice, product
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -45,7 +45,6 @@ from .actions import (
 from .cocycles import (
     CoboundaryCocycle,
     Cocycle,
-    ConstructionError,
     MatrixBilinear,
     MatrixCocycle,
     ProductCocycle,
@@ -88,7 +87,6 @@ from .groups import (
     FiniteAbelianGroup,
     FolnerBox,
     Group,
-    GroupMismatchError,
     IntegerLattice,
     SupNormExhaustion,
     l1_norm,
@@ -109,7 +107,6 @@ from .series import (
     MAJORANT,
     ExplicitModel,
     GeometricModel,
-    InvalidInnerProductError,
     PowerModel,
     TailModel,
     horizon,
@@ -569,8 +566,7 @@ class RunContext:
     horizons: dict = field(default_factory=dict)
 
     def _horizon(self, key: str, default: int) -> int:
-        self.horizons.setdefault(key, default)
-        return _as_int(self.horizons[key], f"horizons.{key}", minimum=1)
+        return self.horizons.setdefault(key, default)
 
     def n_max(self, default: int) -> int:
         return self._horizon("n_max", default)
@@ -598,17 +594,6 @@ class HandlerOutput:
 
 def _head(seq: Sequence, n: int = HEAD_LENGTH) -> list:
     return list(seq[:n])
-
-
-def _verdict_dict(v) -> dict:
-    return {
-        "partial_sum": v.partial_sum,
-        "tail_bound": v.tail_bound,
-        "tail_derivation": v.tail_derivation,
-        "terms_evaluated": v.terms_evaluated,
-        "verdict": v.verdict,
-        "witness": v.witness,
-    }
 
 
 def _samples_block(params: dict, ctx_name: str) -> tuple[int, int]:
@@ -732,9 +717,9 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
             "kind": "boxes",
             "sides_head": _head(rep.sides),
             "tail_bound": rep.tail_bound,
-            "translation": _verdict_dict(rep.translation),
+            "translation": asdict(rep.translation),
             "translation_head": _head(rep.translation_terms),
-            "twist": _verdict_dict(rep.twist),
+            "twist": asdict(rep.twist),
             "twist_head": _head(rep.twist_terms),
             "x": list(x),
         }
@@ -759,7 +744,7 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
         else:
             terms, verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol,
                                                   declared=declared)
-        result["series"] = _verdict_dict(verdict)
+        result["series"] = asdict(verdict)
         result["terms_head"] = _head(terms)
         return HandlerOutput(result, {"terms": (terms, declared)}, default_series="terms")
     raise _schema_error(f"params.kind must be boxes, product or inner, got {kind!r}")
@@ -798,8 +783,7 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
     thr = [s.threshold for s in report.steps]
     result = {
         "indices": list(report.indices),
-        "steps": [{"index": s.index, "step": s.step, "sup": s.sup,
-                   "threshold": s.threshold} for s in report.steps],
+        "steps": [asdict(s) for s in report.steps],
         "threshold_sum": report.threshold_sum,
     }
     return HandlerOutput(result, {"sups": (sups, list(thr))}, default_series="sups")
@@ -812,9 +796,7 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
     crit = lattice_tensor_criteria(side_model, matrix_model,
                                    n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
     result = {
-        "clauses": [{"holds": c.holds, "name": c.name, "reason": c.reason,
-                     "series": _verdict_dict(c.series) if c.series else None}
-                    for c in crit.clauses],
+        "clauses": [asdict(c) for c in crit.clauses],
         "series_heads": {"norms": _head(crit.norms), "sigma": _head(crit.sigma_terms),
                          "weighted": _head(crit.weighted_terms)},
         "tensor_exists": crit.tensor_exists,
@@ -826,7 +808,7 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
     }
     if "x" in params:
         at = crit.at(parse_int_list(params["x"], "params.x"))
-        result["translation"] = _verdict_dict(at.translation) if at.translation else None
+        result["translation"] = asdict(at.translation) if at.translation else None
         result["translation_head"] = _head(at.translation_terms)
         result["twist_factor"] = at.twist_factor
         result["twist_majorant_head"] = _head(at.twist_majorant)
@@ -846,9 +828,9 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     result = {
         "angles_head": _head(report.angles),
         "conclusion": report.conclusion,
-        "deviation": _verdict_dict(report.deviation),
+        "deviation": asdict(report.deviation),
         "deviation_head": _head(report.deviation_terms),
-        "inverse_window": _verdict_dict(report.inverse_window),
+        "inverse_window": asdict(report.inverse_window),
         "windows_head": _head(report.windows),
     }
     tables = {
@@ -936,14 +918,10 @@ def _run_fell(params: dict, ctx: RunContext) -> HandlerOutput:
           and report.max_spectral_distance <= ctx.tol
           and report.intertwiner_unitarity <= ctx.tol)
     return HandlerOutput(result={
-        "group_order": report.group_order,
-        "intertwiner_unitarity": report.intertwiner_unitarity,
-        "max_residual": report.max_residual,
-        "max_spectral_distance": report.max_spectral_distance,
+        **asdict(report),
         "pass": bool(ok),
         "per_element": [{"residual": r, "spectral_distance": s, "x": list(x)}
                         for x, r, s in report.per_element],
-        "rep_dimension": report.rep_dimension,
         "tol": ctx.tol,
     })
 
@@ -1021,7 +999,7 @@ def _run_action(params: dict, ctx: RunContext) -> HandlerOutput:
             terms = deficit_terms(scenario, g, n)
         tables[f"deficit:{_element_key(g)}"] = (terms, None)
         reports.append({"g": list(g), "terms_head": _head(terms),
-                        "verdict": _verdict_dict(v)})
+                        "verdict": asdict(v)})
     default = f"deficit:{_element_key(verdict.reports[0][0])}"
     result = {
         "kind": scenario.kind,
@@ -1043,15 +1021,7 @@ def _run_obstruction(params: dict, ctx: RunContext) -> HandlerOutput:
     else:
         classes = parse_cocycle(raw, "params.u")
     v = parse_cocycle(params["v"], "params.v") if "v" in params else None
-    report = cohomological_obstruction(classes, v, tol=ctx.tol)
-    witness = None
-    if report.witness is not None:
-        witness = [list(report.witness[0]), list(report.witness[1])]
-    return HandlerOutput(result={
-        "detail": report.detail,
-        "status": report.status,
-        "witness": witness,
-    })
+    return HandlerOutput(result=asdict(cohomological_obstruction(classes, v, tol=ctx.tol)))
 
 
 _HANDLERS: dict[str, Callable[[dict, RunContext], HandlerOutput]] = {
@@ -1154,10 +1124,7 @@ def run_scenario(doc: dict, command: str) -> str:
         out = handler(params, ctx)
     except DimensionCapError as exc:
         raise CliError(2, f"cap exceeded: {exc}") from None
-    except (ConstructionError, GroupMismatchError, InvalidInnerProductError,
-            UnsupportedVariantError, ValueError, KeyError, OverflowError) as exc:
-        if isinstance(exc, CliError):
-            raise
+    except (ValueError, KeyError, OverflowError, UnsupportedVariantError) as exc:
         raise CliError(2, f"invalid scenario: {exc}") from None
 
     resolved = {

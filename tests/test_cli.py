@@ -441,6 +441,25 @@ def test_obstruction_rejects_non_bicharacter_reference(tmp_path, capsys):
     assert "invalid scenario" in err
 
 
+@pytest.mark.parametrize("command,params,horizons,message", [
+    # UnsupportedVariantError, the one TypeError the boundary catches.
+    ("obstruction", {"u": {"coboundary": {"epsilon": 0.3, "group": "Z2xZ2"}}}, {},
+     "invalid scenario: coboundary test supports bicharacter variants only, "
+     "got CoboundaryCocycle"),
+    # OverflowError: the rest of the message is the platform's strerror text.
+    ("dirichlet", {"windows": "power:c=1,p=1", "angles": "geometric:c=1,r=10"},
+     {"n_max": 400}, "invalid scenario: "),
+    ("ccr", {"sigma": {"matrix": "0.1,0;0,0.1"}, "window": {"side": 64}}, {},
+     "cap exceeded: b side dimension 4225 exceeds cap 4096"),
+])
+def test_run_scenario_error_boundary_exits_2(command, params, horizons, message):
+    doc = {"schema": 1, "command": command, "params": params, "horizons": horizons}
+    with pytest.raises(CliError) as info:
+        run_scenario(doc, command)
+    assert info.value.code == 2
+    assert info.value.message.startswith(message)
+
+
 # --- scenario files, validation and overrides ---
 
 

@@ -648,11 +648,11 @@ def _run_folner(params: dict, ctx: RunContext) -> HandlerOutput:
     box = FolnerBox(rank, side, offset)
     overlap = box.overlap(x)
     cardinality = box.cardinality()
-    defect = box_defect(FolnerBox(rank, side), x)
+    defect = box_defect(box, x)
     bound = min(1.0, l1_norm(x) / (side + 1))
     zero_offset = offset is None or all(c == 0 for c in offset)
     return HandlerOutput(result={
-        "bound_holds": bool(defect <= bound + 1e-12),
+        "bound_holds": defect <= bound,
         "cardinality": cardinality,
         "defect": defect,
         "defect_bound": bound,
@@ -1257,6 +1257,9 @@ def _build_ccr(args: argparse.Namespace) -> dict:
     return params
 
 
+_NAMED_COCYCLE_GROUP = {"pauli": "Z2xZ2", "sign_z2": "Z2"}
+
+
 def _build_fell(args: argparse.Namespace) -> dict:
     if args.u_name is None:
         raise _schema_error("fell needs --u-name (general cocycles need a "
@@ -1266,8 +1269,7 @@ def _build_fell(args: argparse.Namespace) -> dict:
     if rep_kind == "pauli":
         rep_desc: dict[str, Any] = {"name": "pauli"}
     elif rep_kind == "regular":
-        group = "Z2xZ2" if args.u_name == "pauli" else "Z2"
-        rep_desc = {"regular": {"cocycle": u_desc, "group": group}}
+        rep_desc = {"regular": {"cocycle": u_desc, "group": _NAMED_COCYCLE_GROUP[args.u_name]}}
     else:
         raise _schema_error(f"fell --rep-name must be pauli or regular, "
                             f"got {rep_kind!r}")
@@ -1298,9 +1300,6 @@ def _build_action(args: argparse.Namespace) -> dict:
         raise _schema_error("action needs --trace-group or --trace-rep "
                             "(explicit amplitude tables need a scenario file)")
     return {"elements": elements, "source": source}
-
-
-_NAMED_COCYCLE_GROUP = {"pauli": "Z2xZ2", "sign_z2": "Z2"}
 
 
 def _build_obstruction(args: argparse.Namespace) -> dict:

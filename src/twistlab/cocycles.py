@@ -275,8 +275,7 @@ def _is_bicharacter_table(u: TableCocycle, tol: float = 1e-9) -> Optional[bool]:
     return True
 
 
-def coboundary_test(u: Cocycle, samples: Sequence[tuple[Element, Element]] = (),
-                    tol: float = 1e-9) -> CoboundaryVerdict:
+def coboundary_test(u: Cocycle, tol: float = 1e-9) -> CoboundaryVerdict:
     """Decide whether a bicharacter cocycle is a coboundary.
 
     Ground truth: a bicharacter on a finitely generated abelian group is a
@@ -297,9 +296,6 @@ def coboundary_test(u: Cocycle, samples: Sequence[tuple[Element, Element]] = (),
             f"coboundary test supports bicharacter variants only, got {type(u).__name__}")
 
     kappa = commutator_bicharacter(u)
-    for x, y in samples:
-        if abs(kappa.value(x, y) - 1.0) > tol:
-            return CoboundaryVerdict(NOT_COBOUNDARY, witness=(x, y))
     gens = u.group.generators()
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:

@@ -859,20 +859,15 @@ class BoxCriteria:
         x = tuple(int(c) for c in x)
         factor = 0.5 * len(x) * l1_norm(x)
         sides, norms = self.sides, self.norms
-        overflowed = np.isinf(sides)
-        terms = np.zeros(sides.size)
-        terms[~overflowed] = _box_defects(sides[~overflowed], x)
+        ok = ~np.isinf(sides)
+        terms, bounds = np.zeros(sides.size), np.zeros(sides.size)
+        terms[ok], bounds[ok], translation = _translation(sides[ok], self.side_model,
+                                                          self.side_values[ok], x)
         with np.errstate(over="ignore", invalid="ignore"):
             majorant = np.where(norms == 0.0, 0.0,
-                                np.where(overflowed, math.inf, factor * sides * norms))
-            # the float sides round m + 1 here, unlike the exact ratios of the check
-            bounds = float(l1_norm(x)) / (sides + 1.0)
-        bounds = np.where(bounds < 1.0, bounds, 1.0)
-        translation = None
-        if not overflowed.any():
-            translation = _translation_verdict(terms, bounds, sides, self.side_model,
-                                               self.side_values, x)
-        return CriteriaAt(x, factor, terms, bounds, majorant, translation)
+                                np.where(ok, factor * sides * norms, math.inf))
+        return CriteriaAt(x, factor, terms, bounds, majorant,
+                          translation if ok.all() else None)
 
 
 def _folner_clause(model: TailModel) -> ClauseReport:

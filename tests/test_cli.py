@@ -261,6 +261,32 @@ def test_dirichlet_window_overflow_exits_2_naming_the_window(capsys):
     assert "window 1 is too large" in err and "float range" in err
 
 
+@pytest.mark.parametrize("windows,angles,message", [
+    # both overflow at index 309; the window check comes first
+    ("geometric:c=0.5,r=10", "geometric:c=1,r=10", "window model overflows at index 309"),
+    # the angle overflows first, at 302; the rest of the message is strerror text
+    ("geometric:c=0.5,r=10", "geometric:c=1,r=10.5", "invalid scenario: "),
+    ("geometric:c=1,r=10", "geometric:c=1,r=10", "window 308 is too large"),
+])
+def test_dirichlet_reports_the_first_failing_index(capsys, windows, angles, message):
+    code, out, err = run_cli(capsys, ["dirichlet", "--windows", windows, "--angles", angles,
+                                      "--n-max", "400"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    if "window" not in message:
+        assert "window" not in err
+
+
+def test_prop42_translation_bound_dominates_its_term_past_2_53(capsys):
+    code, out, err = run_cli(capsys, ["prop42", "--m", "explicit:9007199254740994",
+                                      "--a", "power:c=1,p=-3", "--x", "1",
+                                      "--format", "csv", "--series", "translation"])
+    assert code == 0, err
+    _, term, _, bound = out.splitlines()[2].split(",")
+    assert float(bound) >= float(term)
+
+
 def test_dirichlet_value_only_overflow_exits_2(capsys):
     code, out, err = run_cli(capsys, ["dirichlet", "--n", str(10 ** 400), "--theta", "0.5",
                                       "--value-only"])

@@ -337,10 +337,20 @@ def test_criteria_at_matches_the_per_index_formulas(sides, x):
     assert bits(at.translation_terms) == bits(
         [0.0 if math.isinf(m) else box_defect(FolnerBox(len(x), int(m)), x) for m in ceil])
     assert bits(at.translation_bounds) == bits(
-        [min(1.0, sum(abs(c) for c in x) / (m + 1)) for m in ceil])
+        [0.0 if math.isinf(m) else box_defect(FolnerBox(1, int(m)), (sum(map(abs, x)),)) for m in ceil])
     assert bits(at.twist_majorant) == bits(
         [0.0 if a == 0.0 else math.inf if math.isinf(m) else factor * m * a
          for m, a in zip(ceil, norms)])
+
+
+def test_criteria_at_bounds_are_exact_past_2_53():
+    """Past 2^53 the bound |x|_1 / (m + 1) is the exact ratio rounded once,
+    so it never falls below a defect it must dominate."""
+    sides = ExplicitModel(tuple(2 ** 53 + k for k in range(0, 200, 2)))
+    crit = lattice_tensor_criteria(sides, PowerModel(1.0, -3.0), n_max=100)
+    at = crit.at((1,))
+    assert bits(at.translation_bounds) == bits(_box_defects(crit.sides, (1,)))
+    assert (at.translation_terms <= at.translation_bounds).all()
 
 
 # --- complex moduli and spectral matching -----------------------------------

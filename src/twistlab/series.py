@@ -127,8 +127,10 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
     """Upper bound for sum_{i>n} coeff * i**exponent * ratio**i, exponent >= 0, ratio < 1.
 
     Successive term ratios (1 + 1/i)**exponent * ratio decrease in i; once
-    they drop below 1 at some index n0 the tail telescopes geometrically,
-    and the finitely many terms between n and n0 are added in closed form.
+    they drop below 1 at some index n0 the tail telescopes geometrically.
+    The terms between n and n0 are walked once and added left to right, so
+    the bound has the same bits on every Python (builtin ``sum`` compensates
+    float additions from 3.12 on).  Takes n >= 0.
     """
     if exponent < 0:
         raise ValueError("use power_tail for decaying exponents")
@@ -136,19 +138,12 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
         raise ValueError("ratio must lie in [0, 1)")
     if coeff == 0.0 or ratio == 0.0:
         return 0.0
-
-    def term(i: int) -> float:
-        return coeff * float(i) ** exponent * ratio ** i
-
-    def step_ratio(i: int) -> float:
-        return (1.0 + 1.0 / i) ** exponent * ratio
-
-    n0 = max(n, 1)
-    while step_ratio(n0) >= 1.0:
-        n0 += 1
-    head = sum(term(i) for i in range(n + 1, n0 + 1))
-    r = step_ratio(n0)
-    return head + term(n0 + 1) / (1.0 - r)
+    i = max(n, 1)
+    head = 0 if n > 0 else coeff * ratio  # the term at i = 1
+    while (step := (1.0 + 1.0 / i) ** exponent * ratio) >= 1.0:
+        i += 1
+        head += coeff * float(i) ** exponent * ratio ** i
+    return head + coeff * float(i + 1) ** exponent * ratio ** (i + 1) / (1.0 - step)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +217,12 @@ class Envelope:
         """One-term majorant (sum c) * i^(max q) * (max r)^i of an upper envelope."""
         if self.relation == MINORANT:
             return None
-        return Envelope(((sum(c for c, _, _ in self.terms),
+        return Envelope(((math.fsum(c for c, _, _ in self.terms),
                           max(q for _, q, _ in self.terms),
                           max(r for _, _, r in self.terms)),), MAJORANT)
 
     def value(self, i: int) -> float:
-        return sum(c * float(i) ** q * r ** i for c, q, r in self.terms)
+        return math.fsum(c * float(i) ** q * r ** i for c, q, r in self.terms)
 
     @property
     def vanishes(self) -> bool:

@@ -453,6 +453,16 @@ def test_obstruction_scenario_class_list(tmp_path, capsys):
     assert "must not be an empty list" in err
 
 
+def test_obstruction_past_the_exhaustive_order_is_inconclusive(tmp_path, capsys):
+    path = tmp_path / "z9.json"
+    path.write_text(json.dumps({"schema": 1, "command": "obstruction",
+                                "params": {"u": {"trivial": "Z9xZ9"}}}))
+    res = run_json(capsys, ["obstruction", "--scenario", str(path)])["result"]
+    assert res["status"] == "Inconclusive"
+    assert res["detail"] == "group too large for exhaustive bicharacter certification"
+    assert res["witness"] is None
+
+
 def test_obstruction_rejects_non_bicharacter_reference(tmp_path, capsys):
     doc = {
         "schema": 1,

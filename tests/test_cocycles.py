@@ -250,6 +250,15 @@ def test_coboundary_test_rejects_product_variants():
         coboundary_test(u)
 
 
+def test_coboundary_test_rejects_a_table_that_is_not_a_bicharacter():
+    z4 = FiniteAbelianGroup((4,))
+    table = TableCocycle.from_function(
+        z4, CoboundaryCocycle(z4, quadratic_phase(0.3, z4)).value)
+    with pytest.raises(UnsupportedVariantError,
+                       match="table cocycle is not a bicharacter; coboundary test does not apply"):
+        coboundary_test(table)
+
+
 def test_perturb_by_character_changes_nothing():
     # Characters are additive in the exponent, so d rho is identically 1.
     g = IntegerLattice(1)

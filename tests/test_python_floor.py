@@ -1,4 +1,5 @@
-"""Every library module parses under the oldest Python that pyproject.toml admits."""
+"""Every library module parses under the oldest Python that pyproject.toml admits,
+and the certificate modules add floats the same way on every Python."""
 
 import ast
 import re
@@ -22,3 +23,14 @@ def test_the_floor_parser_rejects_newer_syntax():
     newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("name", ["series.py", "convergence.py"])
+def test_certificate_modules_never_call_builtin_sum(name):
+    # From 3.12 on builtin sum compensates float additions, so its bits depend
+    # on the interpreter; these modules add left to right or call math.fsum.
+    path = ROOT / "src" / "twistlab" / name
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == [], f"{name} calls builtin sum on lines {calls}"

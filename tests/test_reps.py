@@ -111,6 +111,16 @@ def test_regular_rep_dimension_cap():
         regular_rep_matrix(trivial_cocycle(g), g, (0, 0), cap=24)
 
 
+def test_regular_rep_refuses_infinite_groups_caps_and_mismatches():
+    z2, z3, z5 = (FiniteAbelianGroup((k,)) for k in (2, 3, 5))
+    with pytest.raises(GroupMismatchError, match="dense regular representation needs a finite group"):
+        regular_rep(trivial_cocycle(IntegerLattice(1)), IntegerLattice(1))
+    with pytest.raises(DimensionCapError, match="group order 5 exceeds cap 4"):
+        regular_rep(trivial_cocycle(z5), z5, cap=4)
+    with pytest.raises(GroupMismatchError, match="cocycle and group disagree"):
+        regular_rep_matrix(trivial_cocycle(z2), z3, (0,))
+
+
 def test_relation_check_needs_pairs_beyond_small_orders():
     g = FiniteAbelianGroup((3, 3, 3, 3))
     rep = regular_rep(trivial_cocycle(g), g)

@@ -1,6 +1,7 @@
 """Verdict logic and tail-bound soundness for the series layer."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,31 @@ def test_poly_geometric_soundness_fuzz(c, e, r, n):
     bound = poly_geometric_tail(c, e, r, n)
     sampled_tail = sum(c * i ** e * r ** i for i in range(n + 1, n + 2000))
     assert bound + 1e-12 >= sampled_tail
+
+
+def _two_pass_tail(c, q, r, n):
+    """The tail as two walks: find the turning index, then add the head left to right."""
+    n0 = max(n, 1)
+    while (1.0 + 1.0 / n0) ** q * r >= 1.0:
+        n0 += 1
+    head = 0
+    for i in range(n + 1, n0 + 1):
+        head += c * float(i) ** q * r ** i
+    return head + c * float(n0 + 1) ** q * r ** (n0 + 1) / (1.0 - (1.0 + 1.0 / n0) ** q * r)
+
+
+def test_poly_geometric_tail_matches_the_two_pass_walk_bit_for_bit():
+    rng = random.Random(2)
+    cases = [(10.0 ** rng.uniform(-300, 300), rng.choice([0.0, 1.0, 2.5, rng.uniform(0.0, 4.0)]),
+              1.0 - 10.0 ** -rng.uniform(0.01, 3.0), rng.choice([0, 1, 2, rng.randint(1, 500)]))
+             for _ in range(300)]
+    # heads of more than 10^4 terms
+    cases += [(c, q, 1.0 - 1e-4, 20_000) for c, q in ((1.0, 4.0), (3.7, 3.5), (1e-200, 4.2))]
+    cases += [(2.0, 0.0, 0.5, 0), (1.5, 3.0, 0.999, 0)]
+    for c, q, r, n in cases:
+        assert poly_geometric_tail(c, q, r, n).hex() == _two_pass_tail(c, q, r, n).hex(), (c, q, r, n)
+    drift = poly_geometric_tail(9.79576180583024, 2.6583125757241723, 0.999594858783141, 1070)
+    assert drift.hex() == (4.072984774907609e+17).hex()
 
 
 # --- compensated summation ---

@@ -822,8 +822,7 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("angles", "windows"))
     window_model = parse_model(params["windows"], "params.windows")
     angle_fn, angle_model = parse_signed_family(params["angles"], "params.angles")
-    report = dirichlet_condition(ceil_schedule(window_model, "window"), window_model,
-                                 angle_fn, angle_model,
+    report = dirichlet_condition(None, window_model, angle_fn, angle_model,
                                  n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
     result = {
         "angles_head": _head(report.angles),
@@ -1199,8 +1198,16 @@ def _build_folner(args: argparse.Namespace) -> dict:
     return _flag_params(args, "folner", ("rank", "side", "x"), ("offset",))
 
 
+_BOX_FLAGS = ("x", "matrix", "sides", "family", "ratio", "exponent")
+_SCALAR_FLAGS = ("angles", "model")
+
+
 def _build_converge(args: argparse.Namespace) -> dict:
     kind = args.kind or "boxes"
+    others = _SCALAR_FLAGS if kind == "boxes" else _BOX_FLAGS
+    unread = [f"--{k}" for k in others if getattr(args, k) is not None]
+    if unread:
+        raise _schema_error(f"converge {kind} does not read {', '.join(unread)}")
     if kind == "boxes":
         if args.x is None or args.matrix is None or args.sides is None:
             raise _schema_error("converge boxes needs --x, --matrix and --sides")

@@ -464,14 +464,13 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
 
 def ceil_schedule(model: TailModel, what: str) -> Callable[[int], int]:
     """Integer sides (or windows) m_i = ceil(v_i) of the declared values v_i."""
+    return lambda i: _ceil_value(model.value(i), what, i)
 
-    def fn(i: int) -> int:
-        v = model.value(i)
-        if not math.isfinite(v):
-            raise ConstructionError(f"{what} model overflows at index {i}")
-        return math.ceil(v)
 
-    return fn
+def _ceil_value(v: float, what: str, i: int) -> int:
+    if not math.isfinite(v):
+        raise ConstructionError(f"{what} model overflows at index {i}")
+    return math.ceil(v)
 
 
 def power_box_family(coeff: float, exponent: float) -> tuple[Callable[[int], int], PowerModel]:
@@ -1108,7 +1107,7 @@ class DirichletReport:
         return _conclusion(self.inverse_window, self.deviation)
 
 
-def dirichlet_condition(windows: Callable[[int], int],
+def dirichlet_condition(windows: Optional[Callable[[int], int]],
                         window_model: Optional[TailModel],
                         angles: Callable[[int], float],
                         angle_model: Optional[TailModel],
@@ -1120,11 +1119,17 @@ def dirichlet_condition(windows: Callable[[int], int],
     upper envelope on both the windows and the angle sizes.  Divergence of
     the deviation series is never claimed: the Dirichlet mean oscillates and
     admits no useful minorant.  An explicit model stops the horizon at the
-    end of its prefix.
+    end of its prefix.  ``windows=None`` takes n_j = ceil(v_j) from the
+    window model's values v_j, read once for the windows and the certificate.
     """
     if n_max < 1:
         raise ValueError("need at least one index")
     n_max = horizon(n_max, window_model, angle_model)
+    window_values = model_values(window_model, n_max) if window_model is not None else None
+    if windows is None:
+        if window_values is None:
+            raise ValueError("windows need a schedule or a window model")
+        windows = lambda j: _ceil_value(window_values[j - 1], "window", j)
     win_list = []
     ang_list = []
     dev_terms = []
@@ -1142,7 +1147,6 @@ def dirichlet_condition(windows: Callable[[int], int],
     # Exact integers: w + 1 is formed before it is rounded to a float.
     wins = np.array(win_list, dtype=object)
     inverse_terms = 1.0 / wins.astype(float)
-    window_values = model_values(window_model, n_max) if window_model is not None else None
     matched = window_model is not None and _ceil_mismatch(
         wins, window_values, window_model.relation) is None
     if matched:

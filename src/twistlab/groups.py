@@ -1,8 +1,10 @@
 """Lattice points, finite abelian groups, boxes and exhaustions.
 
 Elements are plain tuples of Python ints; group objects own the
-arithmetic, the enumeration order and membership checks.  All box
-combinatorics run in exact integer arithmetic.
+arithmetic, the enumeration order and membership checks.  A finite group
+also adds and negates element indices (positions in its enumeration) as
+arrays, from cached mixed-radix tables.  All box combinatorics run in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -92,6 +94,22 @@ def _index_of(moduli: tuple[int, ...]) -> dict[Element, int]:
     return {x: i for i, x in enumerate(_enumerated(moduli))}
 
 
+@lru_cache(maxsize=None)
+def _digits(moduli: tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix digits: row a holds coordinate a of every element, in enumeration order."""
+    digits = np.indices(moduli).reshape(len(moduli), -1)
+    digits.setflags(write=False)
+    return digits
+
+
+@lru_cache(maxsize=None)
+def _negation(moduli: tuple[int, ...]) -> np.ndarray:
+    """Index of -x for each element index of x."""
+    neg = np.ravel_multi_index(-_digits(moduli), moduli, mode="wrap")
+    neg.setflags(write=False)
+    return neg
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Z_{k1} x ... x Z_{kN} with residue tuples (0 <= x_j < k_j) as elements.
@@ -156,6 +174,17 @@ class FiniteAbelianGroup:
             return _index_of(self.moduli)[x]
         except KeyError:
             raise GroupMismatchError(f"{x!r} is not an element of {self}") from None
+
+    def add_indices(self, i, j) -> np.ndarray:
+        """Index of x + y for index arrays i of x and j of y (they broadcast)."""
+        out = 0
+        for digits, k in zip(_digits(self.moduli), self.moduli):
+            out = out * k + (digits[i] + digits[j]) % k
+        return out
+
+    def neg_indices(self, i) -> np.ndarray:
+        """Index of -x for an index array i of x."""
+        return _negation(self.moduli)[i]
 
     def generators(self) -> tuple[Element, ...]:
         n = self.rank

@@ -51,7 +51,11 @@ def unitarity_residual(m: np.ndarray) -> float:
 
 def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element,
                        cap: int = DIMENSION_CAP) -> np.ndarray:
-    """Dense matrix of lambda_u(x) in the fixed element basis."""
+    """Dense matrix of lambda_u(x) in the fixed element basis.
+
+    Column g holds u(-(x + g), x) in row x + g: one scatter from the group's
+    index tables, with one ``value`` call per column in column order.
+    """
     if not isinstance(group, FiniteAbelianGroup):
         raise GroupMismatchError("dense regular representation needs a finite group")
     if u.group != group:
@@ -59,13 +63,42 @@ def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element,
     n = group.order
     if n > cap:
         raise DimensionCapError(f"group order {n} exceeds cap {cap}")
-    x = group.require(x)
+    cols = np.arange(n)
+    rows = group.add_indices(group.index(group.require(x)), cols)
+    els = group.elements()
     mat = np.zeros((n, n), dtype=complex)
-    for j, g in enumerate(group.elements()):
-        tgt = group.add(x, g)
-        mat[group.index(tgt), j] = u.value(group.neg(tgt), x)
+    mat[rows, cols] = [u.value(els[k], x) for k in group.neg_indices(rows).tolist()]
     mat.setflags(write=False)
     return mat
+
+
+# Bytes of dense matrices one representation keeps.  A matrix that does not
+# fit is built again on every call, so memory stays bounded for large groups.
+MATRIX_CACHE_BYTES = 1 << 25
+
+
+def _cached_matrices(group: FiniteAbelianGroup,
+                     build: Callable[[Element], np.ndarray]) -> Callable[[Element], np.ndarray]:
+    """x -> build(x) for group elements x, kept per element while the budget lasts.
+
+    Every matrix is read only, since callers share the kept ones.
+    """
+    cache: dict[Element, np.ndarray] = {}
+    kept = 0
+
+    def matrix(x: Element) -> np.ndarray:
+        nonlocal kept
+        x = group.require(x)
+        mat = cache.get(x)
+        if mat is None:
+            mat = build(x)
+            mat.setflags(write=False)
+            if kept + mat.nbytes <= MATRIX_CACHE_BYTES:
+                cache[x] = mat
+                kept += mat.nbytes
+        return mat
+
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -85,15 +118,8 @@ def regular_rep(u: Cocycle, group: FiniteAbelianGroup, cap: int = DIMENSION_CAP)
         raise GroupMismatchError("cocycle and group disagree")
     if group.order > cap:
         raise DimensionCapError(f"group order {group.order} exceeds cap {cap}")
-    cache: dict[Element, np.ndarray] = {}
-
-    def mat(x: Element) -> np.ndarray:
-        x = group.require(x)
-        if x not in cache:
-            cache[x] = regular_rep_matrix(u, group, x, cap=cap)
-        return cache[x]
-
-    return ProjectiveRep(group, u, mat, group.order)
+    return ProjectiveRep(group, u, _cached_matrices(
+        group, lambda x: regular_rep_matrix(u, group, x, cap=cap)), group.order)
 
 
 def pauli_rep() -> ProjectiveRep:
@@ -146,13 +172,14 @@ def tensor_rep(reps: Sequence[ProjectiveRep], cap: int = DIMENSION_CAP) -> Proje
     if dim > cap:
         raise DimensionCapError(f"tensor dimension {dim} exceeds cap {cap}")
 
-    def mat(x: Element) -> np.ndarray:
+    def build(x: Element) -> np.ndarray:
         out = reps[0].matrix(x)
         for r in reps[1:]:
             out = np.kron(out, r.matrix(x))
         return out
 
-    return ProjectiveRep(g, ProductCocycle([r.cocycle for r in reps]), mat, dim)
+    return ProjectiveRep(g, ProductCocycle([r.cocycle for r in reps]),
+                         _cached_matrices(g, build), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +442,10 @@ def ccr_to_projective(pair: CCRPair) -> ProjectiveRep:
     u = BilinearCocycle(sigma)
     p = sigma.a_group.rank
 
-    def mat(x: Element) -> np.ndarray:
-        x = u.group.require(x)
+    def build(x: Element) -> np.ndarray:
         return pair.phases(x[:p])[:, None] * pair.shift(x[p:])  # the rows of shift(b) scaled
 
-    return ProjectiveRep(u.group, u, mat, pair.dimension)
+    return ProjectiveRep(u.group, u, _cached_matrices(u.group, build), pair.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,11 @@ def power_tail(coeff: float, exponent: float, n: int) -> float:
 
 
 def geometric_tail(coeff: float, ratio: float, n: int) -> float:
-    """sum_{i>n} coeff * ratio**i = coeff * ratio**(n+1) / (1 - ratio) for ratio < 1."""
+    """sum_{i>n} coeff * ratio**i = coeff * ratio**(n+1) / (1 - ratio) for ratio < 1, n >= 0."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError("geometric tail needs ratio in [0, 1)")
+    if n < 0:
+        raise ValueError("tail starts after at least zero terms")
     return coeff * ratio ** (n + 1) / (1.0 - ratio)
 
 
@@ -136,6 +138,8 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
         raise ValueError("use power_tail for decaying exponents")
     if not 0.0 <= ratio < 1.0:
         raise ValueError("ratio must lie in [0, 1)")
+    if n < 0:
+        raise ValueError("tail starts after at least zero terms")
     if coeff == 0.0 or ratio == 0.0:
         return 0.0
     i = max(n, 1)

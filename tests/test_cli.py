@@ -215,6 +215,46 @@ def test_converge_product_reports_complex_partial_product(capsys):
     assert abs(complex(pp["re"], pp["im"])) == pytest.approx(1.0, abs=1e-9)
 
 
+_BOX_FLAGS = ["--x", "1,0", "--matrix", "0,1;-1,0", "--sides", "power:c=1,p=2"]
+
+
+@pytest.mark.parametrize("kind", ["product", "inner"])
+@pytest.mark.parametrize("extra,named", [
+    (["--x", "1,0", "--matrix", "0,1;-1,0"], "--x, --matrix"),
+    (["--sides", "power:c=1,p=2"], "--sides"),
+    (["--family", "power", "--exponent", "-2"], "--family, --exponent"),
+    (["--ratio", "0.3"], "--ratio"),
+])
+def test_converge_scalar_kinds_refuse_box_flags(capsys, kind, extra, named):
+    code, out, err = run_cli(capsys, ["converge", "--kind", kind, *extra,
+                                      "--angles", "power:c=1,p=-2", "--n-max", "20"])
+    assert code == 2
+    assert out == ""
+    assert f"converge {kind} does not read {named}" in err
+
+
+@pytest.mark.parametrize("kind", [[], ["--kind", "boxes"]])
+@pytest.mark.parametrize("extra,named", [
+    (["--angles", "power:c=1,p=-2"], "--angles"),
+    (["--model", "power:c=1,p=-2"], "--model"),
+    (["--angles", "power:c=1,p=-2", "--model", "power:c=1,p=-2"], "--angles, --model"),
+])
+def test_converge_boxes_refuses_scalar_flags(capsys, kind, extra, named):
+    code, out, err = run_cli(capsys, ["converge", *kind, *_BOX_FLAGS, *extra])
+    assert code == 2
+    assert out == ""
+    assert f"converge boxes does not read {named}" in err
+
+
+def test_converge_kinds_still_take_every_flag_they_read(capsys):
+    doc = run_json(capsys, ["converge", *_BOX_FLAGS, "--family", "power",
+                            "--exponent", "-3", "--n-max", "10"])
+    assert doc["scenario"]["params"]["matrices"]["exponent"] == -3
+    doc = run_json(capsys, ["converge", "--kind", "inner", "--angles", "power:c=1,p=-2",
+                            "--model", "power:c=0.5,p=-4", "--n-max", "10"])
+    assert doc["scenario"]["params"]["model"] == "power:c=0.5,p=-4"
+
+
 def test_prop42_flag_aliases_and_clauses(capsys):
     doc = run_json(capsys, ["prop42", "--m", "power:c=1,p=2",
                             "--a", "geometric:c=1,r=0.5",

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from twistlab.cocycles import (
     sign_cocycle_z2,
     trivial_cocycle,
 )
-from twistlab.groups import FiniteAbelianGroup, IntegerLattice
+from twistlab.groups import FiniteAbelianGroup, GroupMismatchError, IntegerLattice, sample_elements
 
 RNG = np.random.default_rng(20240817)
 
@@ -308,6 +309,86 @@ def test_bilinearity_residual_evaluates_sigma_once_per_distinct_pair(monkeypatch
     assert len(calls) == len(set(calls))
     assert set(calls) == {pair for (a, ap, b, bp) in samples for pair in (
         (a, b), (ap, b), (a, bp), (sigma.a_group.add(a, ap), b), (a, sigma.b_group.add(b, bp)))}
+
+
+def pointwise_bilinearity_residual(sigma, samples):
+    """Reference: every value recomputed, complex arithmetic and max as Python does them."""
+    worst = 0.0
+    for a, ap, b, bp in samples:
+        ab = sigma.value(a, b)
+        worst = max(worst, abs(sigma.value(sigma.a_group.add(a, ap), b) - ab * sigma.value(ap, b)))
+        worst = max(worst, abs(sigma.value(a, sigma.b_group.add(b, bp)) - ab * sigma.value(a, bp)))
+    return worst
+
+
+def pointwise_cocycle_identity(u, triples):
+    g = u.group
+    worst = 0.0
+    for x, y, z in triples:
+        lhs = u.value(x, y) * u.value(g.add(x, y), z)
+        worst = max(worst, abs(lhs - u.value(y, z) * u.value(x, g.add(y, z))))
+    return worst
+
+
+small_moduli = st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple)
+
+
+def random_phases(rng, shape, kind):
+    """Quarter turns give exact zeros and ties; wide scales and NaN test the rest."""
+    if kind == "quarter":
+        return rng.integers(-4, 5, shape) * (math.pi / 2)
+    phases = rng.uniform(-4.0, 4.0, shape) * rng.choice([1e-9, 1.0, 1e3], shape)
+    if kind == "nan":
+        phases[rng.random(shape) < 0.2] = math.nan
+    return phases
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_moduli, small_moduli, st.integers(0, 2**32 - 1), st.integers(0, 60),
+       st.sampled_from(["quarter", "wide", "nan"]))
+def test_table_bilinearity_residual_equals_the_pointwise_loop(a_moduli, b_moduli, seed,
+                                                              count, kind):
+    rng = np.random.default_rng(seed)
+    a_group, b_group = FiniteAbelianGroup(a_moduli), FiniteAbelianGroup(b_moduli)
+    sigma = TableBilinear(a_group, b_group,
+                          random_phases(rng, (a_group.order, b_group.order), kind))
+    draws = [sample_elements(g, count, 0, rng) for g in (a_group, a_group, b_group, b_group)]
+    samples = list(zip(*draws))
+    got = bilinearity_residual(sigma, samples)
+    assert type(got) is float
+    assert got.hex() == pointwise_bilinearity_residual(sigma, samples).hex()
+
+
+def test_table_bilinearity_residual_names_a_stray_element():
+    sigma = pauli_sigma()
+    with pytest.raises(GroupMismatchError, match=r"\(2,\) is not an element"):
+        bilinearity_residual(sigma, [((1,), (0,), (1,), (1,)), ((0,), (1,), (2,), (0,))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_moduli, st.integers(0, 2**32 - 1), st.integers(0, 80),
+       st.sampled_from(["quarter", "wide"]), st.booleans())
+def test_finite_cocycle_identity_equals_the_pointwise_loop(moduli, seed, count, kind, product):
+    rng = np.random.default_rng(seed)
+    group = FiniteAbelianGroup(moduli)
+    n = group.order
+    table = np.exp(1j * random_phases(rng, (n, n), kind))
+    table[0, :] = table[:, 0] = 1.0
+    u = TableCocycle(group, table)
+    if product:
+        u = ProductCocycle([u, CoboundaryCocycle(group, quadratic_phase(0.3, group))])
+    triples = sample_triples(group, count, 0, rng)
+    calls = []
+    value = TableCocycle.value
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return value(self, x, y)
+
+    with patch.object(TableCocycle, "value", counted):
+        got = check_cocycle_identity(u, triples)
+    assert got.hex() == pointwise_cocycle_identity(u, triples).hex()
+    assert len(calls) == len(set(calls))
 
 
 def test_matrix_bilinear_value():

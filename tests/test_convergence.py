@@ -1003,6 +1003,44 @@ def test_dirichlet_condition_validation():
         dirichlet_condition(lambda j: 0, None, lambda j: 0.1, None, n_max=3)
     with pytest.raises(ValueError):
         dirichlet_condition(lambda j: j, None, lambda j: 0.1, None, n_max=0)
+    with pytest.raises(ValueError, match="schedule or a window model"):
+        dirichlet_condition(None, None, lambda j: 0.1, None, n_max=3)
+
+
+@pytest.mark.parametrize("model", [PowerModel(1.5, 2.0), GeometricModel(0.5, 10.0),
+                                   ExplicitModel((1.0, 2.5, 3.0))])
+def test_dirichlet_windows_from_the_model_match_the_ceil_schedule(model):
+    angles, angle_model = (lambda j: 0.5 ** j), GeometricModel(1.0, 0.5)
+    scheduled = dirichlet_condition(ceil_schedule(model, "window"), model, angles,
+                                    angle_model, n_max=300)
+    assert dirichlet_condition(None, model, angles, angle_model, n_max=300) == scheduled
+
+
+def test_dirichlet_reads_its_window_model_once():
+    """The CLI's windows and their ceil match come from one read: n values, not 2n."""
+    from twistlab import series
+    from twistlab.cli import run_scenario
+
+    reads = []
+    values, value = series.model_values, PowerModel.value
+
+    def counted_values(model, n):
+        out = values(model, n)
+        if isinstance(model, PowerModel):
+            reads.extend(range(len(out)))
+        return out
+
+    def counted_value(self, i):
+        reads.append(i)
+        return value(self, i)
+
+    doc = {"command": "dirichlet", "schema": 1, "horizons": {"n_max": 40},
+           "params": {"windows": "power:c=1,p=2", "angles": "geometric:c=1,r=0.5"}}
+    with patch.object(convergence, "model_values", counted_values), \
+            patch.object(series, "model_values", counted_values), \
+            patch.object(PowerModel, "value", counted_value):
+        run_scenario(doc, "dirichlet")
+    assert len(reads) == 40
 
 
 # --- gauge fixing ---

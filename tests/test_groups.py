@@ -78,6 +78,17 @@ def test_finite_group_elements_lexicographic():
         assert g.index(x) == i
 
 
+@pytest.mark.parametrize("moduli", [(1,), (5,), (2, 3), (4, 1, 3), (3, 2, 2, 2)])
+def test_index_arithmetic_matches_the_tuple_law(moduli):
+    g = FiniteAbelianGroup(moduli)
+    els = g.elements()
+    i = np.arange(g.order)
+    table = g.add_indices(i[:, None], i[None, :])
+    assert table.tolist() == [[g.index(g.add(x, y)) for y in els] for x in els]
+    assert g.neg_indices(i).tolist() == [g.index(g.neg(x)) for x in els]
+    assert g.add_indices(3 % g.order, i).tolist() == table[3 % g.order].tolist()
+
+
 def test_signed_representative():
     g = FiniteAbelianGroup((5,))
     assert g.signed_representative((3,)) == (-2,)

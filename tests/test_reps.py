@@ -1,9 +1,13 @@
 """Twisted regular representations, CCR pairs and the absorption check."""
 
 import copy
+import importlib.util
 import math
+import sys
+import tracemalloc
 from functools import cached_property
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from twistlab.cocycles import (
     MatrixCocycle,
     ProductCocycle,
     TableBilinear,
+    TableCocycle,
     cocycle_from_bilinear,
     pauli_cocycle,
     pauli_sigma,
@@ -668,3 +673,103 @@ def test_twisted_inner_product_brute_formula():
         if box.contains(shifted):
             total += u.value(g.neg(y), x) * (1.0 / 9.0)
     assert twisted_inner_product(u, phi, x) == pytest.approx(total, abs=1e-12)
+
+
+# --- index tables and the per-element matrix cache ---
+
+
+def pointwise_regular_rep_matrix(u, group, x):
+    """Reference: one tuple add, index lookup and value call per column."""
+    n = group.order
+    mat = np.zeros((n, n), dtype=complex)
+    for j, g in enumerate(group.elements()):
+        tgt = group.add(x, g)
+        mat[group.index(tgt), j] = u.value(group.neg(tgt), x)
+    return mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+       st.integers(0, 2**32 - 1), st.sampled_from(["table", "coboundary", "product"]))
+def test_regular_rep_matrix_equals_the_pointwise_fill(moduli, seed, form):
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-math.pi, math.pi, (g.order, g.order))
+    phases[0, :] = phases[:, 0] = 0.0
+    u = TableCocycle(g, np.exp(1j * phases))
+    if form != "table":
+        u = perturb(u if form == "product" else trivial_cocycle(g),
+                    quadratic_phase(float(rng.uniform(0.05, 1.5)), g))
+    for x in g.elements():
+        mat = regular_rep_matrix(u, g, x)
+        assert not mat.flags.writeable
+        assert mat.tobytes() == pointwise_regular_rep_matrix(u, g, x).tobytes()
+
+
+def test_every_pair_of_a_table_builds_each_matrix_once(monkeypatch):
+    """Z3 x Z3^2: the 729 pairs of the relation check read 27 matrices, each built once."""
+    sigma = TableBilinear(FiniteAbelianGroup((3,)), FiniteAbelianGroup((3, 3)),
+                          [[2 * math.pi * (a * (b1 + 2 * b2) % 3) / 3
+                            for b1 in range(3) for b2 in range(3)] for a in range(3)])
+    rep = ccr_to_projective(ccr_pair(sigma, sigma.b_group))
+    built = []
+    shift = CCRPair.shift
+    monkeypatch.setattr(CCRPair, "shift", lambda self, b: built.append(b) or shift(self, b))
+    assert projective_relation_check(rep) < 1e-12
+    assert len(built) == rep.group.order == 27
+
+
+def test_matrices_past_the_budget_are_built_on_every_call(monkeypatch):
+    g = FiniteAbelianGroup((4,))
+    u = perturb(trivial_cocycle(g), quadratic_phase(0.7, g))
+    built = []
+    fill = reps.regular_rep_matrix
+    monkeypatch.setattr(reps, "regular_rep_matrix",
+                        lambda *a, **k: built.append(a[2]) or fill(*a, **k))
+    monkeypatch.setattr(reps, "MATRIX_CACHE_BYTES", 2 * 4 * 4 * 16)  # two 4 x 4 matrices
+    rep = regular_rep(u, g)
+    for x in [(0,), (1,), (2,), (0,), (1,), (2,), (3,)]:
+        mat = rep.matrix(x)
+        assert not mat.flags.writeable
+        assert mat.tobytes() == pointwise_regular_rep_matrix(u, g, x).tobytes()
+    assert built == [(0,), (1,), (2,), (2,), (3,)]
+    with pytest.raises(GroupMismatchError):
+        rep.matrix((4,))
+
+
+def test_one_factor_z20xz20_tensor_check_keeps_at_most_the_budget():
+    """The relation check of a 400-dimensional regular rep over 64 random
+    pairs reads up to 192 matrices of 2.56 MB; only the budget's worth stay."""
+    g = FiniteAbelianGroup((20, 20))
+    rep = tensor_rep([regular_rep(trivial_cocycle(g), g)])
+    one = 400 * 400 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        residual, pairs = cli._relation_residual(rep, np.random.default_rng(0))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert residual == 0.0 and pairs == 64
+    assert reps.MATRIX_CACHE_BYTES - one < kept <= reps.MATRIX_CACHE_BYTES + one
+
+
+def _dense_reps_scenarios(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenarios_dense", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module.generate("dense-reps", seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_reps_reports_do_not_depend_on_the_matrix_cache(monkeypatch, seed):
+    scenarios = _dense_reps_scenarios(seed)
+
+    def reports():
+        return [cli.run_scenario(copy.deepcopy(s.doc), s.command) for s in scenarios]
+
+    cached = reports()
+    monkeypatch.setattr(reps, "MATRIX_CACHE_BYTES", 0)
+    assert reports() == cached

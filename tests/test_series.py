@@ -80,6 +80,20 @@ def test_tail_bound_input_validation():
         poly_geometric_tail(1.0, 2.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_geometric_tail_refuses_a_negative_start(n):
+    with pytest.raises(ValueError, match="at least zero terms"):
+        geometric_tail(1.0, 0.5, n)
+    assert geometric_tail(1.0, 0.5, 0) == 1.0
+
+
+@pytest.mark.parametrize("coeff,ratio", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0)])
+def test_poly_geometric_tail_refuses_a_negative_start(coeff, ratio):
+    # refused before the zero-coefficient and zero-ratio shortcuts
+    with pytest.raises(ValueError, match="at least zero terms"):
+        poly_geometric_tail(coeff, 2.0, ratio, -3)
+
+
 @given(st.floats(0.01, 5.0), st.floats(-3.0, -1.2), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_power_tail_soundness_fuzz(c, e, n):

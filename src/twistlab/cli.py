@@ -1097,24 +1097,6 @@ def _validate_scenario(doc: dict, command: str) -> tuple[dict, RunContext, dict]
     return params, ctx, out_block
 
 
-_OVERRIDE_BLOCKS = (("horizons", ("n_max", "scan", "grid_cap")),
-                    ("output", ("format", "series")))
-
-
-def _apply_flag_overrides(doc: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        doc["tolerances"] = {"tol": args.tol}
-    for block, keys in _OVERRIDE_BLOCKS:
-        current = doc.get(block, {})
-        if isinstance(current, dict):
-            merged = dict(current, **{k: getattr(args, k) for k in keys
-                                      if getattr(args, k, None) is not None})
-            if merged:
-                doc[block] = merged
-
-
 def run_scenario(doc: dict, command: str) -> str:
     """Validate, execute and render one scenario; returns the report text."""
     params, ctx, out_block = _validate_scenario(doc, command)
@@ -1152,196 +1134,230 @@ def run_scenario(doc: dict, command: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# inline flag -> params builders
+# the flag table: the argument parser and the inline scenario come from it
 # ---------------------------------------------------------------------------
 
 
-def _one_of(ctx: str, **choices: Any) -> tuple[str, Any]:
-    given = [(k, v) for k, v in choices.items() if v is not None]
-    if len(given) != 1:
-        names = ", ".join(f"--{k.replace('_', '-')}" for k in choices)
-        raise _schema_error(f"{ctx}: provide exactly one of {names}")
-    return given[0]
+@dataclass(frozen=True)
+class Flag:
+    """One flag: its spellings, the dotted key it fills and when a run reads it.
+
+    ``path`` is relative to params (to the scenario for a common flag); None
+    marks a flag that only selects a mode or checks another.  A run reads the
+    flag while each (dest, accepted values) pair of ``when`` holds, None
+    meaning "not given".  ``convert(value, values)`` shapes the value; a bool
+    ``type`` makes a switch.  Flags sharing a ``one_of`` tag are alternatives,
+    one of which is needed if they are ``required``.
+    """
+
+    spelling: str
+    path: Optional[str] = None
+    type: Optional[Callable[[str], Any]] = None
+    choices: Optional[tuple[str, ...]] = None
+    default: Any = None
+    required: bool = False
+    one_of: str = ""
+    when: tuple[tuple[str, Any], ...] = ()
+    convert: Optional[Callable[[Any, dict], Any]] = None
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+
+    @property
+    def names(self) -> list[str]:
+        return self.spelling.split()
+
+    @property
+    def dest(self) -> str:
+        return self.names[0][2:].replace("-", "_")
 
 
-def _cocycle_flags(args: argparse.Namespace, prefix: str = "") -> dict:
-    name = getattr(args, prefix + "name", None)
-    matrix = getattr(args, prefix + "matrix", None)
-    bilinear = getattr(args, prefix + "bilinear", None)
-    kind, value = _one_of(f"cocycle ({prefix or 'u'})", name=name,
-                          matrix=matrix, bilinear=bilinear)
-    return {kind: value}
+def _half_width(n: int, values: dict) -> int:
+    if n < 0:
+        raise _schema_error("--n must be >= 0")
+    if 2 * n + 1 > sys.float_info.max:
+        raise _schema_error("--n is too large: 2 n + 1 exceeds the float range")
+    return n
 
 
-def _samples_flags(args: argparse.Namespace) -> dict:
-    """The samples block from --count / --bound, if either is given."""
-    samples = {k: getattr(args, k) for k in ("count", "bound")
-               if getattr(args, k) is not None}
-    return {"samples": samples} if samples else {}
+def _fell_rep(name: str, values: dict) -> dict:
+    if name == "pauli":
+        return {"name": "pauli"}
+    u_name = values["u_name"]
+    group = group_label(_NAMED_COCYCLES[u_name]().group)
+    return {"regular": {"cocycle": {"name": u_name}, "group": group}}
 
 
-def _build_check_cocycle(args: argparse.Namespace) -> dict:
-    return {"cocycle": _cocycle_flags(args), **_samples_flags(args)}
+def _check_group(group: str, values: dict) -> None:
+    expected = group_label(_NAMED_COCYCLES[values["u_name"]]().group)
+    if group.strip() != expected:
+        raise _schema_error(f"--group {group!r} does not match the named cocycle "
+                            f"(expected {expected!r})")
 
 
-def _flag_params(args: argparse.Namespace, what: str, required: tuple[str, ...],
-                 optional: tuple[str, ...] = ()) -> dict:
-    """Params copied from the flags named like them; every required flag must be set."""
-    if any(getattr(args, k) is None for k in required):
-        flags = [f"--{k}" for k in required]
-        raise _schema_error(f"{what} needs {', '.join(flags[:-1])} and {flags[-1]}")
-    return {k: getattr(args, k) for k in required + optional
-            if getattr(args, k) is not None}
+# A subcommand's own flags are read only without --scenario, and a
+# --value-only run prints one number: of the common flags it reads --output.
+_INLINE = (("scenario", (None,)),)
+_REPORT = (("value_only", (None,)),)
+_VALUE_ONLY = (("value_only", (True,)),)
+_BOXES = (("kind", ("boxes",)),)
+_SCALAR = (("kind", ("product", "inner")),)
+_NAMED = tuple(_NAMED_COCYCLES)
 
+_COMMON = (
+    Flag("--scenario", when=_REPORT, metavar="PATH",
+         help="JSON scenario file (a report file also works)"),
+    Flag("--output", metavar="PATH", help="write the report here instead of stdout"),
+    Flag("--format", "output.format", choices=("json", "csv"), when=_REPORT),
+    Flag("--series", "output.series", when=_REPORT, help="term series to render in CSV mode"),
+    Flag("--seed", "seed", type=int, when=_REPORT),
+    Flag("--n-max", "horizons.n_max", type=int, when=_REPORT),
+    Flag("--scan", "horizons.scan", type=int, when=_REPORT),
+    Flag("--grid-cap", "horizons.grid_cap", type=int, when=_REPORT),
+    Flag("--tol", "tolerances", type=float, when=_REPORT,
+         convert=lambda tol, values: {"tol": tol}),
+)
 
-def _build_folner(args: argparse.Namespace) -> dict:
-    return _flag_params(args, "folner", ("rank", "side", "x"), ("offset",))
-
-
-_BOX_FLAGS = ("x", "matrix", "sides", "family", "ratio", "exponent")
-_SCALAR_FLAGS = ("angles", "model")
-
-
-def _build_converge(args: argparse.Namespace) -> dict:
-    kind = args.kind or "boxes"
-    others = _SCALAR_FLAGS if kind == "boxes" else _BOX_FLAGS
-    unread = [f"--{k}" for k in others if getattr(args, k) is not None]
-    if unread:
-        raise _schema_error(f"converge {kind} does not read {', '.join(unread)}")
-    if kind == "boxes":
-        if args.x is None or args.matrix is None or args.sides is None:
-            raise _schema_error("converge boxes needs --x, --matrix and --sides")
-        family = args.family or "geometric"
-        matrices: dict[str, Any] = {"family": family, "matrix": args.matrix}
-        if family == "geometric":
-            matrices["ratio"] = args.ratio if args.ratio is not None else 0.5
-        else:
-            matrices["exponent"] = (args.exponent
-                                    if args.exponent is not None else -2)
-        return {"kind": "boxes", "matrices": matrices, "sides": args.sides,
-                "x": args.x}
-    params: dict[str, Any] = {"kind": kind}
-    if args.angles is None:
-        raise _schema_error(f"converge {kind} needs --angles "
-                            "(explicit values need a scenario file)")
-    params["angles"] = args.angles
-    if args.model is not None:
-        params["model"] = args.model
-    return params
-
-
-def _build_select(args: argparse.Namespace) -> dict:
-    if args.count is None or args.matrix is None or args.sides is None:
-        raise _schema_error("select needs --count, --matrix and --sides")
-    ratio = args.ratio if args.ratio is not None else 0.5
-    return {"count": args.count,
-            "members": {"matrix": args.matrix, "ratio": ratio},
-            "sides": args.sides}
-
-
-def _build_prop42(args: argparse.Namespace) -> dict:
-    return _flag_params(args, "prop42", ("sides", "norms"), ("x",))
-
-
-def _build_dirichlet(args: argparse.Namespace) -> dict:
-    return _flag_params(args, "dirichlet", ("windows", "angles"))
-
-
-def _build_ccr(args: argparse.Namespace) -> dict:
-    if args.sigma is not None and args.d_matrix is not None:
-        raise _schema_error("ccr: provide --sigma or --d-matrix, not both")
-    params: dict[str, Any] = {}
-    if args.sigma is not None:
-        params["sigma"] = {"name": args.sigma}
-    elif args.d_matrix is not None:
-        params["sigma"] = {"matrix": args.d_matrix}
-        if args.side is None:
-            raise _schema_error("ccr with --d-matrix needs --side")
-        params["window"] = {"side": args.side}
-    else:
-        raise _schema_error("ccr needs --sigma or --d-matrix")
-    params.update(_samples_flags(args))
-    return params
-
-
-_NAMED_COCYCLE_GROUP = {"pauli": "Z2xZ2", "sign_z2": "Z2"}
-
-
-def _build_fell(args: argparse.Namespace) -> dict:
-    if args.u_name is None:
-        raise _schema_error("fell needs --u-name (general cocycles need a "
-                            "scenario file)")
-    u_desc = {"name": args.u_name}
-    rep_kind = args.rep_name or "regular"
-    if rep_kind == "pauli":
-        rep_desc: dict[str, Any] = {"name": "pauli"}
-    elif rep_kind == "regular":
-        rep_desc = {"regular": {"cocycle": u_desc, "group": _NAMED_COCYCLE_GROUP[args.u_name]}}
-    else:
-        raise _schema_error(f"fell --rep-name must be pauli or regular, "
-                            f"got {rep_kind!r}")
-    return {"rep": rep_desc, "u": u_desc}
-
-
-def _build_tensor(args: argparse.Namespace) -> dict:
-    if args.factors is None:
-        raise _schema_error("tensor needs --factors (e.g. 'pauli,pauli')")
-    names = [n.strip() for n in args.factors.split(",") if n.strip()]
-    if not names:
-        raise _schema_error("tensor --factors must name at least one factor")
-    return {"factors": [{"name": n} for n in names]}
-
-
-def _build_action(args: argparse.Namespace) -> dict:
-    if args.elements is None:
-        raise _schema_error("action needs --elements (e.g. '0,1;1,1')")
-    elements = [part.strip() for part in args.elements.split(";") if part.strip()]
-    if args.trace_group is not None and args.trace_rep is not None:
-        raise _schema_error("action: provide --trace-group or --trace-rep, "
-                            "not both")
-    if args.trace_group is not None:
-        source: dict[str, Any] = {"regular_trace": {"group": args.trace_group}}
-    elif args.trace_rep is not None:
-        source = {"rep_trace": {"name": args.trace_rep}}
-    else:
-        raise _schema_error("action needs --trace-group or --trace-rep "
-                            "(explicit amplitude tables need a scenario file)")
-    return {"elements": elements, "source": source}
-
-
-def _build_obstruction(args: argparse.Namespace) -> dict:
-    if getattr(args, "group", None) is not None:
-        expected = _NAMED_COCYCLE_GROUP.get(args.u_name or "")
-        if expected is None or args.group.strip() != expected:
-            raise _schema_error(
-                f"--group {args.group!r} does not match the named cocycle "
-                f"(expected {expected!r})")
-    params = {"u": _cocycle_flags(args, "u_")}
-    if (getattr(args, "v_name", None) is not None
-            or getattr(args, "v_matrix", None) is not None
-            or getattr(args, "v_bilinear", None) is not None):
-        params["v"] = _cocycle_flags(args, "v_")
-    return params
-
-
-_BUILDERS: dict[str, Callable[[argparse.Namespace], dict]] = {
-    "check-cocycle": _build_check_cocycle,
-    "folner": _build_folner,
-    "converge": _build_converge,
-    "select": _build_select,
-    "prop42": _build_prop42,
-    "dirichlet": _build_dirichlet,
-    "ccr": _build_ccr,
-    "fell": _build_fell,
-    "tensor": _build_tensor,
-    "action": _build_action,
-    "obstruction": _build_obstruction,
+_COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {
+    "check-cocycle": ("sampled 2-cocycle identity residual", (
+        Flag("--name", "cocycle.name", choices=_NAMED, required=True, one_of="u"),
+        Flag("--matrix", "cocycle.matrix", required=True, one_of="u"),
+        Flag("--bilinear", "cocycle.bilinear", required=True, one_of="u"),
+        Flag("--count", "samples.count", type=int),
+        Flag("--bound", "samples.bound", type=int),
+    )),
+    "folner": ("box overlap, defect and the defect bound", (
+        Flag("--rank", "rank", type=int, required=True),
+        Flag("--side", "side", type=int, required=True),
+        Flag("--x", "x", required=True),
+        Flag("--offset", "offset"),
+    )),
+    "converge": ("box criterion / scalar product diagnostics", (
+        Flag("--kind", "kind", choices=("boxes", "product", "inner"), default="boxes"),
+        Flag("--x", "x", required=True, when=_BOXES),
+        Flag("--matrix", "matrices.matrix", required=True, when=_BOXES),
+        Flag("--family", "matrices.family", choices=("geometric", "power"),
+             default="geometric", when=_BOXES),
+        Flag("--ratio", "matrices.ratio", type=float, default=0.5,
+             when=_BOXES + (("family", ("geometric",)),)),
+        Flag("--exponent", "matrices.exponent", type=float, default=-2,
+             when=_BOXES + (("family", ("power",)),)),
+        Flag("--sides", "sides", required=True, when=_BOXES),
+        Flag("--angles", "angles", required=True, when=_SCALAR),
+        Flag("--model", "model", when=_SCALAR),
+    )),
+    "select": ("greedy subsequence selection at 1/k^2 thresholds", (
+        Flag("--count", "count", type=int, required=True),
+        Flag("--matrix", "members.matrix", required=True),
+        Flag("--ratio", "members.ratio", type=float, default=0.5),
+        Flag("--sides", "sides", required=True),
+    )),
+    "prop42": ("four-clause box-sequence decision", (
+        Flag("--sides --m", "sides", required=True),
+        Flag("--norms --a", "norms", required=True),
+        Flag("--x", "x"),
+    )),
+    "dirichlet": ("window means of rank-one angle sequences", (
+        Flag("--windows", "windows", required=True, when=_REPORT),
+        Flag("--angles", "angles", required=True, when=_REPORT),
+        Flag("--n", "window", type=int, required=True, when=_VALUE_ONLY, convert=_half_width,
+             help="single window half-width"),
+        Flag("--theta", "theta", required=True, when=_VALUE_ONLY,
+             convert=lambda theta, values: parse_scalar(theta, "--theta"),
+             help="single angle (accepts pi expressions)"),
+        Flag("--value-only", type=bool, help="print dirichlet_value(n, theta) and exit"),
+    )),
+    "ccr": ("clock-and-shift pairs and their truncations", (
+        Flag("--sigma", "sigma.name", choices=("pauli",), required=True, one_of="sigma"),
+        Flag("--d-matrix", "sigma.matrix", required=True, one_of="sigma"),
+        Flag("--side", "window.side", type=int, required=True, when=(("sigma", (None,)),)),
+        Flag("--count", "samples.count", type=int),
+        Flag("--bound", "samples.bound", type=int),
+    )),
+    "fell": ("finite twisted absorption check", (
+        Flag("--u-name", "u.name", choices=_NAMED, required=True),
+        Flag("--rep-name", "rep", choices=("pauli", "regular"), default="regular",
+             convert=_fell_rep),
+    )),
+    "tensor": ("tensor products of projective representations", (
+        Flag("--factors", "factors", required=True,
+             convert=lambda text, values: [{"name": n.strip()} for n in text.split(",")
+                                           if n.strip()]),
+    )),
+    "action": ("inner/outer certificates for product actions", (
+        Flag("--trace-group", "source.regular_trace.group", required=True, one_of="source"),
+        Flag("--trace-rep", "source.rep_trace.name", choices=("pauli",), required=True,
+             one_of="source"),
+        Flag("--elements", "elements", required=True,
+             convert=lambda text, values: [p.strip() for p in text.split(";") if p.strip()]),
+    )),
+    "obstruction": ("cohomological comparison of two twists", (
+        Flag("--u-name --cocycle", "u.name", choices=_NAMED, required=True, one_of="u"),
+        Flag("--group", when=(("u_name", _NAMED),), convert=_check_group,
+             help="expected group of the named cocycle"),
+        Flag("--u-matrix", "u.matrix", required=True, one_of="u"),
+        Flag("--u-bilinear", "u.bilinear", required=True, one_of="u"),
+        Flag("--v-name", "v.name", choices=_NAMED, one_of="v"),
+        Flag("--v-matrix", "v.matrix", one_of="v"),
+        Flag("--v-bilinear", "v.bilinear", one_of="v"),
+    )),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument parser
-# ---------------------------------------------------------------------------
+def _put(target: dict, path: str, value: Any) -> None:
+    """Set a dotted key; a block that is not an object is left to the validator."""
+    *blocks, leaf = path.split(".")
+    for key in blocks:
+        target = target.setdefault(key, {})
+        if not isinstance(target, dict):
+            return
+    target[leaf] = value
+
+
+def _scenario_from_flags(command: str, args: argparse.Namespace) -> dict:
+    """The scenario of one run: --scenario's file or the subcommand's flags,
+    under the common flags.  Refuses, naming them, the given flags the chosen
+    kind, family or mode does not read, a subcommand's flags next to
+    --scenario, and common flags but --output next to --value-only."""
+    rows = _COMMANDS[command][1]
+    table = {r.dest: (r, r.when) for r in _COMMON}
+    table.update((r.dest, (r, _INLINE + r.when)) for r in rows)
+    given = [dest for dest in table if getattr(args, dest) is not None]
+    values = {dest: getattr(args, dest) if dest in given else row.default
+              for dest, (row, _) in table.items()}
+    unmet = {dest: next((c for c in when if values.get(c[0]) not in c[1]), None)
+             for dest, (_, when) in table.items()}
+    refused: dict[str, list[str]] = {}
+    for dest in given:
+        if unmet[dest] is not None:
+            mode_row, mode = table[unmet[dest][0]][0], values[unmet[dest][0]]
+            label = (f"without {mode_row.names[0]}" if mode is None
+                     else mode if mode_row.choices else mode_row.names[0])
+            refused.setdefault(label, []).append(table[dest][0].names[0])
+    if refused:
+        raise _schema_error("; ".join(f"{command} {label} does not read {', '.join(flags)}"
+                                      for label, flags in refused.items()))
+
+    read = [row for dest, (row, _) in table.items() if unmet[dest] is None]
+    for tag in dict.fromkeys(r.one_of for r in read if r.one_of):
+        group = [r for r in read if r.one_of == tag]
+        chosen = sum(r.dest in given for r in group)
+        if chosen > 1 or not chosen and group[0].required:
+            names = ", ".join(r.names[0] for r in group)
+            raise _schema_error(f"{command} takes one of {names}")
+    needed = [r for r in read if r.required and not r.one_of]
+    if any(r.dest not in given for r in needed):
+        raise _schema_error(f"{command} needs {' and '.join(r.names[0] for r in needed)}")
+
+    params: dict[str, Any] = {}
+    doc = (_load_scenario_file(args.scenario) if args.scenario is not None
+           else {"command": command, "params": params, "schema": SCHEMA_VERSION})
+    for row in read:
+        value = values[row.dest]
+        if value is not None and row.convert is not None:
+            value = row.convert(value, values)
+        if value is not None and row.path is not None:
+            _put(params if row in rows else doc, row.path, value)
+    return doc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1350,127 +1366,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cocycles, projective representations and convergence "
                     "certificates for discrete abelian groups.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", metavar="PATH",
-                        help="JSON scenario file (a report file also works)")
-    common.add_argument("--output", metavar="PATH",
-                        help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument("--series", help="term series to render in CSV mode")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--n-max", type=int, dest="n_max")
-    common.add_argument("--scan", type=int)
-    common.add_argument("--grid-cap", type=int, dest="grid_cap")
-    common.add_argument("--tol", type=float)
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-cocycle", parents=[common],
-                       help="sampled 2-cocycle identity residual")
-    p.add_argument("--name", choices=("pauli", "sign_z2"))
-    p.add_argument("--matrix")
-    p.add_argument("--bilinear")
-    p.add_argument("--count", type=int)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("folner", parents=[common],
-                       help="box overlap, defect and the defect bound")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--side", type=int)
-    p.add_argument("--x")
-    p.add_argument("--offset")
-
-    p = sub.add_parser("converge", parents=[common],
-                       help="box criterion / scalar product diagnostics")
-    p.add_argument("--kind", choices=("boxes", "product", "inner"))
-    p.add_argument("--x")
-    p.add_argument("--matrix")
-    p.add_argument("--family", choices=("geometric", "power"))
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--exponent", type=float)
-    p.add_argument("--sides")
-    p.add_argument("--angles")
-    p.add_argument("--model")
-
-    p = sub.add_parser("select", parents=[common],
-                       help="greedy subsequence selection at 1/k^2 thresholds")
-    p.add_argument("--count", type=int)
-    p.add_argument("--matrix")
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--sides")
-
-    p = sub.add_parser("prop42", parents=[common],
-                       help="four-clause box-sequence decision")
-    p.add_argument("--sides", "--m", dest="sides")
-    p.add_argument("--norms", "--a", dest="norms")
-    p.add_argument("--x")
-
-    p = sub.add_parser("dirichlet", parents=[common],
-                       help="window means of rank-one angle sequences")
-    p.add_argument("--windows")
-    p.add_argument("--angles")
-    p.add_argument("--n", type=int, help="single window half-width")
-    p.add_argument("--theta", help="single angle (accepts pi expressions)")
-    p.add_argument("--value-only", action="store_true", dest="value_only",
-                   help="print dirichlet_value(n, theta) and exit")
-
-    p = sub.add_parser("ccr", parents=[common],
-                       help="clock-and-shift pairs and their truncations")
-    p.add_argument("--sigma", choices=("pauli",))
-    p.add_argument("--d-matrix", dest="d_matrix")
-    p.add_argument("--side", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("fell", parents=[common],
-                       help="finite twisted absorption check")
-    p.add_argument("--u-name", dest="u_name", choices=("pauli", "sign_z2"))
-    p.add_argument("--rep-name", dest="rep_name", choices=("pauli", "regular"))
-
-    p = sub.add_parser("tensor", parents=[common],
-                       help="tensor products of projective representations")
-    p.add_argument("--factors")
-
-    p = sub.add_parser("action", parents=[common],
-                       help="inner/outer certificates for product actions")
-    p.add_argument("--trace-group", dest="trace_group")
-    p.add_argument("--trace-rep", dest="trace_rep", choices=("pauli",))
-    p.add_argument("--elements")
-
-    p = sub.add_parser("obstruction", parents=[common],
-                       help="cohomological comparison of two twists")
-    p.add_argument("--u-name", "--cocycle", dest="u_name",
-                   choices=("pauli", "sign_z2"))
-    p.add_argument("--group", help="expected group of the named cocycle")
-    p.add_argument("--u-matrix", dest="u_matrix")
-    p.add_argument("--u-bilinear", dest="u_bilinear")
-    p.add_argument("--v-name", dest="v_name", choices=("pauli", "sign_z2"))
-    p.add_argument("--v-matrix", dest="v_matrix")
-    p.add_argument("--v-bilinear", dest="v_bilinear")
-
+    # The common flags go first: a subparser copies its parent's flags when it is made.
+    for command, (help_line, rows) in [("", ("", _COMMON)), *_COMMANDS.items()]:
+        p = sub.add_parser(command, parents=[common], help=help_line) if command else common
+        for row in rows:
+            kind = ({"action": "store_true"} if row.type is bool else
+                    {"type": row.type, "choices": row.choices, "metavar": row.metavar})
+            p.add_argument(*row.names, dest=row.dest, default=None, help=row.help, **kind)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
     try:
-        if command == "dirichlet" and getattr(args, "value_only", False):
-            if args.n is None or args.theta is None:
-                raise _schema_error("--value-only needs --n and --theta")
-            if args.n < 0:
-                raise _schema_error("--n must be >= 0")
-            if 2 * args.n + 1 > sys.float_info.max:
-                raise _schema_error("--n is too large: 2 n + 1 exceeds the float range")
-            value = dirichlet_value(args.n, parse_scalar(args.theta, "--theta"))
-            text = _float_repr(value) + "\n"
+        doc = _scenario_from_flags(args.command, args)
+        if getattr(args, "value_only", None):
+            text = _float_repr(dirichlet_value(**doc["params"])) + "\n"
         else:
-            if args.scenario is not None:
-                doc = _load_scenario_file(args.scenario)
-            else:
-                doc = {"command": command, "params": _BUILDERS[command](args),
-                       "schema": SCHEMA_VERSION}
-            _apply_flag_overrides(doc, args)
-            text = run_scenario(doc, command)
+            text = run_scenario(doc, args.command)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

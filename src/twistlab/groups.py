@@ -149,11 +149,13 @@ class FiniteAbelianGroup:
         return tuple(int(c) % k for c, k in zip(coords, self.moduli))
 
     def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.rank
-            and all(isinstance(c, int) and 0 <= c < k for c, k in zip(x, self.moduli))
-        )
+        # A plain loop: this runs on every matrix lookup of a representation.
+        if not isinstance(x, tuple) or len(x) != len(self.moduli):
+            return False
+        for c, k in zip(x, self.moduli):
+            if not (isinstance(c, int) and 0 <= c < k):
+                return False
+        return True
 
     def require(self, x) -> Element:
         if not self.contains(x):

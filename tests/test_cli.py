@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import twistlab
+from twistlab import cli
 from twistlab.cli import (
     CliError,
     main,
@@ -536,6 +538,173 @@ def test_run_scenario_error_boundary_exits_2(command, params, horizons, message)
     assert info.value.message.startswith(message)
 
 
+# --- the flag table: every flag is read or refused ---
+
+
+_DIRICHLET = ["--windows", "power:c=1,p=2", "--angles", "power:c=pi,p=-4", "--n-max", "10"]
+_VALUE_ONLY = ["--value-only", "--n", "1", "--theta", "pi/2"]
+
+# Runnable argv per subcommand; each flag of the table is added to each of them.
+_BASES = {
+    "check-cocycle": [["--name", "pauli"]],
+    "folner": [["--rank", "2", "--side", "3", "--x", "1,0"]],
+    "converge": [[*_BOX_FLAGS, "--n-max", "5"], [*_BOX_FLAGS, "--family", "power", "--n-max", "5"],
+                 ["--kind", "product", "--angles", "power:c=1,p=-2", "--n-max", "5"]],
+    "select": [["--count", "2", "--matrix", "0,1;-1,0", "--sides", "power:c=1,p=1"]],
+    "prop42": [["--m", "power:c=1,p=2", "--a", "geometric:c=1,r=0.5", "--n-max", "10"]],
+    "dirichlet": [_DIRICHLET, _VALUE_ONLY],
+    "ccr": [["--sigma", "pauli"], ["--d-matrix", "0.1,0;0,0.1", "--side", "1"]],
+    "fell": [["--u-name", "pauli"]],
+    "tensor": [["--factors", "pauli"]],
+    "action": [["--trace-rep", "pauli", "--elements", "1,0", "--n-max", "5"],
+               ["--trace-group", "Z2xZ2", "--elements", "0,0"]],
+    "obstruction": [["--cocycle", "pauli"]],
+}
+
+# Values to add, by a flag's first spelling: the first one that differs from
+# the base's value is used.  --group gets a mismatching group, since a
+# matching one is checked and leaves the scenario as it is.
+_SAMPLES = {
+    "--scenario": ["unused.json"], "--format": ["csv"], "--series": ["twist"],
+    "--seed": ["3"], "--n-max": ["7"], "--scan": ["4"], "--grid-cap": ["1000"],
+    "--tol": ["1e-6"], "--name": ["sign_z2", "pauli"], "--matrix": ["0,2;-2,0"],
+    "--bilinear": ["0.5"], "--count": ["7"], "--bound": ["2"], "--rank": ["3"],
+    "--side": ["4"], "--x": ["0,1"], "--offset": ["1,1"], "--kind": ["inner", "product"],
+    "--family": ["power", "geometric"], "--ratio": ["0.3"], "--exponent": ["-5"],
+    "--sides": ["power:c=1,p=3"], "--angles": ["power:c=1,p=-3"],
+    "--model": ["power:c=1,p=-2"], "--norms": ["geometric:c=1,r=0.25"],
+    "--windows": ["power:c=1,p=1"], "--n": ["3"], "--theta": ["pi"], "--value-only": [True],
+    "--sigma": ["pauli"], "--d-matrix": ["0.2,0;0,0.2"], "--u-name": ["sign_z2", "pauli"],
+    "--rep-name": ["pauli"], "--factors": ["pauli,pauli"], "--trace-group": ["Z2xZ2"],
+    "--trace-rep": ["pauli"], "--elements": ["1,1"], "--group": ["Z2"],
+    "--u-matrix": ["0,1;0,0"], "--u-bilinear": ["0.5"], "--v-name": ["pauli"],
+    "--v-matrix": ["0,1;0,0"], "--v-bilinear": ["0.5"],
+}
+
+
+def _scenario_of(argv):
+    try:
+        return 0, cli._scenario_from_flags(argv[0], cli.build_parser().parse_args(argv))
+    except CliError as exc:
+        return exc.code, exc.message
+
+
+def _flag_cases():
+    """(command, base, row, value) for every table row and base; a row is left
+    out where the base already gives the flag its only sample value."""
+    for command, (_, rows) in cli._COMMANDS.items():
+        for base in _BASES[command]:
+            args = cli.build_parser().parse_args([command, *base])
+            # --output only picks where the report goes (test_output_flag_writes_file).
+            for row in [r for r in cli._COMMON if r.names[0] != "--output"] + list(rows):
+                current = getattr(args, row.dest)
+                current = row.default if current is None else current
+                value = next((v for v in _SAMPLES[row.names[0]] if str(v) != str(current)),
+                             None)
+                if value is not None:
+                    yield pytest.param(command, base, row, value,
+                                       id=f"{command} {' '.join(base)} + {row.names[0]}")
+
+
+@pytest.mark.parametrize("argv", [[c, *b] for c, bases in _BASES.items() for b in bases])
+def test_every_base_argv_runs(capsys, argv):
+    assert run_cli(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize("command,base,row,value", _flag_cases())
+def test_no_flag_is_dropped_without_a_word(command, base, row, value):
+    """Each flag added to a runnable argv changes its scenario, or the run
+    exits 2 naming the flag (a mode by its value)."""
+    extra = [row.names[0]] if row.type is bool else [row.names[0], value]
+    code, scenario = _scenario_of([command, *base, *extra])
+    if code == 0:
+        assert scenario != _scenario_of([command, *base])[1]
+    else:
+        assert code == 2
+        words = re.split(r"[\s,;]+", scenario)
+        assert any(name in words for name in row.names) or (
+            f" {value} does not read " in scenario), scenario
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_exactly_the_table_flags(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    rows = cli._COMMON + cli._COMMANDS[command][1]
+    assert listed == {name for row in rows for name in row.names} | {"--help"}
+
+
+def test_the_table_covers_every_subcommand():
+    assert sorted(cli._COMMANDS) == sorted(cli._HANDLERS) == sorted(_BASES)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["converge", *_BOX_FLAGS, "--family", "power", "--ratio", "0.3"],
+     "converge power does not read --ratio"),
+    (["converge", *_BOX_FLAGS, "--exponent", "-5"], "converge geometric does not read --exponent"),
+    (["dirichlet", *_DIRICHLET, "--n", "3"], "dirichlet without --value-only does not read --n"),
+    (["dirichlet", *_DIRICHLET, "--n", "3", "--theta", "1"],
+     "dirichlet without --value-only does not read --n, --theta"),
+    (["ccr", "--sigma", "pauli", "--side", "5"], "ccr pauli does not read --side"),
+    (["obstruction", "--u-matrix", "0,1;0,0", "--group", "Z2"],
+     "obstruction without --u-name does not read --group"),
+])
+def test_a_flag_the_run_does_not_read_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"schema violation: {message}\n" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check-cocycle", "--name", "pauli", "--bilinear", "0.5"],
+     "check-cocycle takes one of --name, --matrix, --bilinear"),
+    (["ccr"], "ccr takes one of --sigma, --d-matrix"),
+    (["ccr", "--d-matrix", "0.1,0;0,0.1"], "ccr needs --side"),
+    (["obstruction", "--cocycle", "pauli", "--v-name", "pauli", "--v-matrix", "0,1;0,0"],
+     "obstruction takes one of --v-name, --v-matrix, --v-bilinear"),
+    (["converge", "--kind", "inner"], "converge needs --angles"),
+    (["converge"], "converge needs --x and --matrix and --sides"),
+])
+def test_missing_or_competing_flags_exit_2_naming_them(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: schema violation: {message}\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--windows", "power:c=1,p=2"], ["--angles", "power:c=1,p=-2"], ["--scenario", "r.json"],
+    ["--format", "csv"], ["--series", "deviation"], ["--seed", "4"], ["--n-max", "3"],
+    ["--scan", "3"], ["--grid-cap", "9"], ["--tol", "1e-3"],
+])
+def test_value_only_refuses_every_flag_but_output(capsys, extra):
+    code, out, err = run_cli(capsys, ["dirichlet", *_VALUE_ONLY, *extra])
+    assert (code, out) == (2, "")
+    assert f"dirichlet --value-only does not read {extra[0]}" in err
+
+
+def test_value_only_still_writes_its_output_file(tmp_path, capsys):
+    path = tmp_path / "value.txt"
+    assert run_cli(capsys, ["dirichlet", *_VALUE_ONLY, "--output", str(path)]) == (0, "", "")
+    assert path.read_text() == "0.33333333333333337\n"
+
+
+@pytest.mark.parametrize("command", list(_BASES))
+def test_scenario_runs_refuse_the_subcommand_flags(tmp_path, capsys, command):
+    base = _BASES[command][0]
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, [command, *base, "--output", str(report)])[0] == 0
+    first = {name: row.names[0] for row in cli._COMMANDS[command][1] for name in row.names}
+    own = [first[a] for a in base if a in first]  # refusals name a flag by its first spelling
+    code, out, err = run_cli(capsys, [command, "--scenario", str(report), *base])
+    assert (code, out) == (2, "")
+    assert f"{command} --scenario does not read {', '.join(own)}" in err
+    # The common flags still override the file.
+    doc = run_json(capsys, [command, "--scenario", str(report), "--seed", "5", "--n-max", "9"])
+    assert (doc["scenario"]["seed"], doc["scenario"]["horizons"]["n_max"]) == (5, 9)
+
+
 # --- scenario files, validation and overrides ---
 
 
@@ -581,6 +750,17 @@ def test_flag_overrides_land_in_resolved_scenario(capsys):
     assert doc["scenario"]["seed"] == 7
     assert doc["scenario"]["tolerances"]["tol"] == pytest.approx(1e-6)
     assert doc["result"]["tol"] == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("block,flag", [("horizons", ["--n-max", "3"]),
+                                        ("output", ["--format", "csv"])])
+def test_an_override_leaves_a_malformed_block_to_the_validator(tmp_path, capsys, block, flag):
+    path = tmp_path / "bad-block.json"
+    path.write_text(json.dumps({"schema": 1, "command": "folner", block: [1],
+                                "params": {"rank": 1, "side": 1, "x": [1]}}))
+    code, out, err = run_cli(capsys, ["folner", "--scenario", str(path), *flag])
+    assert (code, out) == (2, "")
+    assert f"schema violation: {block} must be an object" in err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -18,6 +18,8 @@ from twistlab.groups import (
     sample_elements,
     sup_norm,
 )
+from twistlab.cocycles import trivial_cocycle
+from twistlab.reps import regular_rep
 
 
 # --- brute-force oracles, written before the implementations were trusted ---
@@ -69,6 +71,55 @@ def test_finite_group_element_names_a_wrong_coordinate_count():
         g.element((1,))
     with pytest.raises(GroupMismatchError, match=r"^expected 2 coordinates, got 3$"):
         g.element(iter((1, 0, 1)))
+
+
+def reference_contains(group, x) -> bool:
+    """The membership predicate as first written, kept as the oracle."""
+    return (
+        isinstance(x, tuple)
+        and len(x) == group.rank
+        and all(isinstance(c, int) and 0 <= c < k for c, k in zip(x, group.moduli))
+    )
+
+
+class _Residue(int):
+    pass
+
+
+_CANDIDATES = [
+    (1, 0), (0, 2), (1, 2, 0), (True, 0), (_Residue(1), 1), (1.0, 0), (1, 0.0),
+    (np.int64(1), 0), (0, np.int32(1)), (2, 0), (0, 3), (-1, 0), (0, -3), (1,), (1, 0, 0),
+    (), [1, 0], "10", None, 1, ((1,), 0), ("1", 0), (1, None), (2 ** 70, 0),
+]
+
+
+@pytest.mark.parametrize("moduli", [(2, 3), (1,), (4, 1, 3)])
+def test_contains_accepts_what_the_reference_predicate_accepts(moduli):
+    g = FiniteAbelianGroup(moduli)
+    for x in _CANDIDATES + list(g.elements()):
+        assert g.contains(x) == reference_contains(g, x), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       st.lists(st.one_of(st.integers(-7, 7), st.floats(-7, 7), st.booleans()), max_size=4),
+       st.booleans())
+def test_contains_matches_the_reference_predicate(moduli, coords, as_list):
+    g = FiniteAbelianGroup(tuple(moduli))
+    x = coords if as_list else tuple(coords)
+    assert g.contains(x) == reference_contains(g, x)
+
+
+@pytest.mark.parametrize("stray", [(1.0, 0), (np.int64(1), 0), (1, 0.0), (3, 0), (-1, 0),
+                                   (1,), (1, 0, 0), [1, 0]])
+def test_a_representation_refuses_a_stray_element_after_a_cache_hit(stray):
+    """(1.0, 0) and np.int64 keys hash like (1, 0): membership is checked first."""
+    g = FiniteAbelianGroup((2, 2))
+    rep = regular_rep(trivial_cocycle(g), g)
+    rep.matrix((1, 0))
+    assert rep.matrix((1, 0)) is rep.matrix((1, 0))
+    with pytest.raises(GroupMismatchError):
+        rep.matrix(stray)
 
 
 def test_finite_group_elements_lexicographic():

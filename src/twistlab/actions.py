@@ -13,6 +13,7 @@ product outright; no gauge can remove a commutation phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -139,12 +140,10 @@ def rep_trace_scenario(rep: ProjectiveRep) -> ActionScenario:
     trace is computed on first use and then reused.
     """
     group = rep.group
-    traces: dict[Element, complex] = {}
 
+    @cache
     def trace(g: Element) -> complex:
-        if g not in traces:
-            traces[g] = complex(np.trace(rep.matrix(group.require(g)))) / rep.dimension
-        return traces[g]
+        return complex(np.trace(rep.matrix(group.require(g)))) / rep.dimension
 
     def amplitudes(g: Element, n: int) -> np.ndarray:
         return np.full(n, trace(g), dtype=complex)

@@ -95,6 +95,7 @@ from .groups import (
 from .reps import (
     DimensionCapError,
     ProjectiveRep,
+    _check_dimension,
     ccr_pair,
     ccr_to_projective,
     fell_absorption_check,
@@ -498,7 +499,10 @@ def parse_cocycle(value: Any, ctx: str) -> Cocycle:
                                 f"{sorted(_NAMED_COCYCLES)}, got {body!r}")
         return _NAMED_COCYCLES[body]()
     if key == "trivial":
-        return trivial_cocycle(parse_group(body, f"{ctx}.trivial"))
+        group = parse_group(body, f"{ctx}.trivial")
+        if isinstance(group, FiniteAbelianGroup):  # its table is order x order
+            _check_dimension("group order", group.order)
+        return trivial_cocycle(group)
     if key == "matrix":
         return MatrixCocycle(parse_matrix(body, f"{ctx}.matrix"))
     if key == "bilinear":
@@ -1213,8 +1217,7 @@ _COMMON = (
     Flag("--n-max", "horizons.n_max", type=int, when=_REPORT),
     Flag("--scan", "horizons.scan", type=int, when=_REPORT),
     Flag("--grid-cap", "horizons.grid_cap", type=int, when=_REPORT),
-    Flag("--tol", "tolerances", type=float, when=_REPORT,
-         convert=lambda tol, values: {"tol": tol}),
+    Flag("--tol", "tolerances.tol", type=float, when=_REPORT),
 )
 
 _COMMANDS: dict[str, tuple[str, tuple[Flag, ...]]] = {

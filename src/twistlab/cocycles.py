@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -230,26 +231,13 @@ def check_cocycle_identity(u: Cocycle, triples: Sequence[tuple[Element, Element,
     seldom repeat a pair, so their values are computed as they come.
     """
     g = u.group
-    value = _memoized(u.value) if isinstance(g, FiniteAbelianGroup) else u.value
+    value = cache(u.value) if isinstance(g, FiniteAbelianGroup) else u.value
     worst = 0.0
     for x, y, z in triples:
         lhs = value(x, y) * value(g.add(x, y), z)
         rhs = value(y, z) * value(x, g.add(y, z))
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def _memoized(value: Callable[[Element, Element], complex]) -> Callable[[Element, Element], complex]:
-    """value(x, y), computed once per distinct pair of coordinate tuples."""
-    values: dict[tuple[Element, Element], complex] = {}
-
-    def cached(x: Element, y: Element) -> complex:
-        key = (tuple(x), tuple(y))
-        if key not in values:
-            values[key] = value(x, y)
-        return values[key]
-
-    return cached
 
 
 def sample_triples(group: Group, count: int, bound: int, rng) -> tuple[tuple[Element, Element, Element], ...]:
@@ -426,7 +414,7 @@ def bilinearity_residual(sigma: BilinearMap, samples) -> float:
     """
     if isinstance(sigma, TableBilinear):
         return _table_bilinearity_residual(sigma, samples)
-    value = _memoized(sigma.value)
+    value = cache(sigma.value)
     worst = 0.0
     for (a, ap, b, bp) in samples:
         ab = value(a, b)

@@ -44,13 +44,18 @@ class DimensionCapError(ValueError):
     """A dense construction would exceed the configured dimension cap."""
 
 
+def _check_dimension(what: str, n: int) -> None:
+    """Refuse a dense construction of dimension n above DIMENSION_CAP, before any work."""
+    if n > DIMENSION_CAP:
+        raise DimensionCapError(f"{what} {n} exceeds cap {DIMENSION_CAP}")
+
+
 def unitarity_residual(m: np.ndarray) -> float:
     n = m.shape[0]
     return float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
 
 
-def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element,
-                       cap: int = DIMENSION_CAP) -> np.ndarray:
+def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element) -> np.ndarray:
     """Dense matrix of lambda_u(x) in the fixed element basis.
 
     Column g holds u(-(x + g), x) in row x + g: one scatter from the group's
@@ -61,8 +66,7 @@ def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element,
     if u.group != group:
         raise GroupMismatchError("cocycle and group disagree")
     n = group.order
-    if n > cap:
-        raise DimensionCapError(f"group order {n} exceeds cap {cap}")
+    _check_dimension("group order", n)
     cols = np.arange(n)
     rows = group.add_indices(group.index(group.require(x)), cols)
     els = group.elements()
@@ -111,15 +115,14 @@ class ProjectiveRep:
     dimension: int
 
 
-def regular_rep(u: Cocycle, group: FiniteAbelianGroup, cap: int = DIMENSION_CAP) -> ProjectiveRep:
+def regular_rep(u: Cocycle, group: FiniteAbelianGroup) -> ProjectiveRep:
     if not isinstance(group, FiniteAbelianGroup):
         raise GroupMismatchError("dense regular representation needs a finite group")
     if u.group != group:
         raise GroupMismatchError("cocycle and group disagree")
-    if group.order > cap:
-        raise DimensionCapError(f"group order {group.order} exceeds cap {cap}")
+    _check_dimension("group order", group.order)
     return ProjectiveRep(group, u, _cached_matrices(
-        group, lambda x: regular_rep_matrix(u, group, x, cap=cap)), group.order)
+        group, lambda x: regular_rep_matrix(u, group, x)), group.order)
 
 
 def pauli_rep() -> ProjectiveRep:
@@ -127,12 +130,8 @@ def pauli_rep() -> ProjectiveRep:
     g = FiniteAbelianGroup((2, 2))
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sign = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    table = {}
-    for (a, b) in g.elements():
-        m = np.linalg.matrix_power(flip, a) @ np.linalg.matrix_power(sign, b)
-        m.setflags(write=False)
-        table[(a, b)] = m
-    return ProjectiveRep(g, pauli_cocycle(), lambda x: table[g.require(x)], 2)
+    return ProjectiveRep(g, pauli_cocycle(), _cached_matrices(
+        g, lambda x: np.linalg.matrix_power(flip, x[0]) @ np.linalg.matrix_power(sign, x[1])), 2)
 
 
 def projective_relation_check(rep: ProjectiveRep,
@@ -152,7 +151,7 @@ def projective_relation_check(rep: ProjectiveRep,
     return worst
 
 
-def tensor_rep(reps: Sequence[ProjectiveRep], cap: int = DIMENSION_CAP) -> ProjectiveRep:
+def tensor_rep(reps: Sequence[ProjectiveRep]) -> ProjectiveRep:
     """Kronecker product of finitely many representations over one group.
 
     The cocycle multiplies; a single factor comes back unchanged.
@@ -169,8 +168,7 @@ def tensor_rep(reps: Sequence[ProjectiveRep], cap: int = DIMENSION_CAP) -> Proje
     dim = 1
     for r in reps:
         dim *= r.dimension
-    if dim > cap:
-        raise DimensionCapError(f"tensor dimension {dim} exceeds cap {cap}")
+    _check_dimension("tensor dimension", dim)
 
     def build(x: Element) -> np.ndarray:
         out = reps[0].matrix(x)
@@ -336,11 +334,11 @@ class CCRPair:
     @cached_property
     def _shape(self) -> tuple[int, ...]:
         d = self.b_domain
-        return (d.side + 1,) * d.rank if self.truncated else d.moduli
+        return (d.side + 1,) * d.rank
 
     @cached_property
     def _coords(self) -> np.ndarray:
-        """Mixed-radix coordinates of the basis points, one column per point."""
+        """Window coordinates of the basis points from its corner, one column per point."""
         return np.indices(self._shape).reshape(len(self._shape), -1)
 
     @cached_property
@@ -349,16 +347,18 @@ class CCRPair:
         return [self.sigma.image(y) for y in self.basis]
 
     def targets(self, b: Element) -> np.ndarray:
-        """Mixed-radix index of y + b for each basis point y (offsets cancel); -1 off a window."""
+        """Basis index of y + b for each basis point y: the group's index law on
+        a finite b side; on a window (offsets cancel) -1 for a point that exits."""
         key = tuple(b)
         idx = self._target_rows.get(key)
         if idx is None:
             d = self.b_domain
-            b = key if self.truncated else d.element(b)  # residues, so the int64 sum cannot wrap
-            moved = self._coords + np.array(b)[:, None]
-            idx = np.ravel_multi_index(moved, self._shape, mode="wrap")
             if self.truncated:
+                moved = self._coords + np.array(key)[:, None]
+                idx = np.ravel_multi_index(moved, self._shape, mode="clip")
                 idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
+            else:
+                idx = d.add_indices(d.index(d.element(key)), np.arange(self.dimension))
             idx.setflags(write=False)
             self._target_rows[key] = idx
         return idx
@@ -419,19 +419,16 @@ class CCRPair:
         return worst
 
 
-def ccr_pair(sigma: Union[MatrixBilinear, TableBilinear], b_domain: BDomain,
-             cap: int = DIMENSION_CAP) -> CCRPair:
+def ccr_pair(sigma: Union[MatrixBilinear, TableBilinear], b_domain: BDomain) -> CCRPair:
     if isinstance(b_domain, FiniteAbelianGroup):
         if not isinstance(sigma, TableBilinear) or sigma.b_group != b_domain:
             raise GroupMismatchError("finite b side needs a matching table bilinear map")
-        basis = b_domain.elements()
-    else:
-        if not isinstance(sigma, MatrixBilinear) or sigma.b_rank != b_domain.rank:
-            raise GroupMismatchError("window b side needs a matrix bilinear map of matching rank")
-        basis = tuple(b_domain.points())
-    if len(basis) > cap:
-        raise DimensionCapError(f"b side dimension {len(basis)} exceeds cap {cap}")
-    return CCRPair(sigma, basis, b_domain)
+        _check_dimension("b side dimension", b_domain.order)
+        return CCRPair(sigma, b_domain.elements(), b_domain)
+    if not isinstance(sigma, MatrixBilinear) or sigma.b_rank != b_domain.rank:
+        raise GroupMismatchError("window b side needs a matrix bilinear map of matching rank")
+    _check_dimension("b side dimension", b_domain.cardinality())
+    return CCRPair(sigma, tuple(b_domain.points()), b_domain)
 
 
 def ccr_to_projective(pair: CCRPair) -> ProjectiveRep:
@@ -501,7 +498,7 @@ class FellReport:
     per_element: tuple[tuple[Element, float, float], ...]
 
 
-def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep, cap: int = DIMENSION_CAP) -> FellReport:
+def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
     """Verify W (lambda_u(x) tensor V(x)) W* = lambda_{uv}(x) tensor 1.
 
     W sends f tensor psi to the function x -> f(x) V(x^{-1}) psi, i.e. the
@@ -512,10 +509,9 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep, cap: int = DIMENSION_
         raise GroupMismatchError("cocycle and representation must share the group")
     n = g.order
     d = vrep.dimension
-    if n * d > cap:
-        raise DimensionCapError(f"absorption check dimension {n * d} exceeds cap {cap}")
-    lam_u = regular_rep(u, g, cap=cap)
-    lam_uv = regular_rep(ProductCocycle([u, vrep.cocycle]), g, cap=cap)
+    _check_dimension("absorption check dimension", n * d)
+    lam_u = regular_rep(u, g)
+    lam_uv = regular_rep(ProductCocycle([u, vrep.cocycle]), g)
     w = np.zeros((n * d, n * d), dtype=complex)
     for i, el in enumerate(g.elements()):
         w[i * d:(i + 1) * d, i * d:(i + 1) * d] = vrep.matrix(g.neg(el))

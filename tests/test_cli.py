@@ -26,7 +26,7 @@ from twistlab.cli import (
     run_scenario,
 )
 from twistlab.cocycles import ProductCocycle, TableCocycle
-from twistlab.groups import FiniteAbelianGroup, IntegerLattice
+from twistlab.groups import FiniteAbelianGroup, FolnerBox, IntegerLattice
 from twistlab.reps import CCRPair
 from twistlab.series import ExplicitModel, GeometricModel, PowerModel
 
@@ -170,6 +170,24 @@ def test_folner_inline_report_shape(capsys):
     assert doc["scenario"]["params"] == {"rank": 2, "side": 3, "x": "1,0"}
     assert doc["scenario"]["seed"] == 0
     assert doc["scenario"]["tolerances"] == {"tol": 1e-9}
+
+
+def test_folner_offset_moves_the_box_but_not_its_translation_counts(capsys):
+    base = ["folner", "--rank", "2", "--side", "3", "--x", "1,0"]
+    plain = run_json(capsys, base)["result"]
+    moved = run_json(capsys, [*base, "--offset", "5,-2"])["result"]
+    for key in ("defect", "overlap", "cardinality"):
+        assert moved[key] == plain[key]
+    assert plain["l1_mass"] is not None
+    assert moved["l1_mass"] is None
+
+
+@pytest.mark.parametrize("flag,bad", [("--x", ["--x", "1,0,0"]),
+                                      ("--offset", ["--x", "1,0", "--offset", "5"])])
+def test_folner_vectors_need_rank_entries(capsys, flag, bad):
+    code, out, err = run_cli(capsys, ["folner", "--rank", "2", "--side", "3", *bad])
+    assert (code, out) == (2, "")
+    assert f"params.{flag[2:]} must have params.rank entries" in err
 
 
 def test_missing_flags_are_schema_errors(capsys):
@@ -538,6 +556,47 @@ def test_run_scenario_error_boundary_exits_2(command, params, horizons, message)
     assert info.value.message.startswith(message)
 
 
+def _work_started(*args, **kwargs):
+    raise AssertionError("the run started its dense work before the cap check")
+
+
+def _coboundary(group):
+    return {"coboundary": {"epsilon": 0.5, "group": group}}
+
+
+@pytest.mark.parametrize("command,inline,work,message", [
+    ("tensor", {"factors": [{"regular": {"cocycle": _coboundary("Z4097"), "group": "Z4097"}}]},
+     (FiniteAbelianGroup, "elements"), "group order 4097"),
+    ("tensor", ["--factors", ",".join(["pauli"] * 13)], (np, "kron"), "tensor dimension 8192"),
+    ("fell", {"u": _coboundary("Z65"), "rep": {"regular": {"cocycle": _coboundary("Z65"),
+                                                           "group": "Z65"}}},
+     (FiniteAbelianGroup, "elements"), "absorption check dimension 4225"),
+    ("ccr", ["--d-matrix", "0.1,0;0,0.1", "--side", "64"], (FolnerBox, "points"),
+     "b side dimension 4225"),
+    ("ccr", {"sigma": {"table": {"a_moduli": [1], "b_moduli": [4097], "phases": [[0] * 4097]}}},
+     (FiniteAbelianGroup, "elements"), "b side dimension 4097"),
+    ("check-cocycle", {"cocycle": {"trivial": "Z100000"}}, (cli, "trivial_cocycle"),
+     "group order 100000"),
+], ids=["regular", "tensor", "fell", "ccr-window", "ccr-table", "trivial-table"])
+def test_over_cap_inputs_are_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                     command, inline, work, message):
+    if isinstance(inline, dict):
+        path = tmp_path / "over-cap.json"
+        path.write_text(json.dumps({"schema": 1, "command": command, "params": inline}))
+        inline = ["--scenario", str(path)]
+    monkeypatch.setattr(*work, _work_started)
+    code, out, err = run_cli(capsys, [command, *inline])
+    assert (code, out) == (2, "")
+    assert f"error: cap exceeded: {message} exceeds cap 4096" in err
+
+
+def test_a_trivial_table_at_the_cap_still_runs(capsys):
+    doc = {"schema": 1, "command": "check-cocycle",
+           "params": {"cocycle": {"trivial": "Z64xZ64"}, "samples": {"count": 4}}}
+    res = run_scenario(doc, "check-cocycle")
+    assert json.loads(res)["result"]["pass"] is True
+
+
 # --- the flag table: every flag is read or refused ---
 
 
@@ -752,15 +811,21 @@ def test_flag_overrides_land_in_resolved_scenario(capsys):
     assert doc["result"]["tol"] == pytest.approx(1e-6)
 
 
-@pytest.mark.parametrize("block,flag", [("horizons", ["--n-max", "3"]),
-                                        ("output", ["--format", "csv"])])
-def test_an_override_leaves_a_malformed_block_to_the_validator(tmp_path, capsys, block, flag):
+@pytest.mark.parametrize("block,value,flag,message", [
+    ("horizons", [1], ["--n-max", "3"], "horizons must be an object"),
+    ("output", [1], ["--format", "csv"], "output must be an object"),
+    ("tolerances", [1], ["--tol", "1e-6"], "tolerances must be an object"),
+    ("tolerances", {"tol": 1e-9, "bogus": 1}, ["--tol", "1e-6"],
+     "unknown field(s) ['bogus'] in tolerances"),
+])
+def test_an_override_leaves_a_malformed_block_to_the_validator(tmp_path, capsys, block, value,
+                                                               flag, message):
     path = tmp_path / "bad-block.json"
-    path.write_text(json.dumps({"schema": 1, "command": "folner", block: [1],
+    path.write_text(json.dumps({"schema": 1, "command": "folner", block: value,
                                 "params": {"rank": 1, "side": 1, "x": [1]}}))
     code, out, err = run_cli(capsys, ["folner", "--scenario", str(path), *flag])
     assert (code, out) == (2, "")
-    assert f"schema violation: {block} must be an object" in err
+    assert f"schema violation: {message}" in err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Twisted regular representations, CCR pairs and the absorption check."""
 
+import ast
 import copy
 import importlib.util
 import math
@@ -110,18 +111,20 @@ def test_regular_rep_rejects_lattice_and_mismatch():
         regular_rep(sign_cocycle_z2(), FiniteAbelianGroup((2, 2)))
 
 
-def test_regular_rep_dimension_cap():
+def test_regular_rep_dimension_cap(monkeypatch):
     g = FiniteAbelianGroup((5, 5))
+    monkeypatch.setattr(reps, "DIMENSION_CAP", 24)
     with pytest.raises(DimensionCapError):
-        regular_rep_matrix(trivial_cocycle(g), g, (0, 0), cap=24)
+        regular_rep_matrix(trivial_cocycle(g), g, (0, 0))
 
 
-def test_regular_rep_refuses_infinite_groups_caps_and_mismatches():
+def test_regular_rep_refuses_infinite_groups_caps_and_mismatches(monkeypatch):
     z2, z3, z5 = (FiniteAbelianGroup((k,)) for k in (2, 3, 5))
     with pytest.raises(GroupMismatchError, match="dense regular representation needs a finite group"):
         regular_rep(trivial_cocycle(IntegerLattice(1)), IntegerLattice(1))
+    monkeypatch.setattr(reps, "DIMENSION_CAP", 4)
     with pytest.raises(DimensionCapError, match="group order 5 exceeds cap 4"):
-        regular_rep(trivial_cocycle(z5), z5, cap=4)
+        regular_rep(trivial_cocycle(z5), z5)
     with pytest.raises(GroupMismatchError, match="cocycle and group disagree"):
         regular_rep_matrix(trivial_cocycle(z2), z3, (0,))
 
@@ -285,9 +288,10 @@ def test_ccr_pair_rejects_mismatched_sigma():
         ccr_pair(pauli_sigma(), FolnerBox(1, 3))
 
 
-def test_ccr_pair_cap():
+def test_ccr_pair_cap(monkeypatch):
+    monkeypatch.setattr(reps, "DIMENSION_CAP", 50)
     with pytest.raises(DimensionCapError):
-        ccr_pair(MatrixBilinear(np.array([[0.1]])), FolnerBox(1, 100), cap=50)
+        ccr_pair(MatrixBilinear(np.array([[0.1]])), FolnerBox(1, 100))
 
 
 def test_window_ccr_pair_truncation_accounting():
@@ -614,10 +618,10 @@ def test_tensor_rep_needs_one_group():
         tensor_rep([a, b])
 
 
-def test_tensor_rep_cap():
-    reps = [pauli_rep()] * 7
+def test_tensor_rep_cap(monkeypatch):
+    monkeypatch.setattr(reps, "DIMENSION_CAP", 100)
     with pytest.raises(DimensionCapError):
-        tensor_rep(reps, cap=100)
+        tensor_rep([pauli_rep()] * 7)
 
 
 # --- spectra and absorption ---
@@ -653,11 +657,12 @@ def test_fell_absorption_sign_cocycle_on_z2():
     assert report.max_spectral_distance < 1e-8
 
 
-def test_fell_absorption_mismatch_and_cap():
+def test_fell_absorption_mismatch_and_cap(monkeypatch):
     with pytest.raises(GroupMismatchError):
         fell_absorption_check(sign_cocycle_z2(), pauli_rep())
+    monkeypatch.setattr(reps, "DIMENSION_CAP", 7)
     with pytest.raises(DimensionCapError):
-        fell_absorption_check(pauli_cocycle(), pauli_rep(), cap=7)
+        fell_absorption_check(pauli_cocycle(), pauli_rep())
 
 
 def test_twisted_inner_product_brute_formula():
@@ -773,3 +778,22 @@ def test_dense_reps_reports_do_not_depend_on_the_matrix_cache(monkeypatch, seed)
     cached = reports()
     monkeypatch.setattr(reps, "MATRIX_CACHE_BYTES", 0)
     assert reports() == cached
+
+
+def test_the_dimension_cap_has_one_owner():
+    """One gate reads DIMENSION_CAP and raises; no function takes a cap of its own."""
+    raised, cap_params = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "twistlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "DimensionCapError":
+                    raised.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "cap" for p in params):
+                    cap_params.append(f"{path.name}:{node.lineno}")
+    assert len(raised) == 1, f"DimensionCapError is constructed at {raised}"
+    assert cap_params == [], f"functions with a cap parameter: {cap_params}"

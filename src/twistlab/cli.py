@@ -500,7 +500,7 @@ def parse_cocycle(value: Any, ctx: str) -> Cocycle:
         return _NAMED_COCYCLES[body]()
     if key == "trivial":
         group = parse_group(body, f"{ctx}.trivial")
-        if isinstance(group, FiniteAbelianGroup):  # its table is order x order
+        if isinstance(group, FiniteAbelianGroup):  # its table check reads order x order entries
             _check_dimension("group order", group.order)
         return trivial_cocycle(group)
     if key == "matrix":

@@ -104,7 +104,10 @@ class TableCocycle(Cocycle):
         tab = np.asarray(table, dtype=complex)
         if tab.shape != (n, n):
             raise ValueError(f"table shape {tab.shape} does not match group order {n}")
-        if np.max(np.abs(np.abs(tab) - 1.0)) > tol:
+        # Row blocks of about 2^16 entries: no order x order temporary.
+        step = max(1, (1 << 16) // n)
+        if np.max([np.max(np.abs(np.abs(tab[i:i + step]) - 1.0))
+                   for i in range(0, n, step)]) > tol:
             raise ConstructionError("table entries must have modulus 1")
         e = group.index(group.identity)
         if np.max(np.abs(tab[e, :] - 1.0)) > tol or np.max(np.abs(tab[:, e] - 1.0)) > tol:
@@ -206,10 +209,10 @@ def flatten_matrix_cocycle(u: Cocycle) -> Optional[np.ndarray]:
 
 
 def trivial_cocycle(group: Group) -> Cocycle:
-    """The constant cocycle 1."""
+    """The constant cocycle 1; on a finite group its table is one entry, broadcast."""
     if isinstance(group, IntegerLattice):
         return MatrixCocycle(np.zeros((group.rank, group.rank)))
-    return TableCocycle(group, np.ones((group.order, group.order), dtype=complex))
+    return TableCocycle(group, np.broadcast_to(np.complex128(1), (group.order, group.order)))
 
 
 def pauli_cocycle() -> TableCocycle:

@@ -18,11 +18,8 @@ Verdicts are three-valued (`ProvedConvergent`, `ProvedDivergent`,
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
@@ -44,6 +41,7 @@ from .groups import (
     l1_norm,
     sup_norm,
 )
+from .parallel import map_ordered
 from .reps import TruncatedVector
 from .series import (
     GeometricModel,
@@ -264,13 +262,6 @@ def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
 # elements in box_sup_distance: one 256 KB block of phases at a time.
 _BLOCK_POINTS = 1 << 15
 
-# Threads that share the leaves of one box_twist_mean: the CPUs this process
-# may run on.
-try:
-    _THREADS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity call on this platform
-    _THREADS = os.cpu_count() or 1
-
 _T = TypeVar("_T")
 
 
@@ -312,14 +303,11 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
     points are built from that, turned into chords in place and summed; they
     are the leaves of numpy's pairwise summation tree, so the mean equals
     ``np.mean`` over the full grid bit for bit while each thread holds one
-    block.  The calling thread and up to _THREADS - 1 more, all in the
-    caller's context (its ``np.errstate``), take the leaves in tree order
-    from one queue, so a thread on a slow CPU takes fewer of them; every
-    thread is joined before the leaf sums are folded along the tree.  The
+    block.  ``parallel.map_ordered`` shares the leaves, in tree order, among
+    the CPUs, and the leaf sums are folded along the tree afterwards.  The
     fold fixes the order of every addition, so the bits do not depend on
-    the thread count.  Once a leaf fails the threads stop taking leaves, and
-    the first exception in leaf order is re-raised.  ``grid_cap`` bounds the
-    number of points, which is the work.
+    the thread count; the first failing leaf's exception is re-raised.
+    ``grid_cap`` bounds the number of points, which is the work.
     """
     A = np.asarray(matrix, dtype=float)
     n = box.rank
@@ -342,8 +330,10 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
     for axis in head[1:]:
         lead = (lead[:, None] + axis).ravel()
     m = last.size
+    leaves = _pairwise(lambda start, count: [(start, count)], 0, card)
 
-    def leaf(buf: np.ndarray, start: int, count: int) -> float:
+    def leaf(buf: np.ndarray, j: int) -> float:
+        start, count = leaves[j]
         out = buf[:count]
         r0, c0 = divmod(start, m)
         r1, c1 = divmod(start + count, m)
@@ -358,38 +348,7 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
             np.add(lead[r1:r1 + 1], last[:c1], out=out[first + rows * m:])
         return np.add.reduce(_chords(out))
 
-    leaves = _pairwise(lambda start, count: [(start, count)], 0, card)
-    sums: list = [None] * len(leaves)
-    errors: list[tuple[int, BaseException]] = []
-    todo = iter(range(len(leaves)))
-    lock = threading.Lock()
-
-    def sum_leaves() -> None:
-        buf = np.empty(min(card, _BLOCK_POINTS))
-        while not errors:
-            with lock:
-                j = next(todo, None)
-            if j is None:
-                return
-            try:
-                sums[j] = leaf(buf, *leaves[j])
-            except BaseException as exc:  # re-raised by the caller, in leaf order
-                errors.append((j, exc))
-
-    threads = []
-    try:
-        for _ in range(min(_THREADS, len(leaves)) - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(sum_leaves,))
-            thread.start()
-            threads.append(thread)
-        sum_leaves()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    folded = iter(sums)
+    folded = iter(map_ordered(leaf, len(leaves), lambda: np.empty(min(card, _BLOCK_POINTS))))
     return float(_pairwise(lambda start, count: next(folded), 0, card)) / card
 
 

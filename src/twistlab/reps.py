@@ -28,6 +28,7 @@ from .cocycles import (
     flatten_matrix_cocycle,
     pauli_cocycle,
 )
+from .parallel import map_ordered
 from .groups import (
     Element,
     FiniteAbelianGroup,
@@ -498,36 +499,103 @@ class FellReport:
     per_element: tuple[tuple[Element, float, float], ...]
 
 
+# numpy releases the GIL for an eigvals call only when it returns more than
+# this many eigenvalues.
+_GIL_FREE_EIGENVALUES = 500
+
+
+def _runs(count: int, per: int) -> list[range]:
+    """range(count) cut into consecutive runs of ``per`` (at least 1), the
+    last run taking the remainder; a single run when count < 2 * per."""
+    per = max(1, min(count, per))
+    stops = [k * per for k in range(1, count // per)] + [count]
+    return [range(lo, hi) for lo, hi in zip([0] + stops, stops)]
+
+
+def _fell_plan(n: int, d: int) -> list[tuple[range, list[range]]]:
+    """Rounds of element indices whose matrices fit MATRIX_CACHE_BYTES, each
+    with its eigvals stacks: runs of its 2 per element products (left, then
+    right) that give more than _GIL_FREE_EIGENVALUES eigenvalues, or all of
+    them when the group is too small for that."""
+    dim = n * d
+    rounds = _runs(n, MATRIX_CACHE_BYTES // (16 * (2 * n * n + d * d)))
+    return [(r, _runs(2 * len(r), _GIL_FREE_EIGENVALUES // dim + 1)) for r in rounds]
+
+
 def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
     """Verify W (lambda_u(x) tensor V(x)) W* = lambda_{uv}(x) tensor 1.
 
     W sends f tensor psi to the function x -> f(x) V(x^{-1}) psi, i.e. the
     block diagonal matrix with blocks V(g^{-1}) in the element basis.
+
+    The calling thread reads every matrix, in element order, one round of
+    ``_fell_plan`` at a time.  ``parallel.map_ordered`` then shares the round
+    out: one call computes its residuals with ``matmul(..., out=)``, and one
+    call per stack fills the stack with Kronecker products (``np.multiply``
+    as ``np.kron`` calls it) and takes their eigenvalues in one ``eigvals``
+    call, which frees the GIL.  The spectra are matched on the calling
+    thread.  Each eigvals, zgemm and multiply sees the operands the
+    one-element loop gave it, so the report has the same bits on any number
+    of CPUs.
     """
     g = vrep.group
     if u.group != g:
         raise GroupMismatchError("cocycle and representation must share the group")
     n = g.order
     d = vrep.dimension
-    _check_dimension("absorption check dimension", n * d)
+    dim = n * d
+    _check_dimension("absorption check dimension", dim)
     lam_u = regular_rep(u, g)
     lam_uv = regular_rep(ProductCocycle([u, vrep.cocycle]), g)
-    w = np.zeros((n * d, n * d), dtype=complex)
-    for i, el in enumerate(g.elements()):
+    els = g.elements()
+    w = np.zeros((dim, dim), dtype=complex)
+    for i, el in enumerate(els):
         w[i * d:(i + 1) * d, i * d:(i + 1) * d] = vrep.matrix(g.neg(el))
     w_adj = w.conj().T
     eye = np.eye(d)
+    plan = _fell_plan(n, d)
+    # Each thread's buffer holds the widest stack, or the residuals' two matrices.
+    depth = max(2, *(len(stack) for _, stacks in plan for stack in stacks))
     rows = []
     worst_res = 0.0
     worst_spec = 0.0
-    for x in g.elements():
-        left = np.kron(lam_u.matrix(x), vrep.matrix(x))
-        right = np.kron(lam_uv.matrix(x), eye)
-        res = float(np.max(np.abs(w @ left @ w_adj - right)))
-        spec = spectral_multiset_distance(np.linalg.eigvals(left), np.linalg.eigvals(right))
-        rows.append((x, res, spec))
-        worst_res = max(worst_res, res)
-        worst_spec = max(worst_spec, spec)
+    for elements, stacks in plan:
+        mats = [(lam_u.matrix(els[i]), vrep.matrix(els[i]), lam_uv.matrix(els[i]))
+                for i in elements]
+
+        def product(m: int, out: np.ndarray) -> np.ndarray:
+            """Product m of the round: the left one of element m // 2, then the right one."""
+            a, v, b = mats[m // 2]
+            if m % 2:
+                a, v = b, eye
+            np.multiply(a[:, None, :, None], v[None, :, None, :], out=out.reshape(n, d, n, d))
+            return out
+
+        def residuals(buf: np.ndarray) -> list[float]:
+            """|W left W* - right| per element; right and |.| reuse the slot of W left."""
+            left, p1 = buf[:2]
+            out = []
+            for m in range(0, 2 * len(mats), 2):
+                np.matmul(w, product(m, left), out=p1)
+                np.matmul(p1, w_adj, out=left)
+                np.subtract(left, product(m + 1, p1), out=left)
+                out.append(float(np.max(np.abs(left, out=p1.real))))
+            return out
+
+        def spectra(buf: np.ndarray, stack: range) -> np.ndarray:
+            for k, m in enumerate(stack):
+                product(m, buf[k])
+            return np.linalg.eigvals(buf[:len(stack)])
+
+        res, *found = map_ordered(
+            lambda buf, j: spectra(buf, stacks[j - 1]) if j else residuals(buf),
+            1 + len(stacks), lambda: np.empty((depth, dim, dim), dtype=complex), blas=True)
+        eig = np.concatenate(found)
+        for k, i in enumerate(elements):
+            spec = spectral_multiset_distance(eig[2 * k], eig[2 * k + 1])
+            rows.append((els[i], res[k], spec))
+            worst_res = max(worst_res, res[k])
+            worst_spec = max(worst_spec, spec)
     return FellReport(
         group_order=n,
         rep_dimension=d,

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -547,3 +548,39 @@ def test_lift_diagonal_matches_bilinear_on_diagonal():
         b = tuple(int(v) for v in rng.integers(-5, 6, size=2))
         assert u.value(a + b, a + b) == pytest.approx(
             sigma.value(a, b).conjugate(), abs=1e-12)
+
+
+# --- table checks without order x order temporaries ---
+
+
+def test_a_trivial_table_is_one_entry_and_its_check_stays_small():
+    """Z64xZ64 once took a 268 MB table of ones and full-size temporaries."""
+    g = FiniteAbelianGroup((64, 64))
+    tracemalloc.start()
+    try:
+        u = trivial_cocycle(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert u.table.shape == (g.order, g.order) and u.table.strides == (0, 0)
+    assert u.value((3, 5), (63, 1)) == 1.0 + 0.0j
+
+
+@pytest.mark.parametrize("moduli", [(3,), (300,), (17, 19)])
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, 0.5, math.nan, math.inf])
+def test_the_blocked_modulus_check_decides_as_one_whole_table_check(moduli, bad):
+    """Row blocks of 218 and 202 rows split the larger tables; a NaN entry
+    passes, as it passed the one-expression check."""
+    g = FiniteAbelianGroup(moduli)
+    n = g.order
+    for row in (1, n // 2, n - 1):
+        tab = np.ones((n, n), dtype=complex)
+        tab[row, n - 1] = bad
+        whole_check_refuses = bool(np.max(np.abs(np.abs(tab) - 1.0)) > 1e-12)
+        assert whole_check_refuses != math.isnan(bad)
+        if whole_check_refuses:
+            with pytest.raises(ConstructionError, match="modulus 1"):
+                TableCocycle(g, tab)
+        else:
+            TableCocycle(g, tab)

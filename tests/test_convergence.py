@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import convergence
+from twistlab import convergence, parallel
 from twistlab.cocycles import (
     ConstructionError,
     MatrixCocycle,
@@ -303,7 +303,7 @@ def test_threaded_twist_mean_equals_full_grid_mean(box, block, threads, data):
                                  max_size=box.rank)))
     running = threading.active_count()
     with patch.object(convergence, "_BLOCK_POINTS", block), \
-            patch.object(convergence, "_THREADS", threads):
+            patch.object(parallel, "_THREADS", threads):
         got = box_twist_mean(a, box, x)
     assert bits(got) == bits(full_grid_twist_mean(a, box, x))
     assert threading.active_count() == running
@@ -315,7 +315,7 @@ def test_threaded_twist_mean_non_finite_entries(bad):
     a = np.array([[0.3, bad], [-0.2, 0.1]])
     box = FolnerBox(2, 300, (-5, 2))
     assert len(leaves_of(box.cardinality())) > 3
-    with patch.object(convergence, "_THREADS", 3):
+    with patch.object(parallel, "_THREADS", 3):
         for x in ((1, 1), (1, 0), (0, 0)):
             got = box_twist_mean(a, box, x)
             assert bits(got) == bits(full_grid_twist_mean(a, box, x))
@@ -329,7 +329,7 @@ def test_threaded_twist_mean_under_fast_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with patch.object(convergence, "_THREADS", 7), \
+        with patch.object(parallel, "_THREADS", 7), \
                 patch.object(convergence, "_BLOCK_POINTS", 128):
             assert len(leaves_of(box.cardinality())) > 500
             for _ in range(20):
@@ -339,7 +339,7 @@ def test_threaded_twist_mean_under_fast_thread_switching():
 
 
 class CountingThreads:
-    """Stands in for the threading module in convergence, keeping every
+    """Stands in for the threading module in parallel, keeping every
     thread it makes."""
 
     Lock = threading.Lock
@@ -359,8 +359,8 @@ def test_threaded_twist_mean_starts_and_joins_its_threads(threads):
     workers = min(threads, len(leaves_of(box.cardinality()))) - 1
     made = CountingThreads()
     running = threading.active_count()
-    with patch.object(convergence, "_THREADS", threads), \
-            patch.object(convergence, "threading", made):
+    with patch.object(parallel, "_THREADS", threads), \
+            patch.object(parallel, "threading", made):
         got = box_twist_mean(ROTATION, box, (1, 2))
     assert bits(got) == bits(full_grid_twist_mean(ROTATION, box, (1, 2)))
     assert len(made.made) == workers
@@ -374,8 +374,8 @@ def test_one_thread_starts_no_thread():
 
     box = FolnerBox(2, 400)
     assert len(leaves_of(box.cardinality())) > 1
-    with patch.object(convergence, "_THREADS", 1), \
-            patch.object(convergence, "threading",
+    with patch.object(parallel, "_THREADS", 1), \
+            patch.object(parallel, "threading",
                          SimpleNamespace(Thread=no_thread, Lock=threading.Lock)):
         got = box_twist_mean(ROTATION, box, (1, 0))
     assert bits(got) == bits(full_grid_twist_mean(ROTATION, box, (1, 0)))
@@ -413,7 +413,7 @@ def test_threaded_leaves_keep_the_callers_errstate(threads):
     assert len(leaves_of(box.cardinality())) > 3
     record, seen = recorded_chords(spread=threads > 1)
     running = threading.active_count()
-    with patch.object(convergence, "_THREADS", threads), \
+    with patch.object(parallel, "_THREADS", threads), \
             np.errstate(over="ignore", invalid="raise"):
         caller = np.geterr()
         with patch.object(convergence, "_chords", record), \
@@ -449,7 +449,7 @@ def test_threaded_twist_mean_raises_the_first_leaf_error(threads):
 
     chords = convergence._chords
     running = threading.active_count()
-    with patch.object(convergence, "_THREADS", threads), \
+    with patch.object(parallel, "_THREADS", threads), \
             patch.object(convergence, "_chords", failing_chords):
         with pytest.raises(LeafError) as info:
             box_twist_mean(np.eye(1), box, (1,))

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 
-from twistlab import actions, cli, cocycles, convergence, groups, reps, series
+from twistlab import actions, cli, cocycles, convergence, groups, parallel, reps, series
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = (actions, cli, cocycles, convergence, groups, reps, series)
@@ -146,8 +146,8 @@ def test_tracer_sees_box_twist_means_only_on_the_calling_thread():
                       "matrices": {"family": "geometric", "matrix": "0,1;-1,0",
                                    "ratio": 0.5}}}
     tracer = ThreadRecordingTracer()
-    with patch.object(convergence, "_THREADS", 3), \
-            patch.object(convergence, "threading",
+    with patch.object(parallel, "_THREADS", 3), \
+            patch.object(parallel, "threading",
                          SimpleNamespace(Thread=counting_thread, Lock=threading.Lock)):
         try:
             tracing.install(tracer)
@@ -161,4 +161,4 @@ def test_tracer_sees_box_twist_means_only_on_the_calling_thread():
     assert patched and tracer._patches == []
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
-    assert convergence.__dict__["threading"] is threading
+    assert parallel.__dict__["threading"] is threading

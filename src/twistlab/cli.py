@@ -23,7 +23,6 @@ selection scan.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import re
@@ -67,6 +66,7 @@ from .convergence import (
     DEFAULT_GRID_CAP,
     DEFAULT_SCALAR_HORIZON,
     DEFAULT_SCAN_HORIZON,
+    Prefix,
     SelectionError,
     box_defect,
     ceil_schedule,
@@ -111,7 +111,9 @@ from .series import (
     PowerModel,
     TailModel,
     horizon,
+    model_powers,
     model_values,
+    pow_overflow,
     running_sums,
 )
 
@@ -459,21 +461,36 @@ def parse_model(value: Any, ctx: str) -> TailModel:
     return GeometricModel(*nums, _relation_field(d, ctx))
 
 
-def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], float], TailModel]:
+def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], Prefix], TailModel]:
     """Signed value family plus the exact model of its absolute values.
 
     Used for angle sequences, where theta_j may be negative while every
-    certified bound only consumes |theta_j|.
+    certified bound only consumes |theta_j|.  The reader gives the first n
+    values as a ``Prefix``: ``c * float(j) ** k`` and ``c * k ** j`` with
+    Python's bits, from ``model_powers``, cut before the first power that
+    Python's ``**`` refuses, whose OverflowError the prefix carries.
     """
     family, _, nums = _family_numbers(value, ctx)
     if family == "explicit":
-        return (lambda j: nums[j - 1]), ExplicitModel(tuple(abs(v) for v in nums))
+        signed = np.array(nums, dtype=float)
+        return (lambda n: Prefix(signed[:n])), ExplicitModel(tuple(abs(v) for v in nums))
     c, k = nums
     if family == "power":
-        return (lambda j: c * float(j) ** k), PowerModel(abs(c), k)
-    if k < 0:
+        model: TailModel = PowerModel(abs(c), k)
+    elif k < 0:
         raise _schema_error(f"{ctx}.ratio must be >= 0")
-    return (lambda j: c * k ** j), GeometricModel(abs(c), k)
+    else:
+        model = GeometricModel(abs(c), k)
+
+    def read(n: int) -> Prefix:
+        powers, overflow = model_powers(model, n)
+        stop = np.flatnonzero(overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stop.size:
+                return Prefix(c * powers[:stop[0]], pow_overflow())
+            return Prefix(c * powers)
+
+    return read, model
 
 
 # --- cocycle / bilinear / representation descriptors ------------------------
@@ -683,7 +700,7 @@ def _matrix_family_from(params: dict, key: str, ctx_name: str):
 
 
 def _scalar_values(params: dict, ctx: RunContext) -> tuple[
-        list[complex], Optional[TailModel]]:
+        Sequence[complex], Optional[TailModel]]:
     """Realized values plus optional term model for the product / inner kinds."""
     has_values = "values" in params
     has_angles = "angles" in params
@@ -694,14 +711,31 @@ def _scalar_values(params: dict, ctx: RunContext) -> tuple[
         raw = _nonempty_list(params["values"], "params.values")
         vals = [parse_complex(v, f"params.values[{k}]") for k, v in enumerate(raw)]
         return vals[:ctx.n_max(DEFAULT_SCALAR_HORIZON)], model
-    theta, abs_model = parse_signed_family(params["angles"], "params.angles")
+    read, abs_model = parse_signed_family(params["angles"], "params.angles")
     if model is None:
         # |1 - e^{i theta}| = 2|sin(theta/2)| <= |theta|, so the absolute
         # angle family is a certified majorant for the term series.
         if abs_model.envelope is not None:
             model = replace(abs_model, relation=MAJORANT)
-    n = horizon(ctx.n_max(DEFAULT_SCALAR_HORIZON), abs_model)
-    return [cmath.exp(1j * theta(i)) for i in range(1, n + 1)], model
+    theta, error = read(horizon(ctx.n_max(DEFAULT_SCALAR_HORIZON), abs_model))
+    if error is not None:
+        raise error
+    return _unit_phases(theta), model
+
+
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """cmath.exp(1j * theta) per angle, bit for bit.
+
+    Python forms 1j * theta as complex(0.0 * theta - 0.0, 0.0 + theta), so
+    theta = -0.0 gets imaginary part +0.0.  For finite theta the exponential
+    is complex(cos, sin) of that imaginary part, and nan+nanj otherwise;
+    np.cos and np.sin equal math.cos and math.sin and give both.
+    """
+    phases = np.empty(theta.size, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        phases.real = np.cos(0.0 + theta)
+        phases.imag = np.sin(0.0 + theta)
+    return phases
 
 
 def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
@@ -825,9 +859,10 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
 def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("angles", "windows"))
     window_model = parse_model(params["windows"], "params.windows")
-    angle_fn, angle_model = parse_signed_family(params["angles"], "params.angles")
-    report = dirichlet_condition(None, window_model, angle_fn, angle_model,
-                                 n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
+    read, angle_model = parse_signed_family(params["angles"], "params.angles")
+    n_max = ctx.n_max(DEFAULT_SCALAR_HORIZON)
+    report = dirichlet_condition(None, window_model, read(horizon(n_max, window_model)),
+                                 angle_model, n_max=n_max)
     result = {
         "angles_head": _head(report.angles),
         "conclusion": report.conclusion,

@@ -248,12 +248,20 @@ def sample_triples(group: Group, count: int, bound: int, rng) -> tuple[tuple[Ele
     return tuple((flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]) for i in range(count))
 
 
+def _entrywise(table: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """f of a table; of its one entry, broadcast again, when the table is one
+    entry broadcast (``trivial_cocycle``), so no order x order array is made."""
+    if table.strides == (0, 0):
+        return np.broadcast_to(f(table[:1, :1]), table.shape)
+    return f(table)
+
+
 def commutator_bicharacter(u: Cocycle) -> Cocycle:
     """kappa(x,y) = u(x,y) conj(u(y,x)); closed form for matrix and table variants."""
     if isinstance(u, MatrixCocycle):
         return MatrixCocycle(canonicalize_phases(u.matrix - u.matrix.T))
     if isinstance(u, TableCocycle):
-        return TableCocycle(u.group, u.table * np.conj(u.table.T))
+        return TableCocycle(u.group, _entrywise(u.table, lambda t: t * np.conj(t.T)))
     return PointwiseCommutator(u)
 
 
@@ -339,7 +347,7 @@ def conjugate_cocycle(u: Cocycle) -> Cocycle:
     if isinstance(u, MatrixCocycle):
         return MatrixCocycle(-u.matrix)
     if isinstance(u, TableCocycle):
-        return TableCocycle(u.group, np.conj(u.table))
+        return TableCocycle(u.group, _entrywise(u.table, np.conj))
     if isinstance(u, ProductCocycle):
         return ProductCocycle([conjugate_cocycle(f) for f in u.factors])
     if isinstance(u, CoboundaryCocycle):

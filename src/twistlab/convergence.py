@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -894,11 +894,11 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
         raise ConstructionError("side model must produce positive sides")
 
     n_max = horizon(n_max, side_model, matrix_model)
-    side_values = np.array(model_values(side_model, n_max), dtype=float)
+    side_values = model_values(side_model, n_max)
     if np.isnan(side_values).any():
         raise ValueError("cannot convert float NaN to integer")  # math.ceil's message
     sides = np.ceil(side_values) + 0.0  # + 0.0 clears the sign of a zero ceiling
-    norms = np.array(model_values(matrix_model, n_max), dtype=float)
+    norms = model_values(matrix_model, n_max)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sigma_terms = np.where(sides >= 1, 1.0 / sides, math.inf)
         weighted_terms = np.where(norms == 0.0, 0.0, sides * norms)
@@ -1028,21 +1028,73 @@ def select_product_subsequence(seq: CocycleSequence,
 # ---------------------------------------------------------------------------
 
 
+class Prefix(NamedTuple):
+    """The first values of a sequence, and the exception that reading the
+    next one raises (None when no read failed)."""
+
+    values: Sequence
+    error: Optional[Exception] = None
+
+
+def _read_prefix(fn: Callable[[int], Any], n: int, convert: Callable) -> Prefix:
+    """convert(fn(j)) for j = 1..n, up to the first that raises."""
+    values = []
+    try:
+        for j in range(1, n + 1):
+            values.append(convert(fn(j)))
+    except Exception as exc:  # raised again at its index, after any earlier failure
+        return Prefix(values, exc)
+    return Prefix(values)
+
+
+def _angle_remainders(theta: np.ndarray) -> np.ndarray:
+    """math.remainder(theta, 2 pi) per angle, bit for bit.
+
+    CPython's m_remainder on ``np.fmod``, which is exact: the remainder m of
+    |theta| is kept when below half of 2 pi and replaced by m - 2 pi when
+    above, a tie takes the even multiple, and theta's sign comes last.
+    An infinite angle raises math.remainder's ValueError.
+    """
+    if np.isinf(theta).any():
+        raise ValueError("math domain error")  # math.remainder's own
+    size = np.abs(theta)
+    with np.errstate(invalid="ignore"):
+        m = np.fmod(size, TWO_PI)
+        rest = TWO_PI - m
+        tie = m - 2.0 * np.fmod(0.5 * (size - m), TWO_PI)
+        return np.copysign(1.0, theta) * np.where(m < rest, m, np.where(m > rest, -rest, tie))
+
+
+def _dirichlet_means(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sin(m t / 2) / (m sin(t / 2)) per element, or 1.0 where the denominator is 0.
+
+    ``m`` holds float(2n + 1) and ``t`` the reduced angles.  The operations
+    are sin((0.5 * m) * t) / (m * sin(0.5 * t)) in that order, and np.sin
+    equals math.sin, so each mean has the scalar formula's bits.  A sine
+    argument that overflows raises math.sin's ValueError, except where the
+    denominator vanishes and the mean is 1.0 without it.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denominator = m * np.sin(0.5 * t)
+        arg = (0.5 * m) * t
+        flat = denominator == 0.0  # t is 0, or 0.5 t underflows to 0 and D rounds to 1
+        if np.isinf(arg[~flat]).any():
+            raise ValueError("math domain error")  # math.sin's own
+        return np.where(flat, 1.0, np.sin(arg) / denominator)
+
+
 def dirichlet_value(window: int, theta: float) -> float:
     """Mean of e^{i t theta} over t in {-window, ..., window}.
 
     Equals sin((2w+1) theta/2) / ((2w+1) sin(theta/2)) away from multiples of
-    2 pi, and 1 there; the argument is reduced with math.remainder first, so
-    the sine quotient is evaluated only on [-pi, pi].
+    2 pi, and 1 there; the argument is reduced as math.remainder reduces it
+    first, so the sine quotient is evaluated only on [-pi, pi].  The
+    one-element case of ``dirichlet_condition``'s kernel.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    m = 2 * window + 1
-    t = math.remainder(float(theta), TWO_PI)
-    denominator = m * math.sin(0.5 * t)
-    if denominator == 0.0:  # t is 0, or 0.5 t underflows to 0 and D rounds to 1
-        return 1.0
-    return math.sin(0.5 * m * t) / denominator
+    t = _angle_remainders(np.array([float(theta)]))
+    return float(_dirichlet_means(np.array([float(2 * window + 1)]), t)[0])
 
 
 @dataclass(frozen=True)
@@ -1066,9 +1118,38 @@ class DirichletReport:
         return _conclusion(self.inverse_window, self.deviation)
 
 
+def _windows(windows: Optional[Callable[[int], int]], values: Optional[np.ndarray],
+             n: int) -> Prefix:
+    """The valid windows n_j up to the first that fails, as an array.
+
+    From a schedule they are its Python ints, read into an object array;
+    from the declared values they are the floats ceil(v_j), which are exact
+    integers.  ``2 * w >= max`` is 2 n_j + 1 > max for either: the largest
+    float is even, and 2.0 * w is exact or infinite.
+    """
+    if windows is not None:
+        ints, error = _read_prefix(windows, n, int)
+        wins = np.array(ints, dtype=object)
+    else:
+        if values is None:
+            raise ValueError("windows need a schedule or a window model")
+        k = _first(~np.isfinite(values))
+        wins = np.ceil(values[:k])
+        error = None if k is None else ConstructionError(f"window model overflows at index {k + 1}")
+    small = wins < 1
+    with np.errstate(over="ignore"):
+        k = _first(small | (2 * wins >= sys.float_info.max))
+    if k is None:
+        return Prefix(wins, error)
+    if small[k]:
+        return Prefix(wins[:k], ConstructionError(f"window {k + 1} must be a positive integer"))
+    return Prefix(wins[:k], ConstructionError(
+        f"window {k + 1} is too large: 2 n_j + 1 exceeds the float range"))
+
+
 def dirichlet_condition(windows: Optional[Callable[[int], int]],
                         window_model: Optional[TailModel],
-                        angles: Callable[[int], float],
+                        angles: Union[Callable[[int], float], Prefix],
                         angle_model: Optional[TailModel],
                         n_max: int = DEFAULT_SCALAR_HORIZON) -> DirichletReport:
     """Diagnose sum 1/n_j and sum |1 - D(n_j, theta_j)| for centered windows.
@@ -1080,31 +1161,27 @@ def dirichlet_condition(windows: Optional[Callable[[int], int]],
     admits no useful minorant.  An explicit model stops the horizon at the
     end of its prefix.  ``windows=None`` takes n_j = ceil(v_j) from the
     window model's values v_j, read once for the windows and the certificate.
+    ``angles`` is a function of j, or a ``Prefix`` of the angles already
+    read.  Every value is read once; the means come from one array pass.  A
+    failure raises as the per-index loop raised it: at the first failing
+    index, with the window checks before the angle at that index.
     """
     if n_max < 1:
         raise ValueError("need at least one index")
     n_max = horizon(n_max, window_model, angle_model)
     window_values = model_values(window_model, n_max) if window_model is not None else None
-    if windows is None:
-        if window_values is None:
-            raise ValueError("windows need a schedule or a window model")
-        windows = lambda j: _ceil_value(window_values[j - 1], "window", j)
-    win_list = []
-    ang_list = []
-    dev_terms = []
-    for j in range(1, n_max + 1):
-        w = int(windows(j))
-        if w < 1:
-            raise ConstructionError(f"window {j} must be a positive integer")
-        if 2 * w + 1 > sys.float_info.max:
-            raise ConstructionError(f"window {j} is too large: 2 n_j + 1 exceeds the float range")
-        theta = float(angles(j))
-        win_list.append(w)
-        ang_list.append(theta)
-        dev_terms.append(abs(1.0 - dirichlet_value(w, theta)))
+    wins, window_error = _windows(windows, window_values, n_max)
+    values, angle_error = (angles if isinstance(angles, Prefix)
+                           else _read_prefix(angles, len(wins), float))
+    theta = np.asarray(values[:len(wins)], dtype=float)
+    means = _dirichlet_means((2 * wins[:theta.size] + 1).astype(float),
+                             _angle_remainders(theta))
+    if theta.size < len(wins):
+        raise angle_error or IndexError(f"angle {theta.size + 1} is missing")
+    if window_error is not None:
+        raise window_error
 
-    # Exact integers: w + 1 is formed before it is rounded to a float.
-    wins = np.array(win_list, dtype=object)
+    dev_terms = np.abs(1.0 - means)
     inverse_terms = 1.0 / wins.astype(float)
     matched = window_model is not None and _ceil_mismatch(
         wins, window_values, window_model.relation) is None
@@ -1115,17 +1192,17 @@ def dirichlet_condition(windows: Optional[Callable[[int], int]],
     else:
         inverse = inconclusive(inverse_terms, "window values lack a matching growth model")
 
-    sizes = np.abs(np.array(ang_list))
+    sizes = np.abs(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         dev_bounds = 0.5 * (wins + 1).astype(float) * sizes
     dev_bounds = np.where(dev_bounds < 2.0, dev_bounds, 2.0)
     deviation = _majorant_verdict(
-        np.array(dev_terms), dev_bounds, window_model,
+        dev_terms, dev_bounds, window_model,
         None if matched else "window values do not match their declared model",
         sizes, angle_model, 2.0, 0.5, _DEVIATION_WORDS)
-    return DirichletReport(tuple(win_list), tuple(ang_list), tuple(dev_terms),
-                           inverse, deviation, tuple(inverse_terms.tolist()),
-                           tuple(dev_bounds.tolist()))
+    return DirichletReport(tuple(map(int, wins.tolist())), tuple(theta.tolist()),
+                           tuple(dev_terms.tolist()), inverse, deviation,
+                           tuple(inverse_terms.tolist()), tuple(dev_bounds.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ Inconclusive, never a wrong proof.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence, Union
 
@@ -125,14 +127,38 @@ def geometric_tail(coeff: float, ratio: float, n: int) -> float:
     return coeff * ratio ** (n + 1) / (1.0 - ratio)
 
 
+def pow_overflow() -> OverflowError:
+    """The error Python's float ``**`` raises when a power of finite operands overflows."""
+    return OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+# Indices in the first block of poly_geometric_tail's head walk; each later
+# block doubles, up to _HEAD_BLOCK_MAX (a few 512 KB temporaries).
+_HEAD_BLOCK = 16
+_HEAD_BLOCK_MAX = 1 << 16
+
+
 def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> float:
     """Upper bound for sum_{i>n} coeff * i**exponent * ratio**i, exponent >= 0, ratio < 1.
 
     Successive term ratios (1 + 1/i)**exponent * ratio decrease in i; once
     they drop below 1 at some index n0 the tail telescopes geometrically.
-    The terms between n and n0 are walked once and added left to right, so
-    the bound has the same bits on every Python (builtin ``sum`` compensates
-    float additions from 3.12 on).  Takes n >= 0.
+    The head between n and n0 is walked in blocks of indices, with the bits
+    of the per-index walk
+
+        i = max(n, 1);  head = 0 if n > 0 else coeff * ratio
+        while (step := (1.0 + 1.0 / i) ** exponent * ratio) >= 1.0:
+            i += 1;  head += coeff * float(i) ** exponent * ratio ** i
+        return head + coeff * float(i + 1) ** exponent * ratio ** (i + 1) / (1.0 - step)
+
+    Each block computes its steps and terms with ``np.float_power``, which
+    calls libm's pow as Python's ``**`` does, takes the first step that is
+    not >= 1 (NaN ends the walk, as it ended the loop), and adds the terms
+    before it with ``np.add.accumulate``, which adds strictly left to right,
+    so the bound has the same bits on every Python (builtin ``sum``
+    compensates float additions from 3.12 on).  A finite-exponent power that
+    overflows anywhere the loop would have evaluated it raises the loop's
+    OverflowError.  Takes n >= 0.
     """
     if exponent < 0:
         raise ValueError("use power_tail for decaying exponents")
@@ -143,11 +169,27 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
     if coeff == 0.0 or ratio == 0.0:
         return 0.0
     i = max(n, 1)
-    head = 0 if n > 0 else coeff * ratio  # the term at i = 1
-    while (step := (1.0 + 1.0 / i) ** exponent * ratio) >= 1.0:
-        i += 1
-        head += coeff * float(i) ** exponent * ratio ** i
-    return head + coeff * float(i + 1) ** exponent * ratio ** (i + 1) / (1.0 - step)
+    head = 0.0 if n > 0 else coeff * ratio  # the term at i = 1; 0 + x is 0.0 + x
+    size = _HEAD_BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            at = np.arange(i, i + size, dtype=float)
+            step_powers = np.float_power(1.0 + 1.0 / at, exponent)
+            steps = step_powers * ratio
+            nxt = at + 1.0  # the terms are those at i + 1, i + 2, ...
+            term_powers = np.float_power(nxt, exponent)
+            terms = coeff * term_powers * np.float_power(ratio, nxt)
+            stop = np.flatnonzero(~(steps >= 1.0))
+            k = int(stop[0]) if stop.size else size
+            seen = slice(0, k + 1)  # the loop's last pass also reads the term at k
+            if math.isfinite(exponent) and (np.isinf(step_powers[seen]).any()
+                                            or np.isinf(term_powers[seen]).any()):
+                raise pow_overflow()
+            head = float(np.add.accumulate(np.concatenate(([head], terms[:k])))[-1])
+            if k < size:
+                return head + float(terms[k]) / (1.0 - float(steps[k]))
+            i += size
+            size = min(2 * size, _HEAD_BLOCK_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +414,45 @@ def horizon(n: int, *models: Optional[TailModel]) -> int:
     return min([n] + [len(m.values) for m in models if isinstance(m, ExplicitModel)])
 
 
-def model_values(model: TailModel, n: int) -> list[float]:
+def model_powers(model: Union[PowerModel, GeometricModel],
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers float(i) ** q (power) or r ** i (geometric) for i = 1..n,
+    and a mask of those Python's ``**`` refuses with OverflowError.
+
+    ``np.float_power`` calls libm's pow, as Python's float ``**`` does, so
+    the powers have Python's bits; ``np.power`` runs numpy's own SIMD kernel
+    on some CPUs and does not.  A power overflows where it is infinite and
+    both operands are finite: Python returns an infinite exponent's or
+    base's power without raising.
+    """
+    i = np.arange(1, n + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        if isinstance(model, PowerModel):
+            powers, operand = np.float_power(i, model.exponent), model.exponent
+        else:
+            powers, operand = np.float_power(model.ratio, i), model.ratio
+    return powers, np.isinf(powers) & math.isfinite(operand)
+
+
+def model_values(model: TailModel, n: int) -> np.ndarray:
     """First n declared values (at most the prefix for explicit models).
 
     The values are Python's ``c * float(i) ** q`` and ``c * r ** i``, as
-    ``value`` computes them; numpy's power rounds differently.  A power that
-    overflows raises, and then ``value`` turns each overflow into inf.
+    ``value`` computes them, from ``model_powers``; where the power
+    overflows, ``value`` returns inf.
     """
     if isinstance(model, ExplicitModel):
-        return list(model.values[:n])
-    try:
-        if isinstance(model, PowerModel):
-            c, q = model.coeff, model.exponent
-            return [c * float(i) ** q for i in range(1, n + 1)]
-        c, r = model.coeff, model.ratio
-        return [c * r ** i for i in range(1, n + 1)]
-    except OverflowError:
-        return [model.value(i) for i in range(1, n + 1)]
+        return np.array(model.values[:n], dtype=float)
+    powers, overflow = model_powers(model, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = model.coeff * powers
+    values[overflow] = math.inf
+    return values
 
 
 def model_bounds(model: TailModel, n: int) -> list[Optional[float]]:
     """Declared value per index 1..n, None past an explicit prefix."""
-    values: list[Optional[float]] = [*model_values(model, n)]
+    values: list[Optional[float]] = model_values(model, n).tolist()
     return values + [None] * (n - len(values))
 
 

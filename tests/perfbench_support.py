@@ -1,7 +1,9 @@
 """What the tests that replay benchmark scenarios share: the scenario
-module, loaded from ``perfbench/`` without modifying it, and a context that
-sets the thread count of numpy's bundled OpenBLAS."""
+module, loaded from ``perfbench/`` without modifying it, the replay of the
+dense-reps seeds those tests compare, and a context that sets the thread
+count of numpy's bundled OpenBLAS."""
 
+import copy
 import ctypes
 import importlib.util
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from twistlab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # (get, set) symbol pairs of the OpenBLAS builds numpy wheels bundle.
@@ -31,6 +35,15 @@ def load_scenarios():
         sys.modules[name] = module  # dataclasses resolve annotations through it
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+DENSE_REPS_SEEDS = (1, 2, 3)
+
+
+def dense_reps_reports(seed):
+    """Reports of the seed's dense-reps benchmark scenarios, in their order."""
+    return [cli.run_scenario(copy.deepcopy(s.doc), s.command)
+            for s in load_scenarios().generate("dense-reps", seed)]
 
 
 def _openblas_thread_controls():

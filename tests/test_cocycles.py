@@ -567,6 +567,39 @@ def test_a_trivial_table_is_one_entry_and_its_check_stays_small():
     assert u.value((3, 5), (63, 1)) == 1.0 + 0.0j
 
 
+def test_commutator_and_conjugate_keep_a_one_entry_table_one_entry():
+    """The obstruction check on trivial Z64xZ64 once peaked near 800 MB:
+    the commutator and the conjugate each rebuilt a full table."""
+    from twistlab.actions import cohomological_obstruction
+
+    g = FiniteAbelianGroup((64, 64))
+    u = trivial_cocycle(g)
+    tracemalloc.start()
+    try:
+        report = cohomological_obstruction(u)
+        kappa, bar = commutator_bicharacter(u), conjugate_cocycle(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert report.status == "Inconclusive" and report.witness is None
+    for w in (kappa, bar):
+        assert w.table.shape == (g.order, g.order) and w.table.strides == (0, 0)
+    # One entry broadcast or not, the entries are the full table's.
+    small = FiniteAbelianGroup((3, 5))
+    one, full = trivial_cocycle(small).table, np.ones((15, 15), dtype=complex)
+    assert commutator_bicharacter(TableCocycle(small, one)).table.tobytes() == (
+        full * np.conj(full.T)).tobytes()
+    assert conjugate_cocycle(TableCocycle(small, one)).table.tobytes() == np.conj(full).tobytes()
+
+
+def test_commutator_and_conjugate_of_a_full_table_are_unchanged():
+    u = pauli_cocycle()
+    assert commutator_bicharacter(u).table.tobytes() == (u.table * np.conj(u.table.T)).tobytes()
+    assert conjugate_cocycle(u).table.tobytes() == np.conj(u.table).tobytes()
+    assert commutator_bicharacter(u).table.strides != (0, 0)
+
+
 @pytest.mark.parametrize("moduli", [(3,), (300,), (17, 19)])
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, 0.5, math.nan, math.inf])
 def test_the_blocked_modulus_check_decides_as_one_whole_table_check(moduli, bad):

@@ -240,8 +240,8 @@ def test_geometric_model_values_are_pythons_powers(c, r, n):
 
 
 def test_overflowing_model_values_become_infinite():
-    assert model_values(GeometricModel(1.0, 1e300), 3) == [1e300, math.inf, math.inf]
-    assert model_values(ExplicitModel((-0.0, 0.5)), 5) == [-0.0, 0.5]
+    assert model_values(GeometricModel(1.0, 1e300), 3).tolist() == [1e300, math.inf, math.inf]
+    assert model_values(ExplicitModel((-0.0, 0.5)), 5).tolist() == [-0.0, 0.5]
 
 
 # --- box defects ------------------------------------------------------------

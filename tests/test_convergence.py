@@ -656,17 +656,19 @@ def deviation_part(exponent):
                                PowerModel(1.0, exponent, relation=MAJORANT), n_max=25).deviation
 
 
-@pytest.mark.parametrize("target, value, part, witness", [
-    ("box_twist_mean", 3.0, lambda: twist_part(-4.0), "term 1 escaped its proved envelope"),
-    ("dirichlet_value", -2.0, lambda: deviation_part(-4.0), "term 1 escaped the chord bound"),
+@pytest.mark.parametrize("target, fake, part, witness", [
+    ("box_twist_mean", lambda *args, **kwargs: 3.0, lambda: twist_part(-4.0),
+     "term 1 escaped its proved envelope"),
+    ("_dirichlet_means", lambda m, t: np.full(m.size, -2.0), lambda: deviation_part(-4.0),
+     "term 1 escaped the chord bound"),
     # m_i a_i ~ i^2 * i^-1: the product majorant is not summable
     (None, None, lambda: twist_part(-1.0), "declared models admit no summable envelope"),
     (None, None, lambda: deviation_part(-1.0), "declared models admit no summable envelope"),
 ])
-def test_product_majorant_parts_name_their_witness(monkeypatch, target, value, part, witness):
+def test_product_majorant_parts_name_their_witness(monkeypatch, target, fake, part, witness):
     assert part().verdict == (INCONCLUSIVE if target is None else PROVED_CONVERGENT)
     if target is not None:
-        monkeypatch.setattr(convergence, target, lambda *args, **kwargs: value)
+        monkeypatch.setattr(convergence, target, fake)
     verdict = part()
     assert verdict.verdict == INCONCLUSIVE
     assert verdict.witness == witness

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_report_golden as golden
-from perfbench_support import blas_threads, load_scenarios, one_blas_thread
+from perfbench_support import DENSE_REPS_SEEDS, blas_threads, load_scenarios, one_blas_thread
 from twistlab import cli, parallel, reps
 from twistlab.cocycles import ProductCocycle, TableCocycle
 from twistlab.groups import FiniteAbelianGroup
@@ -91,15 +91,23 @@ def through_cli(command, doc):
     return run
 
 
-DENSE_REPS_FELLS = [(seed, s) for seed in (1, 2, 3)
-                    for s in load_scenarios().generate("dense-reps", seed) if s.command == "fell"]
+DENSE_REPS_FELLS = [(seed, k, s) for seed in DENSE_REPS_SEEDS
+                    for k, s in enumerate(load_scenarios().generate("dense-reps", seed))
+                    if s.command == "fell"]
 
 
-@pytest.mark.parametrize("seed,scenario", DENSE_REPS_FELLS,
-                         ids=[f"{seed}-{s.sid}" for seed, s in DENSE_REPS_FELLS])
-def test_dense_reps_fell_reports_do_not_depend_on_threads(seed, scenario):
-    expected, got = fell_reports(through_cli("fell", scenario.doc))
-    assert all(text == expected for text in got.values())
+@pytest.mark.parametrize("seed,index,scenario", DENSE_REPS_FELLS,
+                         ids=[f"{seed}-{s.sid}" for seed, _, s in DENSE_REPS_FELLS])
+def test_dense_reps_fell_reports_do_not_depend_on_threads(dense_reps_defaults, seed, index,
+                                                          scenario):
+    """The report at the default thread count is the shared replay's; the loop
+    and the other thread counts of ``fell_reports`` are run here."""
+    run = through_cli("fell", scenario.doc)
+    expected = run(fell_loop)
+    assert dense_reps_defaults[seed][index] == expected
+    for threads in {1, max(2, parallel._THREADS)} - {parallel._THREADS}:
+        with patch.object(parallel, "_THREADS", threads):
+            assert run(fell_absorption_check) == expected
 
 
 GOLDEN_FELLS = [case for case in golden.CASES if case[1] == "fell"]

@@ -1,5 +1,6 @@
 """Every library module parses under the oldest Python that pyproject.toml admits,
-and the certificate modules add floats the same way on every Python."""
+the certificate modules add floats the same way on every Python, and no
+module raises floats to powers through numpy's own SIMD kernel."""
 
 import ast
 import re
@@ -34,3 +35,15 @@ def test_certificate_modules_never_call_builtin_sum(name):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "sum"]
     assert calls == [], f"{name} calls builtin sum on lines {calls}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_never_calls_numpy_power(path):
+    # np.power runs numpy's own SIMD kernel on CPUs with AVX-512 (SVML), whose
+    # last bits differ from libm's pow on a few percent of float64 inputs;
+    # np.float_power calls libm's pow, as Python's float ** does, so reports
+    # keep the bits of the per-index Python powers they were recorded with.
+    uses = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "power"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert uses == [], f"{path.name} uses np.power on lines {uses}"

@@ -2,9 +2,7 @@
 
 import ast
 import copy
-import importlib.util
 import math
-import sys
 import tracemalloc
 from functools import cached_property
 from itertools import product
@@ -15,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench_support import DENSE_REPS_SEEDS, dense_reps_reports, one_blas_thread
 from twistlab import cli, reps
 from twistlab.cocycles import (
     BilinearCocycle,
@@ -759,25 +758,12 @@ def test_one_factor_z20xz20_tensor_check_keeps_at_most_the_budget():
     assert reps.MATRIX_CACHE_BYTES - one < kept <= reps.MATRIX_CACHE_BYTES + one
 
 
-def _dense_reps_scenarios(seed):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("perfbench_scenarios_dense", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module.generate("dense-reps", seed)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_dense_reps_reports_do_not_depend_on_the_matrix_cache(monkeypatch, seed):
-    scenarios = _dense_reps_scenarios(seed)
-
-    def reports():
-        return [cli.run_scenario(copy.deepcopy(s.doc), s.command) for s in scenarios]
-
-    cached = reports()
+@pytest.mark.parametrize("seed", DENSE_REPS_SEEDS)
+def test_dense_reps_reports_do_not_depend_on_the_matrix_cache(dense_reps_defaults, monkeypatch,
+                                                              seed):
     monkeypatch.setattr(reps, "MATRIX_CACHE_BYTES", 0)
-    assert reports() == cached
+    with one_blas_thread():
+        assert dense_reps_reports(seed) == dense_reps_defaults[seed]
 
 
 def test_the_dimension_cap_has_one_owner():

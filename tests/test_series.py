@@ -192,7 +192,7 @@ def test_model_value_overflow_becomes_infinity():
 def test_model_values_prefix():
     assert model_values(PowerModel(2.0, -1.0), 3) == pytest.approx(
         [2.0, 1.0, 2.0 / 3.0])
-    assert model_values(ExplicitModel((0.5, 0.25)), 5) == [0.5, 0.25]
+    assert model_values(ExplicitModel((0.5, 0.25)), 5).tolist() == [0.5, 0.25]
 
 
 def test_horizon_stops_at_the_shortest_explicit_prefix():

@@ -869,7 +869,8 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
         "deviation": asdict(report.deviation),
         "deviation_head": _head(report.deviation_terms),
         "inverse_window": asdict(report.inverse_window),
-        "windows_head": _head(report.windows),
+        # a window model gives the windows as floats; they print as integers
+        "windows_head": [int(w) for w in _head(report.windows)],
     }
     tables = {
         "deviation": (report.deviation_terms, report.deviation_bounds),

@@ -63,6 +63,8 @@ from .series import (
     model_values,
     neumaier_sum,
     prefix_mismatch,
+    product_error,
+    split,
 )
 # perfbench/tracer.py wraps the tail kernels where this module would look
 # them up, so the names stay importable here; only Envelope.tail calls them.
@@ -205,8 +207,12 @@ def box_defect(box: FolnerBox, x: Element) -> float:
 # Below 2^53 every integer is a float64, and one division of two such floats
 # rounds as Python's int / int does.
 _EXACT_INTS = 2.0 ** 53
-# Sides per block of Python-int box defects, which hold a few object arrays.
-_BIG_BLOCK = 1 << 12
+# Cells per block of double-double box defects: a few 64 KB temporaries.
+_DD_BLOCK = 1 << 13
+# Error bound of the double-double defect, per nonzero coordinate: relative
+# to sum_k e_k / s^k, and absolute for results scaled into the subnormals.
+_DD_RELATIVE = 2.0 ** -96
+_DD_ABSOLUTE = 2.0 ** -1070
 
 
 def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
@@ -215,8 +221,12 @@ def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
     The defect is (s^K - prod_j max(0, s - a_j)) / s^K with s = m + 1 and
     a_j the K nonzero |x_j| (a zero coordinate cancels).  While s^K < 2^53
     both integers are exact in float64 and one division gives the correctly
-    rounded ratio; past that it is taken in Python ints.  ``sides`` holds
-    integer-valued floats.
+    rounded ratio.  Past that the defect is exactly 1.0 where some a_j >= s,
+    and elsewhere ``_defects_dd`` rounds a double-double value of it once.
+    The cells that value's error bound leaves within reach of a rounding
+    midpoint, and any non-finite side, are taken in Python ints
+    (``_exact_defects``), so every defect is Python's int / int.  ``sides``
+    holds integer-valued floats.
     """
     if sides.size and len(x) < 1:
         raise ValueError("rank must be at least 1")
@@ -226,22 +236,130 @@ def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
     s = sides + 1.0
     card = np.ones_like(s)
     overlap = np.ones_like(s)
+    part = np.empty_like(s)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in map(float, reach):
             card *= s
-            overlap *= np.where(s > a, s - a, 0.0)
-        out = (card - overlap) / card
+            # max(0, s - a): exact wherever s^K < 2^53, the cells kept below
+            np.maximum(np.subtract(s, a, out=part), 0.0, out=part)
+            overlap *= part
+        out = np.subtract(card, overlap, out=overlap)
+        out /= card
     big = np.flatnonzero(~(card < _EXACT_INTS))
-    for start in range(0, big.size, _BIG_BLOCK):
-        block = big[start:start + _BIG_BLOCK]
-        # object arrays: every operation below is Python's own int arithmetic
-        s = _python_ints(sides[block]) + 1
-        card = s ** len(reach)
-        overlap = np.ones_like(s)
-        for a in reach:
-            overlap *= np.where(s > a, s - a, 0)
-        out[block] = (card - overlap) / card
+    if not big.size:
+        return out
+    m = sides[big]
+    # some a_j >= m + 1, i.e. m <= max a_j - 1: compare with the largest float not above it
+    edge = max(reach) - 1
+    below = float(edge)
+    if int(below) > edge:
+        below = float(np.nextafter(below, -math.inf))
+    full = m <= below
+    out[big[full]] = 1.0
+    dd = big[~full & np.isfinite(m)]
+    undecided = np.zeros(dd.size, dtype=bool)
+    coeffs = _symmetric_coefficients(reach)
+    for start in range(0, dd.size, _DD_BLOCK):
+        at = dd[start:start + _DD_BLOCK]
+        hi, lo, err = _defects_dd(sides[at], coeffs)
+        out[at] = hi
+        # hi is the defect rounded to nearest unless the exact value may lie
+        # past a midpoint next to hi: the nearer one is half the smaller gap away
+        undecided[start:start + at.size] = ~(2.0 * (np.abs(lo) + err)
+                                             < hi - np.nextafter(hi, 0.0))
+    slow = np.concatenate((big[~full & ~np.isfinite(m)], dd[undecided]))
+    if slow.size:
+        out[slow] = _exact_defects(sides[slow], reach)
     return out
+
+
+def _fast_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b as hi + lo exactly, for |a| >= |b| or a = 0."""
+    hi = a + b
+    return hi, b - (hi - a)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b as hi + lo exactly (Knuth)."""
+    hi = a + b
+    bb = hi - a
+    return hi, (a - (hi - bb)) + (b - bb)
+
+
+def _dd_product(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
+                b_halves: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(a_hi + a_lo) * (b_hi + b_lo) as a double-double, within 16 u^2 of it
+    relatively (u = 2^-53); ``b_halves`` is ``split(b_hi)``."""
+    p = a_hi * b_hi
+    e = product_error(*split(a_hi), *b_halves, p)
+    return _fast_two_sum(p, e + (a_hi * b_lo + a_lo * b_hi))
+
+
+def _symmetric_coefficients(reach: list[int]) -> list[tuple[int, float, float]]:
+    """(G_k, g_hi, g_lo) per k = 1..K: the elementary symmetric polynomial e_k
+    of the a_j, cut to its top 106 bits g_k = g_hi + g_lo (exact), times 2^G_k."""
+    e = [1] + [0] * len(reach)
+    for a in reach:
+        for k in range(len(reach), 0, -1):
+            e[k] += e[k - 1] * a
+    coeffs = []
+    for e_k in e[1:]:
+        cut = max(0, e_k.bit_length() - 106)
+        g = e_k >> cut
+        coeffs.append((cut, float(g), float(g - int(float(g)))))
+    return coeffs
+
+
+def _defects_dd(m: np.ndarray, coeffs: list[tuple[int, float, float]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Defects at finite sides m with every a_j < s = m + 1 as double-doubles
+    hi + lo, with a bound err on their distance from the exact defects.
+
+    1 - prod_j (1 - a_j / s) = sum_k (-1)^(k+1) e_k / s^k, with ``coeffs``
+    from ``_symmetric_coefficients``.  Each term is a double-double, with
+    u = 2^-53: s = m + 1 exactly, scaled by 2^-E to f + f_lo with f in
+    [1/2, 1); v = 1 / (f + f_lo) within 32 u^2 relatively (Dekker's product
+    for the residual); the powers v^k and the products with g_k within
+    16 u^2 per product; then scaled by 2^(G_k - k E), which rounds only in
+    the subnormals.  The sum of the signed terms adds at most 3 u^2 of its
+    operands per step.  So with S = sum_k e_k / s^k the value hi + lo is
+    within err = K * (2^-96 * S + 2^-1070) of the defect, at least 8 times
+    the sum of those parts.  hi is the defect rounded to nearest, which
+    Python's int / int returns, wherever hi + lo lies farther than err from
+    each midpoint next to hi.
+    """
+    with np.errstate(under="ignore"):
+        s_hi = m + 1.0
+        f, scale = np.frexp(s_hi)
+        f_lo = np.ldexp(1.0 - (s_hi - m), -scale)
+        q = 1.0 / f
+        p = q * f
+        r = ((1.0 - p) - product_error(*split(q), *split(f), p)) - q * f_lo
+        v = _fast_two_sum(q, r * q)
+        v_halves = split(v[0])
+        w = v
+        d_hi = d_lo = size = 0.0
+        for k, (cut, g_hi, g_lo) in enumerate(coeffs, start=1):
+            if k > 1:
+                w = _dd_product(*w, *v, v_halves)
+            t_hi, t_lo = _dd_product(*w, g_hi, g_lo, split(g_hi))
+            shift = cut - k * scale
+            t_hi = np.ldexp(t_hi if k % 2 else -t_hi, shift)
+            t_lo = np.ldexp(t_lo if k % 2 else -t_lo, shift)
+            hi, lo = _two_sum(d_hi, t_hi)
+            d_hi, d_lo = _two_sum(hi, lo + (d_lo + t_lo))
+            size = size + np.abs(t_hi)
+        return d_hi, d_lo, len(coeffs) * (_DD_RELATIVE * size + _DD_ABSOLUTE)
+
+
+def _exact_defects(sides: np.ndarray, reach: list[int]) -> np.ndarray:
+    """The defects at the given sides in Python's own int arithmetic."""
+    s = _python_ints(sides) + 1
+    card = s ** len(reach)
+    overlap = np.ones_like(s)
+    for a in reach:
+        overlap *= np.where(s > a, s - a, 0)
+    return (card - overlap) / card
 
 
 def _python_ints(values: np.ndarray) -> np.ndarray:
@@ -1097,21 +1215,26 @@ def dirichlet_value(window: int, theta: float) -> float:
     return float(_dirichlet_means(np.array([float(2 * window + 1)]), t)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletReport:
-    """Both Dirichlet series with their terms.
+    """Both Dirichlet series with their terms, as the arrays they were
+    certified from.
 
-    ``inverse_terms`` are 1/n_j and ``deviation_bounds`` the chord bounds
-    min(2, (n_j + 1) |theta_j| / 2) that dominate ``deviation_terms``.
+    ``windows`` holds the n_j: integer-valued floats ceil(v_j) when they come
+    from the window model, the schedule's Python ints (an object array) when
+    a schedule gives them.  ``angles`` are the theta_j, ``inverse_terms``
+    1/n_j and ``deviation_bounds`` the chord bounds
+    min(2, (n_j + 1) |theta_j| / 2) that dominate ``deviation_terms``, all
+    float64.
     """
 
-    windows: tuple[int, ...]
-    angles: tuple[float, ...]
-    deviation_terms: tuple[float, ...]
+    windows: np.ndarray
+    angles: np.ndarray
+    deviation_terms: np.ndarray
     inverse_window: SeriesVerdict
     deviation: SeriesVerdict
-    inverse_terms: tuple[float, ...] = ()
-    deviation_bounds: tuple[float, ...] = ()
+    inverse_terms: np.ndarray
+    deviation_bounds: np.ndarray
 
     @property
     def conclusion(self) -> str:
@@ -1200,9 +1323,8 @@ def dirichlet_condition(windows: Optional[Callable[[int], int]],
         dev_terms, dev_bounds, window_model,
         None if matched else "window values do not match their declared model",
         sizes, angle_model, 2.0, 0.5, _DEVIATION_WORDS)
-    return DirichletReport(tuple(map(int, wins.tolist())), tuple(theta.tolist()),
-                           tuple(dev_terms.tolist()), inverse, deviation,
-                           tuple(inverse_terms.tolist()), tuple(dev_bounds.tolist()))
+    return DirichletReport(wins, theta, dev_terms, inverse, deviation, inverse_terms,
+                           dev_bounds)
 
 
 # ---------------------------------------------------------------------------

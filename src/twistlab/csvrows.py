@@ -10,8 +10,8 @@ Digits.  A finite nonzero |x| is m * 2^e (``np.frexp``).  With k its decimal
 exponent, v = |x| * 10^(16 - k) lies in [1e16, 1e17), and the 17 significant
 digits are the integer nearest to v.  The table entry for s = 16 - k is a
 double-double H + L with 10^s = (H + L) * 2^T and H in [1, 2]; m * H is
-formed exactly with Dekker's split product ("A floating-point technique for
-extending the available precision", Numer. Math. 18, 1971), the rest is
+formed exactly with Dekker's split product (``series.split`` and
+``series.product_error``, shared with the box defects), the rest is
 added in one more double, and both parts are scaled by 2^(e + T).  That
 gives v = P + R, P an integer, with an error of at most 2^-46.  So the
 nearest integer is P + rint(R) unless frac(R) lies within the error of 1/2;
@@ -35,10 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .series import product_error, split
+
 # Table range of s = 16 - k: finite doubles have k in [-324, 308], and the
 # correction of k from its log10 estimate moves it by one.
 _S_LO, _S_HI = -294, 342
-_VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 _E16, _E17 = 10 ** 16, 10 ** 17
 _UNDECIDED = 2.0 ** -30
 
@@ -80,12 +81,6 @@ def float_repr(v: float) -> str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return format(float(v), ".17g")
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = a * _VELTKAMP
-    hi = t - (t - a)
-    return hi, a - hi
 
 
 @functools.cache
@@ -131,7 +126,7 @@ def _tables() -> _Tables:
     masks = np.zeros((_SHAPES + 1, _SLOT), dtype=bool)
     masks[_shape(neg, k, count)] = _masks(neg, k, count)
     masks[_MISSING, 0] = True
-    return _Tables(np.array(ts, dtype=np.int32), h, *_split(h), np.array(ls),
+    return _Tables(np.array(ts, dtype=np.int32), h, *split(h), np.array(ls),
                    chunks.view(np.uint64).ravel(), significant,
                    exponents.view(np.uint32).ravel(), masks)
 
@@ -181,9 +176,9 @@ def _round(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...
     h = np.take(tables.h, at)
     hh = np.take(tables.h_hi, at)
     hl = np.take(tables.h_lo, at)
-    mh, ml = _split(m)
+    mh, ml = split(m)
     p = m * h
-    rest = (((mh * hh - p) + mh * hl + ml * hh) + ml * hl) + m * np.take(tables.lo, at)
+    rest = product_error(mh, ml, hh, hl, p) + m * np.take(tables.lo, at)
     shift = e + np.take(tables.t, at)
     whole = np.ldexp(p, shift).astype(np.int64)
     r = np.ldexp(rest, shift)

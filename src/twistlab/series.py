@@ -53,12 +53,13 @@ class SeriesVerdict:
     witness: Optional[str] = None
 
 
-# Values per block of running_sums: the temporaries stay at a few 256 KB arrays.
+# Values per block of the Neumaier loop: the temporaries stay at a few 256 KB arrays.
 _SUM_BLOCK = 1 << 15
 
 
-def running_sums(values: Sequence[float]) -> np.ndarray:
-    """Neumaier-compensated running partial sums, ascending index order.
+def _neumaier(values: Sequence[float], out: Optional[np.ndarray] = None) -> float:
+    """The Neumaier loop over ``values``: its final sum, and its running sums
+    written into ``out`` when one is given.
 
     Bit for bit the sequential loop
 
@@ -70,39 +71,84 @@ def running_sums(values: Sequence[float]) -> np.ndarray:
     stays infinite, or turns NaN).  It is bit-exact because every operation
     is the loop's own, in the loop's order: ``np.add.accumulate`` adds
     strictly left to right, so the running totals and the running
-    compensation are the same sequential IEEE additions, and ``np.where``
-    picks the same branch of the correction per element.  Each accumulation
-    starts from the carried value (0.0 at first) rather than from the first
-    element, so 0.0 + -0.0 rounds to 0.0 as in the loop.  Blocks of 2^15
-    values carry the total and the compensation across.
+    compensation are the same sequential IEEE additions, and the second
+    branch of the correction is taken exactly where |total| >= |v| fails
+    (NaN included).  Each accumulation starts from the carried value (0.0
+    at first) rather than from the first element, so 0.0 + -0.0 rounds to
+    0.0 as in the loop.  Blocks of 2^15 values carry the total and the
+    compensation across.  Without ``out`` only the carried pair is kept, and
+    the sum is the loop's last output: total + comp, or the total once it
+    is not finite (0.0 for no values).
     """
     vals = np.asarray(values, dtype=float).ravel()
-    out = np.empty(vals.size)
     total = comp = 0.0
+    # The carried value, then the block: accumulated in place.
+    acc = np.empty(min(vals.size, _SUM_BLOCK) + 1)
+    corr = np.empty_like(acc)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, vals.size, _SUM_BLOCK):
             v = vals[start:start + _SUM_BLOCK]
-            seg = out[start:start + v.size]
-            acc = np.add.accumulate(np.concatenate(([total], v)))
-            prev, t = acc[:-1], acc[1:]
-            total = float(acc[-1])
+            a, c = acc[:v.size + 1], corr[:v.size + 1]
+            a[0], a[1:] = total, v
+            np.add.accumulate(a, out=a)
+            prev, t = a[:-1], a[1:]
+            total = float(a[-1])
             if not math.isfinite(prev[0]):
-                seg[:] = t
+                if out is not None:
+                    out[start:start + v.size] = t
                 continue
-            corr = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
-            corr = np.add.accumulate(np.concatenate(([comp], corr)))
-            comp = float(corr[-1])
-            np.add(t, corr[1:], out=seg)
-            overflow = np.flatnonzero(np.isinf(t))
-            if overflow.size:
-                seg[overflow[0]:] = t[overflow[0]:]
+            c[0] = comp
+            step = np.add(np.subtract(prev, t, out=c[1:]), v, out=c[1:])
+            swap = ~(np.abs(prev) >= np.abs(v))
+            if swap.any():
+                step[swap] = (v[swap] - t[swap]) + prev[swap]
+            np.add.accumulate(c, out=c)
+            comp = float(c[-1])
+            if out is not None:
+                seg = out[start:start + v.size]
+                np.add(t, c[1:], out=seg)
+                overflow = np.flatnonzero(np.isinf(t))
+                if overflow.size:
+                    seg[overflow[0]:] = t[overflow[0]:]
+    return total + comp if math.isfinite(total) else total
+
+
+def running_sums(values: Sequence[float]) -> np.ndarray:
+    """Neumaier-compensated running partial sums, ascending index order."""
+    vals = np.asarray(values, dtype=float).ravel()
+    out = np.empty(vals.size)
+    _neumaier(vals, out)
     return out
 
 
 def neumaier_sum(values: Sequence[float]) -> float:
-    """Compensated sum; accumulation error stays near one ulp of the result."""
-    sums = running_sums(values)
-    return float(sums[-1]) if sums.size else 0.0
+    """Compensated sum, ``running_sums(values)[-1]`` bit for bit (0.0 for no
+    values) without the running array; accumulation error stays near one
+    ulp of the result."""
+    return _neumaier(values)
+
+
+# Veltkamp's constant 2^27 + 1.
+_VELTKAMP = 134217729.0
+
+
+def split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo into halves of at most 26 significant bits.
+
+    Exact wherever a * (2^27 + 1) does not overflow.  With the halves of two
+    factors, ``product_error`` is Dekker's exact product ("A floating-point
+    technique for extending the available precision", Numer. Math. 18, 1971).
+    """
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def product_error(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
+                  p: np.ndarray) -> np.ndarray:
+    """a * b - p for p = fl(a * b), from the ``split`` halves of a and b;
+    exact wherever no partial product underflows."""
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def power_tail(coeff: float, exponent: float, n: int) -> float:
@@ -156,9 +202,11 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
     not >= 1 (NaN ends the walk, as it ended the loop), and adds the terms
     before it with ``np.add.accumulate``, which adds strictly left to right,
     so the bound has the same bits on every Python (builtin ``sum``
-    compensates float additions from 3.12 on).  A finite-exponent power that
-    overflows anywhere the loop would have evaluated it raises the loop's
-    OverflowError.  Takes n >= 0.
+    compensates float additions from 3.12 on).  A power that overflows
+    anywhere the loop would have evaluated it raises the loop's
+    OverflowError.  Takes n >= 0.  An infinite exponent, whose terms are
+    infinite and whose steps never drop below 1, raises ValueError unless
+    the coefficient or the ratio is 0.
     """
     if exponent < 0:
         raise ValueError("use power_tail for decaying exponents")
@@ -168,6 +216,8 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
         raise ValueError("tail starts after at least zero terms")
     if coeff == 0.0 or ratio == 0.0:
         return 0.0
+    if math.isinf(exponent):
+        raise ValueError("poly-geometric tail needs a finite exponent")
     i = max(n, 1)
     head = 0.0 if n > 0 else coeff * ratio  # the term at i = 1; 0 + x is 0.0 + x
     size = _HEAD_BLOCK
@@ -182,8 +232,7 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
             stop = np.flatnonzero(~(steps >= 1.0))
             k = int(stop[0]) if stop.size else size
             seen = slice(0, k + 1)  # the loop's last pass also reads the term at k
-            if math.isfinite(exponent) and (np.isinf(step_powers[seen]).any()
-                                            or np.isinf(term_powers[seen]).any()):
+            if np.isinf(step_powers[seen]).any() or np.isinf(term_powers[seen]).any():
                 raise pow_overflow()
             head = float(np.add.accumulate(np.concatenate(([head], terms[:k])))[-1])
             if k < size:
@@ -275,11 +324,14 @@ class Envelope:
         return all(c == 0.0 for c, _, _ in self.terms)
 
     def tail(self, n: int) -> Optional[float]:
-        """Closed-form bound on sum_{i>n} E(i), or None when some term is not summable."""
+        """Closed-form bound on sum_{i>n} E(i), or None when some term is not
+        summable; a term with r > 0 and q = +inf is infinite at every i >= 2."""
         total = 0.0
         for c, q, r in self.terms:
             if c == 0.0:
                 part = 0.0
+            elif q == math.inf and r > 0.0:
+                return None
             elif r < 1.0:
                 part = poly_geometric_tail(c, q, r, n) if q > 0.0 else geometric_tail(c, r, n)
             elif r == 1.0 and q < -1.0:

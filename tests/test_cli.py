@@ -926,3 +926,13 @@ def test_reports_are_byte_identical_across_runs(argv):
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip() != b""
+
+
+def test_an_infinite_side_exponent_returns_at_once():
+    # The weighted envelope c * i^inf * r^i has no tail; its head walk used
+    # to run forever.
+    done = run_module(["prop42", "--m", "power:c=1,p=inf", "--a", "geometric:c=1,r=0.5",
+                       "--n-max", "10"])
+    assert done.returncode in (0, 2) and b"Traceback" not in done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["result"]["clauses"][3]["series"]["verdict"] == "Inconclusive"

@@ -8,14 +8,17 @@ subnormals, sums that overflow, block boundaries, explicit prefixes and
 integer sides past 2^53.
 """
 
+import copy
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench_support import load_scenarios
 from twistlab import cli, convergence, series
 from twistlab.convergence import (
     _box_defects,
@@ -167,6 +170,47 @@ def test_running_sums_edge_rows(values):
     for block in (1, 2, 1 << 15):
         with with_block(block):
             assert bits(running_sums(values)) == bits(oracle_running_sums(values))
+
+
+def raw_bits(value):
+    """The 64 bits of a float, so the sign and payload of a NaN count too."""
+    return int(np.float64(value).view(np.uint64))
+
+
+BLOCK = 1 << 15
+
+
+@pytest.mark.parametrize("values", [
+    [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [math.inf], [-math.inf], [math.inf, -math.inf],
+    [math.nan], [1.0, math.nan, 2.0], [-math.nan, 1.0], [1e308, 1e308, -5.0],
+    [1e308, 1e308, -math.inf, 1.0], [1.0, 1e308, 1e308, 3.0, -1e308], [5e-324, -5e-324],
+], ids=repr)
+def test_neumaier_sum_is_the_last_running_sum_bit_for_bit(values):
+    want = raw_bits(running_sums(values)[-1]) if values else raw_bits(0.0)
+    assert raw_bits(neumaier_sum(values)) == want
+    assert type(neumaier_sum(values)) is float
+    for block in (1, 2, 3):
+        with with_block(block):
+            assert raw_bits(neumaier_sum(values)) == want
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("spoil", [None, "overflow", "nan", "-inf", "-0.0"])
+def test_neumaier_sum_at_block_lengths(n, spoil):
+    """Across the block edges, with an overflow, a NaN or an infinity partway
+    (at the last index of the first block, or past it)."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    at = min(n - 1, BLOCK - 1)
+    if spoil == "overflow":
+        values[at - 1:at + 1] = 1.5e308
+    elif spoil == "-0.0":
+        values[:] = -0.0
+    elif spoil is not None:
+        values[at] = float(spoil)
+    want = running_sums(values)[-1]
+    assert raw_bits(neumaier_sum(values)) == raw_bits(want)
+    assert float.hex(float(want)) == float.hex(oracle_running_sums(values.tolist())[-1])
 
 
 # --- term checks and prefix checks ------------------------------------------
@@ -351,6 +395,151 @@ def test_criteria_at_bounds_are_exact_past_2_53():
     at = crit.at((1,))
     assert bits(at.translation_bounds) == bits(_box_defects(crit.sides, (1,)))
     assert (at.translation_terms <= at.translation_bounds).all()
+
+
+def oracle_exact_defect(m, x):
+    """(s^K - prod (s - a_j)^+) / s^K in Python ints, s = m + 1."""
+    reach = [abs(c) for c in x if c]
+    s = int(m) + 1
+    overlap = 1
+    for a in reach:
+        overlap *= max(0, s - a)
+    return (s ** len(reach) - overlap) / s ** len(reach)
+
+
+@pytest.fixture
+def exact_cells(monkeypatch):
+    """The sides of every cell that took the Python-int fallback."""
+    seen = []
+    inner = convergence._python_ints
+
+    def counting(values):
+        seen.extend(values.tolist())
+        return inner(values)
+
+    monkeypatch.setattr(convergence, "_python_ints", counting)
+    return seen
+
+
+def odd_part(n):
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def midpoint_cells():
+    """Sides s - 1 = 2^p - 1 and coordinates whose defect N / 2^(pK) is
+    exactly halfway between two floats: N's odd part has 54 significant bits."""
+    cells = [(2.0 ** 40 - 1, (1, 2 ** 13 + 1)), (2.0 ** 53 - 1, (4, 3))]
+    s = 2 ** 20
+    for a in range(8191, 8500, 2):
+        for b in (1, 3, 5):
+            if odd_part(s ** 3 - (s - a) * (s - b) * (s - 1)).bit_length() == 54:
+                cells.append((float(s - 1), (a, -b, 1)))
+    return cells
+
+
+MIDPOINTS = midpoint_cells()
+
+
+def test_constructed_cells_sit_on_a_midpoint():
+    assert len(MIDPOINTS) > 4
+    for m, x in MIDPOINTS:
+        s, k = int(m) + 1, sum(1 for c in x if c)
+        n = s ** k - math.prod(s - abs(c) for c in x if c)
+        assert odd_part(n).bit_length() == 54 and s & (s - 1) == 0
+        assert float(s) ** k >= 2.0 ** 53
+
+
+def test_midpoint_cells_take_the_python_int_fallback(exact_cells):
+    for m, x in MIDPOINTS:
+        before = len(exact_cells)
+        assert float.hex(float(_box_defects(np.array([m]), x)[0])) == float.hex(
+            oracle_exact_defect(m, x))
+        assert len(exact_cells) == before + 1
+    assert exact_cells == [m for m, _ in MIDPOINTS]
+
+
+# Sides from 0 to 2^63 - 1 as floats, crowded near powers of two (where the
+# defect's expansion in 1/s is nearly dyadic, so near midpoints), and
+# coordinates up to 2^60 with zeros among them.
+near_two = st.builds(lambda p, k: float(max(0, 2 ** p + k)),
+                     st.integers(1, 63), st.integers(-6, 6))
+dd_sides = st.one_of(st.integers(0, 2 ** 63 - 1).map(float), near_two,
+                     st.sampled_from([0.0, 1.0, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 63 - 1]))
+dd_x = st.lists(st.one_of(st.just(0), st.integers(-7, 7), st.integers(-2 ** 60, 2 ** 60)),
+                min_size=1, max_size=5).filter(any)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(dd_sides, min_size=1, max_size=16), dd_x)
+def test_double_double_defects_match_python_ints(sides, x):
+    """Every cell, decided in double-double or not, is Python's int / int."""
+    sides = np.array(sides)
+    want = [float.hex(oracle_exact_defect(m, x)) for m in sides.tolist()]
+    assert [float.hex(float(d)) for d in _box_defects(sides, tuple(x))] == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(dd_sides, min_size=1, max_size=16), dd_x)
+def test_double_double_kernel_keeps_its_error_bound(sides, x):
+    """The kernel alone: hi + lo lies within err of the exact defect, and err
+    is at most 2^-88 of it, far below half an ulp."""
+    reach = [abs(c) for c in x if c]
+    m = np.array([v for v in sides if v + 1 > max(reach)])
+    if not m.size:
+        return
+    hi, lo, err = convergence._defects_dd(m, convergence._symmetric_coefficients(reach))
+    for side, h, l, e in zip(m.tolist(), hi.tolist(), lo.tolist(), err.tolist()):
+        s = int(side) + 1
+        exact = 1 - Fraction(math.prod(s - a for a in reach), s ** len(reach))
+        assert abs(Fraction(h) + Fraction(l) - exact) <= Fraction(e) <= exact / 2 ** 88
+
+
+def test_double_double_edges():
+    # s = 1 and 2, a coordinate at and past the side, zeros, s^K at 2^53
+    # exactly, sides past 2^53 where m + 1 is not a float, and 2^63.  Next
+    # to a power of two the defect's expansion in 1/s is nearly dyadic, so
+    # some of these cells sit near a midpoint and take the fallback.
+    sides = np.array([0.0, 1.0, 2.0, 3.0, 2.0 ** 26, 2.0 ** 53, 2.0 ** 53 + 2.0, 2.0 ** 60,
+                      2.0 ** 63 - 1024.0, 2.0 ** 63])
+    for x in [(1, 1), (3, 0, -1), (0, 2 ** 26, 5), (2 ** 26 + 1, 1), (2 ** 53 + 1, 1, 1),
+              (2 ** 60, 0, 2 ** 60), (7, 7, 7, 7)]:
+        want = [float.hex(oracle_exact_defect(m, x)) for m in sides.tolist()]
+        assert [float.hex(float(d)) for d in _box_defects(sides, x)] == want, x
+
+
+def test_a_coordinate_at_the_side_gives_exactly_one():
+    # |x_j| >= s = m + 1 empties the overlap, also where 2^53 + 1 rounds
+    for m, x in [(2.0 ** 53, (2 ** 53 + 1, 1)), (2.0 ** 60, (2 ** 60 + 1, 1)),
+                 (2.0 ** 60, (2 ** 60, 1))]:
+        assert _box_defects(np.array([m]), x)[0] == oracle_exact_defect(m, x)
+    assert oracle_exact_defect(2.0 ** 53, (2 ** 53 + 1, 1)) == 1.0
+
+
+def _prop42_x_scenarios(seed):
+    return [s for s in load_scenarios().generate("certify-long", seed)
+            if s.sid.startswith("prop42-x-")]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_certify_long_box_defects_never_take_the_fallback(seed, exact_cells):
+    scenarios = _prop42_x_scenarios(seed)
+    assert len(scenarios) == 3
+    for scenario in scenarios:
+        cli.run_scenario(copy.deepcopy(scenario.doc), scenario.command)
+    assert exact_cells == []
+
+
+def test_the_million_side_run_never_takes_the_fallback(exact_cells):
+    """prop42 --m power:c=1,p=2 --a geometric:c=3.14159,r=0.5 --n-max 1000000 --x 1,1:
+    990,259 cells past s^2 = 2^53, every one decided in double-double."""
+    crit = lattice_tensor_criteria(PowerModel(1.0, 2.0), GeometricModel(3.14159, 0.5),
+                                   n_max=1_000_000)
+    at = crit.at((1, 1))
+    assert np.count_nonzero((crit.sides + 1.0) ** 2 >= 2.0 ** 53) == 990_259
+    assert at.translation is not None and exact_cells == []
+    rng = np.random.default_rng(3)
+    for i in rng.integers(0, crit.sides.size, 300).tolist() + [crit.sides.size - 1]:
+        assert at.translation_terms[i] == oracle_exact_defect(crit.sides[i], (1, 1))
 
 
 # --- complex moduli and spectral matching -----------------------------------

@@ -47,3 +47,23 @@ def test_library_never_calls_numpy_power(path):
             if isinstance(node, ast.Attribute) and node.attr == "power"
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert uses == [], f"{path.name} uses np.power on lines {uses}"
+
+
+def _object_array_builders(path):
+    """Names of the functions that pass ``dtype=object`` to any call."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [fn.name for node in ast.walk(fn) if isinstance(node, ast.keyword)
+                      and node.arg == "dtype" and isinstance(node.value, ast.Name)
+                      and node.value.id == "object"]
+    return sorted(found)
+
+
+def test_convergence_builds_object_arrays_only_for_exact_ints():
+    # Box defects run in float64 and double-double; only the cells their
+    # error bound leaves undecided reach Python ints, through _python_ints.
+    # _windows keeps a caller's window schedule as the exact Python ints the
+    # Dirichlet report holds.  The CLI reads windows from a model, as floats.
+    path = ROOT / "src" / "twistlab" / "convergence.py"
+    assert _object_array_builders(path) == ["_python_ints", "_windows"]

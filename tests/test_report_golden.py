@@ -369,6 +369,23 @@ CASES = [
                                    "x": "3,-1"}, 500, ("translation", "twist_majorant")),
     ("p42x-big-r3", "prop42", {"sides": "power:c=3,p=2.5", "norms": NORMS_G05,
                                "x": "2,-1,1"}, 400, ("translation",)),
+    # Recorded with the Python-int defects, before the double-double ones:
+    # sides past 2^53 themselves (m + 1 not a float), K = 3 and K = 4 across
+    # s^K = 2^53, and coordinates that exceed the side for a stretch past it.
+    ("p42x-k2-sides-past-2^53", "prop42", {"sides": "power:c=1,p=6", "norms": NORMS_G05,
+                                           "x": "2,-3"}, 600, ("translation",)),
+    ("p42x-k3-wide-x", "prop42", {"sides": "power:c=2,p=2.5", "norms": NORMS_G05,
+                                  "x": "7,-11,13"}, 300, ("translation",)),
+    ("p42x-k4-cross", "prop42", {"sides": "power:c=1,p=2", "norms": NORMS_G05,
+                                 "x": "1,0,1,-1,1"}, 600, ("translation",)),
+    ("p42x-k2-huge-x", "prop42", {"sides": "power:c=1,p=4", "norms": NORMS_G05,
+                                  "x": "123456789,-987654321"}, 400, ("translation",)),
+    # An infinite side exponent: the weighted envelope's poly-geometric tail
+    # used to walk forever, since (1 + 1/i)^inf * r never drops below 1.
+    ("p42-inf-exponent", "prop42", {"sides": "power:c=1,p=inf", "norms": NORMS_G05}, 10,
+     ("weighted",)),
+    ("p42x-inf-exponent", "prop42", {"sides": "power:c=1,p=inf", "norms": NORMS_G05,
+                                     "x": "1,1"}, 10, ("translation",)),
     # --- dense commands (n_max is unused) ------------------------------------
     # Windows of 1, 8, 121 and 196 points: the last two sit below and above
     # the 128 x 128 complex (256 KiB) residual matrix, and the 196-point
@@ -429,7 +446,8 @@ def _twist(matrices, matrix_model, sides, side_model, n_max=6):
 
 def _dirichlet(*args, **kwargs):
     r = dirichlet_condition(*args, **kwargs)
-    return r.windows, r.angles, r.deviation_terms, r.inverse_window, r.deviation
+    return (tuple(map(int, r.windows.tolist())), tuple(r.angles.tolist()),
+            tuple(r.deviation_terms.tolist()), r.inverse_window, r.deviation)
 
 
 def _action(verdict):
@@ -981,6 +999,31 @@ DIGESTS = {
         "db84c41f4ca8110290380faafa9c05b69d74876f509a6658cb4bea4a734c23ae",
     "p42x-big-r3:translation":
         "95481dd7c587b05a71a584483ef3c92923d32bc6078fefd658e9e967a7795adc",
+    "p42x-k2-sides-past-2^53":
+        "678d3f784bc96807adf8b4bdadec8d08532cc8ddde6cbe3ef1ebe4fba686ca75",
+    "p42x-k2-sides-past-2^53:translation":
+        "e3a682d1a2ec3c0920c5fa31c0471712c74a197d53685b4f6bee00d4e861a39b",
+    "p42x-k3-wide-x":
+        "9836335fd260c1b2d77b150908a9cfc986e3dceccc0a1378141a48138fd5d851",
+    "p42x-k3-wide-x:translation":
+        "21ff98526411cc4c81157b7c493d66e9052223e621b4d4661dd58b8c9062d506",
+    "p42x-k4-cross":
+        "dd817a57cab12885d29a7014a0875819793196d4316da81d99e031e09c97f468",
+    "p42x-k4-cross:translation":
+        "f48ae7a965ab143fae9d6601603c7be8aad0dd415ab3fe0d742ca532a0bdb9a0",
+    "p42x-k2-huge-x":
+        "51b7339a99b48b088661743a88a4da491dcc0daa7638c1f011bde1bd1927333c",
+    "p42x-k2-huge-x:translation":
+        "07e975dbb340abae7c77604dcae4dcee8d2c7bb134b654ed4ab20df8fbd57498",
+    # recorded after the infinite-exponent mend: the parent never returned
+    "p42-inf-exponent":
+        "d9c6ec277da1cd5836586b0c3de05e94546072265ab03fba2e3fd12e226fbf2f",
+    "p42-inf-exponent:weighted":
+        "ee02644b0d0ae25f273095fae2299e2b0dab46c8db5e883240244a2be8035647",
+    "p42x-inf-exponent":
+        "fdfa7baff3dd0018a612e9b91e5cb7cf865d56d364392167c19596f3c1135b06",
+    "p42x-inf-exponent:translation":
+        "b7dab0d579251e8ad7135fdcbc1177ebf55281650f9feb1d165e91bb9169d9e7",
     "lib-action-regular-ext":
         "813fad3642c4262523df67690e837f110592816bf05fbfdf78a62273723383f8",
     "lib-action-regular-capped":

@@ -65,6 +65,21 @@ def test_poly_geometric_tail_with_zero_parts():
         geometric_tail(1.0, 0.5, 5))
 
 
+def test_poly_geometric_tail_refuses_an_infinite_exponent():
+    # (1 + 1/i)^inf * r stays >= 1 for every i, so the head walk never ended
+    with pytest.raises(ValueError, match="finite exponent"):
+        poly_geometric_tail(1.0, math.inf, 0.5, 3)
+    assert poly_geometric_tail(0.0, math.inf, 0.5, 3) == 0.0
+    assert poly_geometric_tail(1.0, math.inf, 0.0, 3) == 0.0
+
+
+def test_envelope_with_an_infinite_exponent_has_no_tail():
+    assert Envelope(((1.0, math.inf, 0.5),)).tail(10) is None
+    assert Envelope(((2.0, -2.0, 1.0), (1.0, math.inf, 0.999))).tail(10) is None
+    assert Envelope(((1.0, math.inf, 0.0),)).tail(10) == 0.0
+    assert Envelope(((0.0, math.inf, 0.5),)).tail(10) == 0.0
+
+
 def test_tail_bound_input_validation():
     with pytest.raises(ValueError):
         power_tail(1.0, -1.0, 5)

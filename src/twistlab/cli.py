@@ -27,9 +27,11 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import reduce
 from itertools import islice, product
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from .cocycles import (
     pauli_sigma,
     perturb,
     quadratic_phase,
+    residual_max,
     sample_triples,
     sign_cocycle_z2,
     trivial_cocycle,
@@ -82,7 +85,7 @@ from .convergence import (
 )
 # perfbench/tracer.py wraps this name where the handlers would look it up.
 from .convergence import translation_series  # noqa: F401
-from .csvrows import float_repr as _float_repr, rows_text
+from .csvrows import float_repr as _float_repr, rows_text, scratch as csv_scratch
 from .groups import (
     FiniteAbelianGroup,
     FolnerBox,
@@ -111,6 +114,7 @@ from .series import (
     PowerModel,
     TailModel,
     horizon,
+    locate,
     model_powers,
     model_values,
     pow_overflow,
@@ -136,6 +140,36 @@ class CliError(Exception):
 
 def _schema_error(message: str) -> CliError:
     return CliError(2, f"schema violation: {message}")
+
+
+@contextmanager
+def _naming(field: str, **fields: str) -> Iterator[None]:
+    """Library errors raised inside name the scenario field they come from.
+
+    The message keeps the library's text and ends with the field.  An error
+    located at a term (``series.locate``) also names the term and its index,
+    and takes its field from ``fields`` by the term's name where given; an
+    overflow says so in place of Python's text, the platform's strerror.
+    """
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        what, index = getattr(exc, "located", (None, None))
+        if what is None:
+            text = str(exc)
+        elif isinstance(exc, OverflowError):
+            text = f"{what} {index} overflows a float"
+        else:
+            text = f"{exc} at {what} {index}"
+        raise CliError(2, f"invalid scenario: {text} ({fields.get(what, field)})") from None
+
+
+def _naming_calls(fn: Callable[[int], Any], field: str) -> Callable[[int], Any]:
+    """``fn`` whose errors name ``field``, as inside ``_naming``."""
+    def call(i: int) -> Any:
+        with _naming(field):
+            return fn(i)
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +250,15 @@ def render_csv(scenario: dict, terms: Sequence[float],
     declares only so many values), is an empty cell.  Every other cell is
     ``_float_repr`` of its float: ``format(v, ".17g")``, or ``inf``, ``-inf``,
     ``nan``.  Rows are built in blocks of ``_CSV_BLOCK`` by
-    ``csvrows.rows_text``.  It takes the 17 digits of a finite cell as the
-    integer nearest to v = |x| * 10^(16 - k), from a double-double v whose
-    error is at most 2^-46 of a unit in the 17th digit.  Where v's fraction
-    lies within 2^-30 of one half, which includes every exact tie (Python
-    rounds those half to even), and for inf and NaN, the cell's text comes
-    from ``_float_repr`` itself.
+    ``csvrows.rows_text``, all in one word buffer from ``csvrows.scratch``.
+    It takes the 17 digits of a finite cell as the integer nearest to
+    v = |x| * 10^(16 - k), from a double-double v whose error is at most
+    2^-46 of a unit in the 17th digit.  Where v's fraction lies within 2^-30
+    of one half, which includes every exact tie (Python rounds those half to
+    even), and for inf and NaN, the cell's text comes from ``_float_repr``
+    itself.  A block whose bound column is empty on every row (a series
+    without bounds, or past the end of the prefix) prints it as bare commas
+    and computes no digits for it.
     """
     terms = np.asarray(terms, dtype=float)
     n = terms.size
@@ -236,12 +273,13 @@ def render_csv(scenario: dict, terms: Sequence[float],
     limits[:given.size] = given
     parts = ["# scenario=", render_json(scenario), "\nindex,term,partial_sum,bound"]
     missing = np.zeros((min(n, _CSV_BLOCK), 3), dtype=bool)
+    words = csv_scratch(min(n, _CSV_BLOCK), n, 3)
     for start in range(0, n, _CSV_BLOCK):
         block = slice(start, min(start + _CSV_BLOCK, n))
         size = block.stop - start
         missing[:size, 2] = gaps[block]
         cells = np.stack((terms[block], sums[block], limits[block]), axis=1)
-        parts.append(rows_text(start + 1, cells, missing[:size]))
+        parts.append(rows_text(start + 1, cells, missing[:size], words))
     parts.append("\n")
     return "".join(parts)
 
@@ -318,6 +356,18 @@ def parse_scalar(value: Any, ctx: str) -> float:
         raise _schema_error(f"{ctx}: cannot parse scalar {value!r}") from None
 
 
+def parse_finite(value: Any, ctx: str) -> float:
+    """``parse_scalar`` for cocycle and bilinear scalars, which must be finite.
+
+    A NaN phase makes every residual built on it NaN, and an infinite one
+    has no phase at all.
+    """
+    v = parse_scalar(value, ctx)
+    if not math.isfinite(v):
+        raise _schema_error(f"{ctx} must be finite, got {value!r}")
+    return v
+
+
 def parse_complex(value: Any, ctx: str) -> complex:
     if isinstance(value, dict):
         _check_keys(value, ctx, optional=("im", "re"))
@@ -370,6 +420,7 @@ def group_label(group: Group) -> str:
 
 
 def parse_matrix(value: Any, ctx: str) -> np.ndarray:
+    """A phase or bilinear matrix, as nested lists or 'a,b;c,d'; entries are finite."""
     if isinstance(value, str):
         rows: Sequence[Any] = [[e for e in row.split(",")] for row in value.split(";")]
     elif isinstance(value, (list, tuple)) and value and all(
@@ -382,7 +433,7 @@ def parse_matrix(value: Any, ctx: str) -> np.ndarray:
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise _schema_error(f"{ctx}: matrix rows must be nonempty and equal length")
-    data = [[parse_scalar(e, f"{ctx}[{i}][{j}]") for j, e in enumerate(row)]
+    data = [[parse_finite(e, f"{ctx}[{i}][{j}]") for j, e in enumerate(row)]
             for i, row in enumerate(rows)]
     return np.array(data, dtype=float)
 
@@ -487,7 +538,8 @@ def parse_signed_family(value: Any, ctx: str) -> tuple[Callable[[int], Prefix], 
         stop = np.flatnonzero(overflow)
         with np.errstate(over="ignore", invalid="ignore"):
             if stop.size:
-                return Prefix(c * powers[:stop[0]], pow_overflow())
+                return Prefix(c * powers[:stop[0]],
+                              locate(pow_overflow(), "angle", int(stop[0]) + 1))
             return Prefix(c * powers)
 
     return read, model
@@ -526,14 +578,14 @@ def parse_cocycle(value: Any, ctx: str) -> Cocycle:
         return lift_bilinear(parse_matrix(body, f"{ctx}.bilinear"))
     if key == "coboundary":
         _check_keys(body, f"{ctx}.coboundary", required=("epsilon", "group"))
-        eps = parse_scalar(body["epsilon"], f"{ctx}.coboundary.epsilon")
+        eps = parse_finite(body["epsilon"], f"{ctx}.coboundary.epsilon")
         group = parse_group(body["group"], f"{ctx}.coboundary.group")
         return CoboundaryCocycle(group, quadratic_phase(eps, group),
                                  label=f"exp(i*{eps}*x1^2)")
     if key == "perturb":
         _check_keys(body, f"{ctx}.perturb", required=("base", "epsilon"))
         base = parse_cocycle(body["base"], f"{ctx}.perturb.base")
-        eps = parse_scalar(body["epsilon"], f"{ctx}.perturb.epsilon")
+        eps = parse_finite(body["epsilon"], f"{ctx}.perturb.epsilon")
         return perturb(base, quadratic_phase(eps, base.group), label=f"exp(i*{eps}*x1^2)")
     if key == "product":
         return ProductCocycle([parse_cocycle(v, f"{ctx}.product[{k}]")
@@ -639,9 +691,8 @@ def _run_check_cocycle(params: dict, ctx: RunContext) -> HandlerOutput:
     triples = sample_triples(u.group, count, bound, rng)
     residual = check_cocycle_identity(u, triples)
     e = u.group.identity
-    normalization = max(abs(u.value(e, x) - 1.0) for x, _, _ in triples)
-    normalization = max(normalization,
-                        max(abs(u.value(x, e) - 1.0) for x, _, _ in triples))
+    normalization = reduce(residual_max, (abs(u.value(a, b) - 1.0) for x, _, _ in triples
+                                          for a, b in ((e, x), (x, e))), 0.0)
     return HandlerOutput(result={
         "bound": bound,
         "cocycle_residual": residual,
@@ -696,7 +747,8 @@ def _matrix_family_from(params: dict, key: str, ctx_name: str):
     field_name, make = _MATRIX_FAMILIES[d["family"]]
     _check_keys(d, ctx_name, required=("family", "matrix", field_name))
     matrix = parse_matrix(d["matrix"], f"{ctx_name}.matrix")
-    return make(matrix, parse_scalar(d[field_name], f"{ctx_name}.{field_name}"))
+    with _naming(f"{ctx_name}.{field_name}"):
+        return make(matrix, parse_scalar(d[field_name], f"{ctx_name}.{field_name}"))
 
 
 def _scalar_values(params: dict, ctx: RunContext) -> tuple[
@@ -747,8 +799,9 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
         x = parse_int_list(params["x"], "params.x")
         mat_fn, mat_model = _matrix_family_from(params, "matrices", "params.matrices")
         side_model = parse_model(params["sides"], "params.sides")
-        rep = twisted_rep_series(mat_fn, mat_model, ceil_schedule(side_model, "side"),
-                                 side_model, x, n_max=ctx.n_max(DEFAULT_BOX_HORIZON),
+        sides = _naming_calls(ceil_schedule(side_model, "side"), "params.sides")
+        rep = twisted_rep_series(mat_fn, mat_model, sides, side_model, x,
+                                 n_max=ctx.n_max(DEFAULT_BOX_HORIZON),
                                  grid_cap=ctx.grid_cap())
         result = {
             "conclusion": rep.conclusion,
@@ -769,19 +822,20 @@ def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:
     if kind in ("inner", "product"):
         _check_keys(params, "params", required=("kind",),
                     optional=("angles", "model", "values"))
-        realized, model = _scalar_values(params, ctx)
-        n = len(realized)
-        declared = model_values(model, n) if model else None
-        result = {"kind": kind}
-        if kind == "product":
-            diag = product_diagnose(realized, model, n_max=n, tol=ctx.tol,
-                                    declared=declared)
-            result["partial_product"] = diag.partial_product
-            result["product_tail"] = diag.product_tail
-            terms, verdict = diag.terms, diag.series
-        else:
-            terms, verdict = inner_product_series(realized, model, n_max=n, tol=ctx.tol,
-                                                  declared=declared)
+        with _naming("params.values" if "values" in params else "params.angles"):
+            realized, model = _scalar_values(params, ctx)
+            n = len(realized)
+            declared = model_values(model, n) if model else None
+            result = {"kind": kind}
+            if kind == "product":
+                diag = product_diagnose(realized, model, n_max=n, tol=ctx.tol,
+                                        declared=declared)
+                result["partial_product"] = diag.partial_product
+                result["product_tail"] = diag.product_tail
+                terms, verdict = diag.terms, diag.series
+            else:
+                terms, verdict = inner_product_series(realized, model, n_max=n,
+                                                      tol=ctx.tol, declared=declared)
         result["series"] = asdict(verdict)
         result["terms_head"] = _head(terms)
         return HandlerOutput(result, {"terms": (terms, declared)}, default_series="terms")
@@ -796,9 +850,10 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
                           required=("matrix", "ratio"))
     matrix = parse_matrix(members["matrix"], "params.members.matrix")
     ratio = parse_scalar(members["ratio"], "params.members.ratio")
-    seq = geometric_matrix_sequence(matrix, ratio)
+    with _naming("params.members.ratio"):
+        seq = geometric_matrix_sequence(matrix, ratio)
     side_model = parse_model(params["sides"], "params.sides")
-    side_fn = ceil_schedule(side_model, "side")
+    side_fn = _naming_calls(ceil_schedule(side_model, "side"), "params.sides")
     rank = matrix.shape[0]
     thresholds = None
     if "thresholds" in params:
@@ -808,7 +863,14 @@ def _run_select(params: dict, ctx: RunContext) -> HandlerOutput:
         p = parse_scalar(block["exponent"], "params.thresholds.exponent")
         if not c > 0:
             raise _schema_error("params.thresholds.coeff must be > 0")
-        thresholds = lambda k: c * float(k) ** p
+
+        def thresholds(k: int) -> float:
+            threshold = c * float(k) ** p
+            if not threshold > 0:  # the selection's own check, with the field named
+                raise locate(ValueError("thresholds must be positive"), "threshold", k)
+            return threshold
+
+        thresholds = _naming_calls(thresholds, "params.thresholds")
     try:
         report = select_product_subsequence(
             seq, lambda k: FolnerBox(rank, side_fn(k)),
@@ -831,8 +893,9 @@ def _run_prop42(params: dict, ctx: RunContext) -> HandlerOutput:
     _check_keys(params, "params", required=("norms", "sides"), optional=("x",))
     side_model = parse_model(params["sides"], "params.sides")
     matrix_model = parse_model(params["norms"], "params.norms")
-    crit = lattice_tensor_criteria(side_model, matrix_model,
-                                   n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
+    with _naming("params.sides"):  # NaN sides, and the weighted tail's powers of them
+        crit = lattice_tensor_criteria(side_model, matrix_model,
+                                       n_max=ctx.n_max(DEFAULT_SCALAR_HORIZON))
     result = {
         "clauses": [asdict(c) for c in crit.clauses],
         "series_heads": {"norms": _head(crit.norms), "sigma": _head(crit.sigma_terms),
@@ -861,8 +924,11 @@ def _run_dirichlet(params: dict, ctx: RunContext) -> HandlerOutput:
     window_model = parse_model(params["windows"], "params.windows")
     read, angle_model = parse_signed_family(params["angles"], "params.angles")
     n_max = ctx.n_max(DEFAULT_SCALAR_HORIZON)
-    report = dirichlet_condition(None, window_model, read(horizon(n_max, window_model)),
-                                 angle_model, n_max=n_max)
+    with _naming("params.windows", angle="params.angles",
+                 mean="params.windows, params.angles"):
+        report = dirichlet_condition(None, window_model,
+                                     read(horizon(n_max, window_model)),
+                                     angle_model, n_max=n_max)
     result = {
         "angles_head": _head(report.angles),
         "conclusion": report.conclusion,

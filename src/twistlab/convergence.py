@@ -60,6 +60,7 @@ from .series import (
     diagnose_terms,
     horizon,
     inconclusive,
+    locate,
     model_values,
     neumaier_sum,
     prefix_mismatch,
@@ -1013,8 +1014,9 @@ def lattice_tensor_criteria(side_model: TailModel, matrix_model: TailModel,
 
     n_max = horizon(n_max, side_model, matrix_model)
     side_values = model_values(side_model, n_max)
-    if np.isnan(side_values).any():
-        raise ValueError("cannot convert float NaN to integer")  # math.ceil's message
+    bad = _first(np.isnan(side_values))
+    if bad is not None:  # math.ceil's message
+        raise locate(ValueError("cannot convert float NaN to integer"), "side", bad + 1)
     sides = np.ceil(side_values) + 0.0  # + 0.0 clears the sign of a zero ceiling
     norms = model_values(matrix_model, n_max)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -1173,8 +1175,9 @@ def _angle_remainders(theta: np.ndarray) -> np.ndarray:
     above, a tie takes the even multiple, and theta's sign comes last.
     An infinite angle raises math.remainder's ValueError.
     """
-    if np.isinf(theta).any():
-        raise ValueError("math domain error")  # math.remainder's own
+    bad = _first(np.isinf(theta))
+    if bad is not None:
+        raise locate(ValueError("math domain error"), "angle", bad + 1)  # math.remainder's own
     size = np.abs(theta)
     with np.errstate(invalid="ignore"):
         m = np.fmod(size, TWO_PI)
@@ -1196,8 +1199,9 @@ def _dirichlet_means(m: np.ndarray, t: np.ndarray) -> np.ndarray:
         denominator = m * np.sin(0.5 * t)
         arg = (0.5 * m) * t
         flat = denominator == 0.0  # t is 0, or 0.5 t underflows to 0 and D rounds to 1
-        if np.isinf(arg[~flat]).any():
-            raise ValueError("math domain error")  # math.sin's own
+        bad = _first(np.isinf(arg) & ~flat)
+        if bad is not None:
+            raise locate(ValueError("math domain error"), "mean", bad + 1)  # math.sin's own
         return np.where(flat, 1.0, np.sin(arg) / denominator)
 
 

@@ -1,4 +1,4 @@
-"""CSV rows as one byte array: Python's ``.17g`` float text, computed with numpy.
+"""CSV rows as one byte string: Python's ``.17g`` float text, computed with numpy.
 
 ``rows_text(first, cells, missing)`` returns the text of a block of CSV rows
 ``index,cell,...,cell``, one per row of ``cells``, each row led by a newline.
@@ -20,18 +20,31 @@ does, is undecided and takes its text from ``float_repr``.  At the ends of
 the decade the two readings of k print the same text, so no cell falls back
 there.
 
-Text.  A cell has a fixed slot of bytes; the row is laid out once and a
-keep mask selects the bytes of each cell's text, so the block is one
-``np.compress``.  Python's ``g`` rules: fixed notation for decimal exponents
--4 <= X < 17, otherwise d.ddde+XX with at least two exponent digits;
-trailing zeros and a bare point are dropped; -0.0 prints as ``-0``.
+Text.  A row is a run of 8-byte words: a newline and the index digits,
+then a slot of six words per column,
+
+    word 0      ',' sign '0' '.' '0' '0' '0' d0
+    words 1-4   '.' d1 '.' d2 ... '.' d16
+    word 5      'e' sign and two or three exponent digits
+
+and every byte a cell does not print holds NUL, so one ``bytes.translate``
+that deletes NUL compacts the block.  Each word is written whole from a
+table: word 0 by sign, shape and first digit (the comma, the sign, the "0."
+and up to three zeros of a fixed-notation number below 1); words 1-4 by
+4-digit chunk, ANDed with a mask chosen by shape and digit count, which
+keeps the shown digits and the one point; word 5 by decimal exponent, all
+NUL in fixed notation.  The index digits come from a 4-digit chunk table
+whose leading zeros are NUL.  A column missing on every row of the block
+has no slot, only a word holding its bare comma.  Python's ``g`` rules: fixed notation for decimal exponents -4 <= X < 17,
+otherwise d.ddde+XX with at least two exponent digits; trailing zeros and
+a bare point are dropped; -0.0 prints as ``-0``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,35 +56,41 @@ _S_LO, _S_HI = -294, 342
 _E16, _E17 = 10 ** 16, 10 ** 17
 _UNDECIDED = 2.0 ** -30
 
-# A cell's slot of bytes: ',' then the sign, the "0." and up to three zeros
-# of a fixed-notation number below 1, the 17 digits each followed by a
-# point, and 'e' with the exponent's sign and three digits.  A keep mask
-# selects the bytes of the cell's text.
-_SIGN, _LEAD, _ZEROS, _DIGITS, _EXP = 1, 2, 4, 7, 41
-_SLOT = 46
-_TEMPLATE = np.frombuffer(b",-0.000" + b"0." * 17 + b"e+000", dtype=np.uint8)
-# Keep-mask rows, by shape: 17 x 17 fixed numbers >= 1 (exponent, digits),
-# 4 x 17 fixed numbers below 1, 2 x 17 exponent forms (two or three exponent
-# digits), each unsigned and signed, then the empty (missing) cell.
-_SHAPES = 2 * (17 * 17 + 4 * 17 + 2 * 17)
-_MISSING = _SHAPES
+# Words of a cell's slot.  A cell's shape key is its decimal exponent
+# clipped to [-5, 17], plus 5: keys 0 and 22 are the exponent forms, 1-4 the
+# fixed numbers below 1 and 5-21 the fixed numbers from 1 up; _MISSING is an
+# empty cell.  Heads and masks are looked up by key and the first digit or
+# the digit count.
+_SLOT = 6
+_MISSING = 23
+_KEYS = _MISSING + 1
 
 
 class _Tables(NamedTuple):
-    # 10^s = (H + L) * 2^T for s in [_S_LO, _S_HI], with H's split halves.
+    # 10^s = (H + L) * 2^T for s in [_S_LO, _S_HI]: T, and one row
+    # (H, H's split halves, L) per s.
     t: np.ndarray
-    h: np.ndarray
-    h_hi: np.ndarray
-    h_lo: np.ndarray
-    lo: np.ndarray
-    # "a.b.c.d." for every 4-digit chunk abcd, as one uint64 each.
-    chunks: np.ndarray
+    powers: np.ndarray
+    # ".a.b.c.d" for every 4-digit chunk abcd, as one uint64 each.
+    dotted: np.ndarray
     # Significant digits of every 4-digit chunk; -20 for 0000.
     significant: np.ndarray
-    # Exponent sign and three digits for k + 324, as one uint32 each.
-    exponents: np.ndarray
-    # Keep-mask row of each shape, and the one of a missing cell.
+    # The shape key of each decimal exponent k, by k + 324.
+    keys: np.ndarray
+    # "abcd" for every 4-digit chunk as one uint32 each, and the same with
+    # the leading zeros as NUL (all NUL for 0000).
+    plain: np.ndarray
+    lead: np.ndarray
+    # Slot word 0 by (sign * _KEYS + key) * 10 + first digit.
+    heads: np.ndarray
+    # Keep masks of slot words 1-4 by key * 18 + digit count, four words each.
     masks: np.ndarray
+    # Slot word 5 by k + 324: the exponent, all NUL in fixed notation.
+    exponents: np.ndarray
+
+
+_COMMA = np.frombuffer(b",\0\0\0\0\0\0\0", dtype=np.uint64)[0]
+_NEWLINE = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)[0]
 
 
 def float_repr(v: float) -> str:
@@ -109,60 +128,59 @@ def _tables() -> _Tables:
 
     v = np.arange(10000)
     digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
-    chunks = np.full((10000, 8), ord("."), dtype=np.uint8)
-    chunks[:, ::2] = digits + ord("0")
+    text = (digits + ord("0")).astype(np.uint8)
+    dotted = np.full((10000, 8), ord("."), dtype=np.uint8)
+    dotted[:, 1::2] = text
     trailing = np.argmax(digits[:, ::-1] != 0, axis=1)
-    significant = np.where(v == 0, -20, 4 - trailing)
+    significant = np.where(v == 0, -20, 4 - trailing).astype(np.int8)
+    lead = np.where(v[:, None] >= 10 ** np.arange(3, -1, -1), text, 0).astype(np.uint8)
 
-    k = np.arange(-324, 325)
-    exponents = np.empty((k.size, 4), dtype=np.uint8)
-    exponents[:, 0] = np.where(k < 0, ord("-"), ord("+"))
-    exponents[:, 1:] = chunks[np.abs(k), 2::2]
-
-    # One exponent of each shape: every fixed one, then 17 and 100 for the
-    # exponent forms with two and three digits.
-    neg, k, count = (a.ravel() for a in np.meshgrid(
-        [False, True], [*range(-4, 17), 17, 100], range(1, 18), indexing="ij"))
-    masks = np.zeros((_SHAPES + 1, _SLOT), dtype=bool)
-    masks[_shape(neg, k, count)] = _masks(neg, k, count)
-    masks[_MISSING, 0] = True
-    return _Tables(np.array(ts, dtype=np.int32), h, *split(h), np.array(ls),
-                   chunks.view(np.uint64).ravel(), significant,
-                   exponents.view(np.uint32).ravel(), masks)
-
-
-def _shape(neg: np.ndarray, k: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The keep-mask row of a cell with sign, decimal exponent k and digit count."""
-    whole = (k >= 0) & (k < 17)
+    # Word 0: the comma, the sign, "0." and the zeros of a number below 1,
+    # then the first digit; a missing cell keeps only the comma.
+    neg, key, first = (a.ravel() for a in np.meshgrid(
+        [False, True], range(_KEYS), range(10), indexing="ij"))
+    k = key - 5
     small = (k >= -4) & (k < 0)
-    row = np.where(whole, k * 17, np.where(small, 289 - 17 * (k + 1),
-                                            357 + 17 * (np.abs(k) >= 100)))
-    return row + (count - 1) + neg * (_SHAPES // 2)
-
-
-def _masks(neg: np.ndarray, k: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Keep masks of cells given by sign, decimal exponent k and digit count."""
-    fixed = (k >= -4) & (k < 17)
-    small = fixed & (k < 0)
-    whole = fixed & (k >= 0)
-    sci = ~fixed
-    # Digits shown: the significant ones, and zeros up to the point if whole.
-    shown = np.where(whole, np.maximum(count, k + 1), count)
-    # The point follows digit ``point``; -1 for no point.
-    point = np.where(whole & (count > k + 1), k, np.where(sci & (count > 1), 0, -1))
-    mask = np.zeros((k.size, _SLOT), dtype=bool)
-    mask[:, 0] = True
-    mask[:, _SIGN] = neg
-    mask[:, _LEAD] = mask[:, _LEAD + 1] = small
+    live = key != _MISSING
+    heads = np.zeros((key.size, 8), dtype=np.uint8)
+    heads[:, 0] = ord(",")
+    heads[:, 1] = np.where(neg & live, ord("-"), 0)
+    heads[:, 2] = np.where(small, ord("0"), 0)
+    heads[:, 3] = np.where(small, ord("."), 0)
     for z in range(3):
-        mask[:, _ZEROS + z] = small & (k <= -2 - z)
-    column = np.arange(17)
-    mask[:, _DIGITS:_EXP:2] = column < shown[:, None]
-    mask[:, _DIGITS + 1:_EXP:2] = column == point[:, None]
-    mask[:, _EXP] = mask[:, _EXP + 1] = sci
-    mask[:, _EXP + 2] = sci & (np.abs(k) >= 100)
-    mask[:, _EXP + 3] = mask[:, _EXP + 4] = sci
-    return mask
+        heads[:, 4 + z] = np.where(small & (k <= -2 - z), ord("0"), 0)
+    heads[:, 7] = np.where(live, first + ord("0"), 0)
+
+    # Words 1-4: byte 2i - 2 is the point before digit i, byte 2i - 1 the digit.
+    key, count = (a.ravel() for a in np.meshgrid(range(_KEYS), range(18), indexing="ij"))
+    k = key - 5
+    whole = (k >= 0) & (k < 17)
+    sci = (k < -4) | (k >= 17)
+    shown = np.where(whole, np.maximum(count, k + 1), count)
+    point = np.where(whole & (count > k + 1), k, np.where(sci & (count > 1), 0, -1))
+    shown[key == _MISSING] = point[key == _MISSING] = -1
+    i = np.arange(1, 17)
+    masks = np.zeros((key.size, 32), dtype=np.uint8)
+    masks[:, 0::2] = np.where(point[:, None] == i - 1, 0xFF, 0)
+    masks[:, 1::2] = np.where(i < shown[:, None], 0xFF, 0)
+
+    # Word 5: 'e', the sign and at least two digits, outside -4 <= k < 17.
+    k = np.arange(-324, 325)
+    exponents = np.zeros((k.size, 8), dtype=np.uint8)
+    sci = (k < -4) | (k >= 17)
+    exponents[:, 0] = np.where(sci, ord("e"), 0)
+    exponents[:, 1] = np.where(sci, np.where(k < 0, ord("-"), ord("+")), 0)
+    wide = np.abs(k) >= 100
+    tail = text[np.abs(k), 1:]
+    exponents[:, 2] = np.where(sci, np.where(wide, tail[:, 0], tail[:, 1]), 0)
+    exponents[:, 3] = np.where(sci, np.where(wide, tail[:, 1], tail[:, 2]), 0)
+    exponents[:, 4] = np.where(sci & wide, tail[:, 2], 0)
+    return _Tables(np.array(ts, dtype=np.int32), np.stack((h, *split(h), np.array(ls)), axis=1),
+                   dotted.view(np.uint64).ravel(), significant,
+                   np.clip(k, -5, 17) + 5,
+                   text.view(np.uint32).ravel(), lead.view(np.uint32).ravel(),
+                   heads.view(np.uint64).ravel(), masks.view(np.uint64),
+                   exponents.view(np.uint64).ravel())
 
 
 def _round(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -173,12 +191,10 @@ def _round(m: np.ndarray, e: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...
     """
     tables = _tables()
     at = (16 - _S_LO) - k
-    h = np.take(tables.h, at)
-    hh = np.take(tables.h_hi, at)
-    hl = np.take(tables.h_lo, at)
+    h, hh, hl, lo = np.take(tables.powers, at, axis=0).T
     mh, ml = split(m)
     p = m * h
-    rest = product_error(mh, ml, hh, hl, p) + m * np.take(tables.lo, at)
+    rest = product_error(mh, ml, hh, hl, p) + m * lo
     shift = e + np.take(tables.t, at)
     whole = np.ldexp(p, shift).astype(np.int64)
     r = np.ldexp(rest, shift)
@@ -211,88 +227,123 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, k, undecided
 
 
-def _digits(q: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """The digits of each q < 10^17, each followed by a point, and their count.
+def _digits(q: np.ndarray, tables: _Tables) -> tuple[np.ndarray, ...]:
+    """The first digit of each q < 10^17, its other 16 digits and their count.
 
-    The digits come as five rows of 8 bytes per value, from chunks of 1, 4,
-    4, 4 and 4 digits (the first row's 6 leading bytes are padding).  The
-    count is that of the significant digits, at least one.
+    The 16 digits come as four rows of 4-digit chunks.  The count is that of
+    the significant digits, at least one.
     """
     hi = q // 10 ** 8
     lo = (q - hi * 10 ** 8).astype(np.uint32)
     hi = hi.astype(np.uint32)
-    chunks = np.empty((5, q.size), dtype=np.uint32)
     top = hi // 10000
-    chunks[0] = top // 10000
-    chunks[1] = top - chunks[0] * 10000
-    chunks[2] = hi - top * 10000
-    chunks[3] = lo // 10000
-    chunks[4] = lo - chunks[3] * 10000
-    chunks = chunks.astype(np.intp)
-    significant = np.take(tables.significant, chunks[1:])
+    first = top // 10000
+    chunks = np.empty((4, q.size), dtype=np.intp)
+    chunks[0] = top - first * 10000
+    chunks[1] = hi - top * 10000
+    chunks[2] = lo // 10000
+    chunks[3] = lo - chunks[2] * 10000
+    significant = np.take(tables.significant, chunks)
     count = np.maximum(np.maximum(significant[0] + 1, significant[1] + 5),
                        np.maximum(significant[2] + 9, significant[3] + 13))
-    return np.take(tables.chunks, chunks), np.maximum(count, 1)
+    return first, chunks, np.maximum(count, 1)
 
 
-def _splice(body: np.ndarray, keep: np.ndarray, where: np.ndarray,
+def _splice(row: np.ndarray, slots: np.ndarray, where: np.ndarray,
             values: np.ndarray) -> None:
-    """Write ``float_repr`` of the cells at flat indices ``where`` into their slots."""
-    width = body.shape[1]
+    """Write ``float_repr`` of the cells at ``where`` into their slots.
+
+    ``where`` counts cells column by column over the live columns, whose
+    first words are ``slots``.
+    """
+    n = row.shape[0]
+    text = row.view(np.uint8)
     for at, v in zip(where.tolist(), values.tolist()):
-        row, col = divmod(at, width)
-        s = float_repr(v).encode("ascii")
-        body[row, col, 1:1 + len(s)] = np.frombuffer(s, dtype=np.uint8)
-        keep[row, col, 1:] = False
-        keep[row, col, 1:1 + len(s)] = True
+        column, r = divmod(at, n)
+        start = 8 * int(slots[column])
+        cell = ("," + float_repr(v)).encode("ascii").ljust(8 * _SLOT, b"\0")
+        text[r, start:start + 8 * _SLOT] = np.frombuffer(cell, dtype=np.uint8)
 
 
-def rows_text(first: int, cells: np.ndarray, missing: np.ndarray) -> str:
+def _index_chunks(last: int) -> int:
+    """4-digit chunks of the index digits, for indices up to ``last``."""
+    return (len(str(last)) + 3) // 4
+
+
+def scratch(rows: int, last: int, width: int) -> np.ndarray:
+    """A word buffer for ``rows_text`` blocks of up to ``rows`` rows of ``width``
+    cells, with indices up to ``last``."""
+    return np.empty(rows * (_index_chunks(last) // 2 + 1 + _SLOT * width), dtype=np.uint64)
+
+
+def rows_text(first: int, cells: np.ndarray, missing: np.ndarray,
+              words: Optional[np.ndarray] = None) -> str:
     """Rows ``\\nfirst,c,...,c``, ``\\nfirst+1,...`` for an (n, c) float block.
 
     ``missing`` is an (n, c) bool mask of cells printed empty.  Cells whose
     digits the error bound leaves undecided, and non-finite cells, are
-    written by ``float_repr``; every other cell is formatted here.
+    written by ``float_repr``; every other cell is formatted here.  The rows
+    are built in ``words``, a buffer from ``scratch`` that a caller rendering
+    many blocks passes to each of them; without it, one is made.
     """
-    tables = _tables()
     n, width = cells.shape
-    places = 10 ** np.arange(len(str(first + n - 1)) - 1, -1, -1)
-    lead = 1 + places.size
-    text = np.empty((n, lead + width * _SLOT), dtype=np.uint8)
-    keep = np.empty(text.shape, dtype=bool)
+    if n == 0:
+        return ""
+    tables = _tables()
+    last = first + n - 1
+    live = np.array([not missing[:, j].all() for j in range(width)], dtype=bool)
+    chunks = _index_chunks(last)
+    lead = chunks // 2 + 1  # words of the newline, the chunks and a NUL pad
+    spans = np.where(live, _SLOT, 1)
+    starts = lead + np.cumsum(spans) - spans
+    if words is None:
+        words = scratch(n, last, width)
+    row = words[:n * (lead + int(spans.sum()))].reshape(n, -1)
 
-    # Row index: a newline, then the decimal digits.
-    index = np.arange(first, first + n, dtype=np.int64)
-    text[:, 0] = ord("\n")
-    keep[:, 0] = True
-    for at, place in enumerate(places.tolist(), start=1):
-        text[:, at] = index // place % 10 + ord("0")
-        keep[:, at] = index >= place
+    # Newline and index: 4-digit chunks, leading zeros NUL, padded to a word.
+    half = row[:, :lead].view(np.uint32)
+    half[:, 0] = _NEWLINE
+    half[:, -1] = 0
+    index = np.arange(first, last + 1, dtype=np.int64)
+    for at in range(chunks):
+        place = 10 ** (4 * (chunks - 1 - at))
+        values = index // place % 10000
+        half[:, 1 + at] = np.where(index < 10000 * place, np.take(tables.lead, values),
+                                   np.take(tables.plain, values))
+    row[:, starts[~live]] = _COMMA
+    if live.any():
+        _write_cells(row, starts[live], cells.T[live], missing.T[live], tables)
+    return row.tobytes().translate(None, b"\0").decode("ascii")
 
-    x = cells.reshape(-1)
+
+def _write_cells(row: np.ndarray, slots: np.ndarray, columns: np.ndarray,
+                 gaps: np.ndarray, tables: _Tables) -> None:
+    """Fill the slots starting at words ``slots`` of each row with the cells
+    of ``columns`` (one row per column), empty where ``gaps`` is set."""
+    n = row.shape[0]
+    x = columns.reshape(-1)
+    gaps = gaps.reshape(-1)
     finite = np.isfinite(x)
     mag = np.abs(x)
     nonzero = finite & (mag != 0.0)
     q, k, undecided = _significands(np.where(nonzero, mag, 1.0))
     q[~nonzero] = 0
     k[~nonzero] = 0
-    digits, count = _digits(q, tables)
-    shape = _shape(np.signbit(x), k, count)
-    shape[missing.reshape(-1)] = _MISSING
+    digit0, chunks, count = _digits(q, tables)
+    k += 324
+    key = np.take(tables.keys, k)
+    key[gaps] = _MISSING
+    k[gaps] = 324
+    head = np.take(tables.heads, (np.signbit(x) * _KEYS + key) * 10 + digit0)
+    body = np.take(tables.dotted, chunks.T)
+    body &= np.take(tables.masks, key * 18 + count, axis=0)
+    tail = np.take(tables.exponents, k)
+    for column, at in enumerate(slots.tolist()):
+        cell = slice(column * n, column * n + n)
+        row[:, at] = head[cell]
+        row[:, at + 1:at + 5] = body[cell]
+        row[:, at + 5] = tail[cell]
 
-    body = text[:, lead:].reshape(n, width, _SLOT)
-    body[...] = _TEMPLATE
-    digits = digits.view(np.uint8).reshape(5, n, width, 8)
-    body[..., _DIGITS:_DIGITS + 2] = digits[0, ..., 6:]
-    for j in range(1, 5):
-        body[..., _DIGITS + 8 * j - 6:_DIGITS + 8 * j + 2] = digits[j]
-    del digits  # half a megabyte less at the peak, before the mask rows come
-    body[..., _EXP + 1:] = np.take(tables.exponents, k + 324).view(np.uint8).reshape(
-        n, width, 4)
-    mask = keep[:, lead:].reshape(n, width, _SLOT)
-    mask[...] = np.take(tables.masks, shape, axis=0).reshape(n, width, _SLOT)
-
-    odd = np.flatnonzero((undecided & nonzero | ~finite) & ~missing.reshape(-1))
+    odd = np.flatnonzero((undecided & nonzero | ~finite) & ~gaps)
     if odd.size:
-        _splice(body, mask, odd, x[odd])
-    return np.compress(keep.reshape(-1), text.reshape(-1)).tobytes().decode("ascii")
+        _splice(row, slots, odd, x[odd])

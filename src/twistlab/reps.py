@@ -27,6 +27,7 @@ from .cocycles import (
     canonicalize_phases,
     flatten_matrix_cocycle,
     pauli_cocycle,
+    residual_max,
 )
 from .parallel import map_ordered
 from .groups import (
@@ -148,7 +149,7 @@ def projective_relation_check(rep: ProjectiveRep,
     for x, y in pairs:
         lhs = rep.matrix(x) @ rep.matrix(y)
         rhs = rep.cocycle.value(x, y) * rep.matrix(g.add(x, y))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = residual_max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -415,7 +416,7 @@ class CCRPair:
         worst = 0.0
         for a, b in samples:
             c, w = self.phases(a), self.shift(b)
-            worst = max(worst, float(np.max(np.abs(
+            worst = residual_max(worst, float(np.max(np.abs(
                 c[:, None] * w - self.sigma.value(a, b) * (w * c)))))
         return worst
 
@@ -594,8 +595,8 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
         for k, i in enumerate(elements):
             spec = spectral_multiset_distance(eig[2 * k], eig[2 * k + 1])
             rows.append((els[i], res[k], spec))
-            worst_res = max(worst_res, res[k])
-            worst_spec = max(worst_spec, spec)
+            worst_res = residual_max(worst_res, res[k])
+            worst_spec = residual_max(worst_spec, spec)
     return FellReport(
         group_order=n,
         rep_dimension=d,

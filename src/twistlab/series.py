@@ -178,6 +178,17 @@ def pow_overflow() -> OverflowError:
     return OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
 
 
+def locate(exc: Exception, what: str, index: int) -> Exception:
+    """``exc`` marked with the term it failed at: its name and 1-based index.
+
+    The type and the text stay as they are (they are Python's own for a
+    failed power or sine); the mark, ``exc.located``, lets a caller that
+    knows where the term came from name it.
+    """
+    exc.located = (what, index)
+    return exc
+
+
 # Indices in the first block of poly_geometric_tail's head walk; each later
 # block doubles, up to _HEAD_BLOCK_MAX (a few 512 KB temporaries).
 _HEAD_BLOCK = 16
@@ -204,7 +215,8 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
     so the bound has the same bits on every Python (builtin ``sum``
     compensates float additions from 3.12 on).  A power that overflows
     anywhere the loop would have evaluated it raises the loop's
-    OverflowError.  Takes n >= 0.  An infinite exponent, whose terms are
+    OverflowError, located (``locate``) at the first term whose power or
+    step overflows.  Takes n >= 0.  An infinite exponent, whose terms are
     infinite and whose steps never drop below 1, raises ValueError unless
     the coefficient or the ratio is 0.
     """
@@ -232,8 +244,9 @@ def poly_geometric_tail(coeff: float, exponent: float, ratio: float, n: int) -> 
             stop = np.flatnonzero(~(steps >= 1.0))
             k = int(stop[0]) if stop.size else size
             seen = slice(0, k + 1)  # the loop's last pass also reads the term at k
-            if np.isinf(step_powers[seen]).any() or np.isinf(term_powers[seen]).any():
-                raise pow_overflow()
+            over = np.flatnonzero(np.isinf(step_powers[seen]) | np.isinf(term_powers[seen]))
+            if over.size:
+                raise locate(pow_overflow(), "tail term", i + int(over[0]) + 1)
             head = float(np.add.accumulate(np.concatenate(([head], terms[:k])))[-1])
             if k < size:
                 return head + float(terms[k]) / (1.0 - float(steps[k]))
@@ -365,14 +378,17 @@ def certify(terms: Sequence[float], upper: Optional[Envelope],
     ``upper`` must dominate every term and ``lower`` must be dominated by
     every term, possibly after capping it at a positive constant, which does
     not change whether it is summable.  ``texts`` holds the tail derivation,
-    the divergence witness and the Inconclusive witness.
+    the divergence witness and the Inconclusive witness.  A NaN term, or a
+    NaN tail bound, proves nothing.
     """
     derivation, witness, undecided = texts
     partial = neumaier_sum(terms)
     n = len(terms)
+    if math.isnan(partial):  # a NaN term: no envelope bounds it or is bounded by it
+        return SeriesVerdict(INCONCLUSIVE, partial, n, witness=undecided)
     if upper is not None and upper.relation != MINORANT:
         tail = upper.tail(max(n, 1))
-        if tail is not None:
+        if tail is not None and not math.isnan(tail):
             return SeriesVerdict(PROVED_CONVERGENT, partial, n, tail_bound=tail,
                                  tail_derivation=derivation)
     if lower is not None and lower.relation != MAJORANT and lower.diverges():

@@ -936,3 +936,64 @@ def test_an_infinite_side_exponent_returns_at_once():
     assert done.returncode in (0, 2) and b"Traceback" not in done.stderr
     doc = json.loads(done.stdout)
     assert doc["result"]["clauses"][3]["series"]["verdict"] == "Inconclusive"
+
+
+# --- non-finite cocycle and bilinear scalars --------------------------------
+
+NAN_PROBES = [
+    ("tensor", {"factors": [{"regular": {"group": "Z2xZ2", "cocycle": {"perturb": {
+        "base": {"trivial": "Z2xZ2"}, "epsilon": "nan"}}}}]},
+     "params.factors[0].regular.cocycle.perturb.epsilon", "relation_residual"),
+    ("check-cocycle", {"cocycle": {"perturb": {"base": {"trivial": "Z4xZ4"},
+                                               "epsilon": "nan"}}},
+     "params.cocycle.perturb.epsilon", "cocycle_residual"),
+    ("ccr", {"sigma": {"matrix": "nan,0;0,0.1"}, "window": {"side": 3}},
+     "params.sigma.matrix[0][0]", "relation_residual"),
+]
+
+
+@pytest.mark.parametrize("command,params,field,residual", NAN_PROBES,
+                         ids=[p[0] for p in NAN_PROBES])
+def test_a_nan_cocycle_scalar_exits_2_naming_the_field(command, params, field, residual):
+    doc = {"schema": 1, "command": command, "params": params}
+    with pytest.raises(CliError) as info:
+        run_scenario(doc, command)
+    assert info.value.code == 2
+    assert info.value.message == f"schema violation: {field} must be finite, got 'nan'"
+
+
+@pytest.mark.parametrize("command,params,field,residual", NAN_PROBES,
+                         ids=[p[0] for p in NAN_PROBES])
+def test_a_nan_cocycle_never_passes_its_residual_checks(monkeypatch, command, params, field,
+                                                        residual):
+    # With the refusal lifted, every residual fold keeps the NaN: these three
+    # runs printed "pass": true with residual 0, since max(worst, nan) is worst.
+    monkeypatch.setattr(cli, "parse_finite", parse_scalar)
+    result = json.loads(run_scenario({"schema": 1, "command": command, "params": params},
+                                     command))["result"]
+    assert result["pass"] is False
+    assert result[residual] == "nan"
+    if command == "ccr":
+        assert result["bilinearity_residual"] == "nan"
+
+
+def test_a_nan_matrix_cocycle_fails_its_normalization(monkeypatch):
+    monkeypatch.setattr(cli, "parse_finite", parse_scalar)
+    doc = {"schema": 1, "command": "check-cocycle", "params": {"cocycle": {"matrix": "nan"}}}
+    result = json.loads(run_scenario(doc, "check-cocycle"))["result"]
+    assert result["normalization_residual"] == "nan" and result["pass"] is False
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_phases_and_epsilons_are_refused(value):
+    for descriptor, field in [({"matrix": f"0,{value};0,0"}, "ctx.matrix[0][1]"),
+                              ({"bilinear": [[value]]}, "ctx.bilinear[0][0]"),
+                              ({"coboundary": {"epsilon": value, "group": "Z3"}},
+                               "ctx.coboundary.epsilon")]:
+        with pytest.raises(CliError, match=re.escape(f"{field} must be finite")):
+            parse_cocycle(descriptor, "ctx")
+    with pytest.raises(CliError, match=re.escape("ctx.table.phases[1][1] must be finite")):
+        cli.parse_bilinear({"table": {"a_moduli": [2], "b_moduli": [2],
+                                      "phases": [[0, 0], [0, value]]}}, "ctx")
+    # model scalars stay open: an infinite exponent is a model of its own
+    assert str(parse_model(f"power:c=1,p={value}", "ctx").exponent) == value

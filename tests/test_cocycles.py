@@ -39,6 +39,7 @@ from twistlab.cocycles import (
     pauli_sigma,
     perturb,
     quadratic_phase,
+    residual_max,
     sample_triples,
     sign_cocycle_z2,
     trivial_cocycle,
@@ -312,13 +313,22 @@ def test_bilinearity_residual_evaluates_sigma_once_per_distinct_pair(monkeypatch
         (a, b), (ap, b), (a, bp), (sigma.a_group.add(a, ap), b), (a, sigma.b_group.add(b, bp)))}
 
 
+def nan_max(worst, value):
+    """Python's max, except that a NaN residual is kept: a NaN check never passes."""
+    if math.isnan(worst) or math.isnan(value):
+        return math.nan
+    return max(worst, value)
+
+
 def pointwise_bilinearity_residual(sigma, samples):
-    """Reference: every value recomputed, complex arithmetic and max as Python does them."""
+    """Reference: every value recomputed, complex arithmetic as Python does it."""
     worst = 0.0
     for a, ap, b, bp in samples:
         ab = sigma.value(a, b)
-        worst = max(worst, abs(sigma.value(sigma.a_group.add(a, ap), b) - ab * sigma.value(ap, b)))
-        worst = max(worst, abs(sigma.value(a, sigma.b_group.add(b, bp)) - ab * sigma.value(a, bp)))
+        worst = nan_max(worst, abs(sigma.value(sigma.a_group.add(a, ap), b)
+                                   - ab * sigma.value(ap, b)))
+        worst = nan_max(worst, abs(sigma.value(a, sigma.b_group.add(b, bp))
+                                   - ab * sigma.value(a, bp)))
     return worst
 
 
@@ -327,7 +337,7 @@ def pointwise_cocycle_identity(u, triples):
     worst = 0.0
     for x, y, z in triples:
         lhs = u.value(x, y) * u.value(g.add(x, y), z)
-        worst = max(worst, abs(lhs - u.value(y, z) * u.value(x, g.add(y, z))))
+        worst = nan_max(worst, abs(lhs - u.value(y, z) * u.value(x, g.add(y, z))))
     return worst
 
 
@@ -617,3 +627,15 @@ def test_the_blocked_modulus_check_decides_as_one_whole_table_check(moduli, bad)
                 TableCocycle(g, tab)
         else:
             TableCocycle(g, tab)
+
+
+def test_residual_folds_keep_a_nan():
+    assert math.isnan(residual_max(0.0, math.nan))
+    assert math.isnan(residual_max(math.nan, 1.0))
+    assert residual_max(0.5, 0.25) == 0.5 and residual_max(0.25, 0.5) == 0.5
+    group = FiniteAbelianGroup((3, 3))
+    u = perturb(trivial_cocycle(group), quadratic_phase(math.nan, group))
+    triples = [((1, 0), (1, 0), (2, 1)), ((0, 0), (0, 0), (0, 0))]
+    assert math.isnan(check_cocycle_identity(u, triples))
+    sigma = MatrixBilinear(np.array([[math.nan, 0.0], [0.0, 0.1]]))
+    assert math.isnan(bilinearity_residual(sigma, [((1, 0), (0, 1), (1, 0), (0, 1))]))

@@ -638,8 +638,11 @@ bound_entries = st.one_of(st.none(), floats)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(finite_nonneg | floats, max_size=30),
-       st.one_of(st.none(), st.lists(bound_entries, max_size=35)), st.integers(1, 6))
+       st.one_of(st.none(), st.lists(bound_entries, max_size=35)),
+       st.sampled_from([1, 2, 3, 5, 7, cli._CSV_BLOCK]))
 def test_render_csv_matches_the_row_loop(terms, bounds, block):
+    # Blocks past a short bound prefix print bare commas; blocks inside it
+    # mix bounds with None (empty) ones.
     saved = cli._CSV_BLOCK
     cli._CSV_BLOCK = block
     try:
@@ -647,4 +650,5 @@ def test_render_csv_matches_the_row_loop(terms, bounds, block):
     finally:
         cli._CSV_BLOCK = saved
     assert text == oracle_render_csv({"k": 1}, terms, bounds)
+    assert "\0" not in text
     assert cli.render_csv({"k": 1}, np.array(terms, dtype=float), bounds) == text

@@ -5,8 +5,10 @@ numpy.  These tests compare it with ``format(v, ".17g")`` (``float_repr``)
 cell by cell over every power of two, every power of ten with its float
 neighbours and a million random bit patterns, and whole renderings with
 the ``str.format`` row loop that ``render_csv`` ran before, kept below as
-the oracle.  They also pin which cells go to the per-cell fallback and
-that the kernel's tables are built on the first CSV render, not on import.
+the oracle.  Blocks mix live columns with columns empty on every row (bare
+commas) or on some rows, and one scratch buffer serves blocks of every
+layout.  They also pin which cells go to the per-cell fallback and that
+the kernel's tables are built on the first CSV render, not on import.
 """
 
 import copy
@@ -147,7 +149,77 @@ def test_rows_match_the_cell_loop(rows, first):
     assert rows_text(first, cells, missing) == want
 
 
+def cell_loop(first, cells, missing):
+    """The rows as the per-cell loop prints them: empty text for a missing cell."""
+    return "".join(f"\n{first + i}" + "".join("," + ("" if gap else float_repr(v))
+                                               for v, gap in zip(row, gaps))
+                   for i, (row, gaps) in enumerate(zip(cells.tolist(), missing.tolist())))
+
+
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+              math.nan, *TIES, -TIES[1], 1e16, 9.999999999999999e-05, 1e-100, 1e100, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 4), st.integers(1, 10 ** 9),
+       st.lists(st.sampled_from(["live", "empty", "some"]), min_size=4, max_size=4),
+       st.randoms(use_true_random=False))
+def test_empty_columns_anywhere_in_a_row_match_the_cell_loop(n, width, first, kinds, rnd):
+    # Columns empty on every row (bare commas), on some rows, or on none, in
+    # any position, with edge and undecided cells beside them.
+    cells = np.array([[rnd.choice(EDGE_CELLS) if rnd.random() < 0.5 else rnd.uniform(-1e6, 1e6)
+                       for _ in range(width)] for _ in range(n)]).reshape(n, width)
+    missing = np.zeros((n, width), dtype=bool)
+    for j, kind in enumerate(kinds[:width]):
+        if kind == "empty":
+            missing[:, j] = True
+        elif kind == "some":
+            missing[:, j] = [rnd.random() < 0.5 for _ in range(n)]
+    text = rows_text(first, cells, missing)
+    assert text == cell_loop(first, cells, missing)
+    assert "\0" not in text
+
+
+def test_one_scratch_buffer_serves_blocks_of_every_layout():
+    # The buffer keeps stale words from the block before: a block with fewer
+    # live columns, fewer rows or shorter indices must not show them.
+    rng = np.random.default_rng(3)
+    words = csvrows.scratch(64, 10 ** 6, 3)
+    blocks = [(999_950, 50, [False, False, False]), (9_990, 20, [False, True, False]),
+              (1, 64, [True, False, True]), (5, 3, [True, True, True]),
+              (99_999, 2, [False, False, True]), (7, 64, [False, False, False])]
+    for first, n, empty in blocks:
+        cells = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3))
+        cells[::5, 0] = TIES[0]
+        missing = np.zeros((n, 3), dtype=bool)
+        missing[:, empty] = True
+        missing[::3, 1] = True
+        text = rows_text(first, cells, missing, words)
+        assert text == rows_text(first, cells, missing) == cell_loop(first, cells, missing)
+        assert "\0" not in text
+
+
+def test_row_indices_across_decades_in_one_block():
+    for first in (1, 9, 95, 9_990, 99_999_990, 999_999_999_990):
+        cells = np.full((20, 1), 0.25)
+        text = rows_text(first, cells, np.zeros((20, 1), dtype=bool))
+        assert text == "".join(f"\n{i},0.25" for i in range(first, first + 20))
+
+
 # --- whole renderings against the str.format loop ---------------------------
+
+
+@pytest.mark.parametrize("block", [1, 7, cli._CSV_BLOCK])
+def test_render_csv_is_the_same_text_for_every_block_size(monkeypatch, block):
+    # A bound prefix that ends inside a block, None bounds, and edge cells:
+    # the bound column is live, partly empty and then empty on every row.
+    terms = np.array(EDGE_CELLS * 3)
+    bounds = [None if i % 4 == 1 else v for i, v in enumerate(terms[:23].tolist())]
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    for given_bounds in (bounds, None, [], terms[:23], terms[:23].tolist()):
+        text = cli.render_csv({"b": 1}, terms, given_bounds)
+        assert text == oracle_render_csv({"b": 1}, terms, given_bounds)
+        assert "\0" not in text
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
@@ -179,9 +251,9 @@ def spliced(monkeypatch):
     seen = []
     inner = csvrows._splice
 
-    def counting(body, keep, where, values):
+    def counting(row, slots, where, values):
         seen.extend(values.tolist())
-        inner(body, keep, where, values)
+        inner(row, slots, where, values)
 
     monkeypatch.setattr(csvrows, "_splice", counting)
     return seen
@@ -192,8 +264,9 @@ def test_ties_and_non_finite_cells_take_the_fallback(spliced):
     missing = np.array([[False, False, False], [False, False, True]])
     text = rows_text(1, cells, missing)
     assert text == "\n1,2.9802322387695312e-08,660824967240747.38,inf\n2,nan,0.5,"
-    assert spliced[:2] == TIES
-    assert spliced[2] == math.inf and math.isnan(spliced[3]) and len(spliced) == 4
+    # Column by column: the first column's tie and NaN, then the second's tie.
+    assert spliced[0] == TIES[0] and math.isnan(spliced[1]) and spliced[2] == TIES[1]
+    assert spliced[3] == math.inf and len(spliced) == 4
 
 
 def _load_scenarios():

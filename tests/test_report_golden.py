@@ -550,6 +550,12 @@ FAILURES = [
     ("act-fail-rank", "action", {"elements": ["1"],
                                  "source": {"regular_trace": {"group": "Z^2"}}},
      {"n_max": 10}),
+    # Model errors name the field and the index; these two printed Python's
+    # bare "(34, 'Numerical result out of range')" and "math domain error".
+    ("p42-fail-tail-overflow", "prop42", {"sides": "power:c=1,p=1e300",
+                                          "norms": "geometric:c=1,r=0.999"}, {"n_max": 10}),
+    ("dir-fail-infinite-angle", "dirichlet", {"windows": "geometric:c=1,r=0.5",
+                                              "angles": "power:c=1,p=inf"}, {"n_max": 10}),
 ]
 
 
@@ -931,8 +937,11 @@ DIGESTS = {
         "7feac4b2fd32b6c76b507f2c385390f874907b62cd6324fc56a704c16e388b12",
     # CSV edge rows and box defects past 2^53 points, recorded before the
     # columnar certificate path replaced the per-index loops.
+    # Re-recorded when NaN terms stopped proving anything: the product_cocycle
+    # clause was Certified on a NaN partial sum and a NaN tail bound, and is
+    # now Undetermined.  Its CSV renderings below are unchanged.
     "csv-nan-norms":
-        "75dbb5e71a0ab0edc017f450c971b03aa4ed9d6627a6c462f8924b05bd2d27be",
+        "9493b8ab5b665f263caeceb6618e75dcaded211fcf74c304a4375463cb858861",
     "csv-nan-norms:norms":
         "7c724ced4c232c60c253f327702dadcd63875dd315e8a20067c9a535181ccbe9",
     "csv-nan-norms:weighted":
@@ -1042,6 +1051,10 @@ DIGESTS = {
         "9717fea61d070c7f33d0d01a6f6b4a3d09631e2198763ceb0839ec1e5201f943",
     "act-fail-rank":
         "bda1ea67428a0bd55510a822ebb86198b591ee3831d177f4a4aa6ac5d960dce9",
+    "p42-fail-tail-overflow":  # tail term 11 overflows a float (params.sides)
+        "e15b7859ded7dd1f8f9f86f752d8ef1e321008e7cf67e0e9550600b46b4c64b6",
+    "dir-fail-infinite-angle":  # math domain error at angle 2 (params.angles)
+        "ea75b42350ce1e0b0a95c5715d14eccb9c18c58a6687ad3da513de6e7a135db4",
     "dir-subnormal-angle":
         "c8fe9acdc2e8432a303e5319562dc53cfcbda18e4c3748b199ae490402f81207",
     # dense commands

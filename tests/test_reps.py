@@ -783,3 +783,12 @@ def test_the_dimension_cap_has_one_owner():
                     cap_params.append(f"{path.name}:{node.lineno}")
     assert len(raised) == 1, f"DimensionCapError is constructed at {raised}"
     assert cap_params == [], f"functions with a cap parameter: {cap_params}"
+
+
+def test_relation_residuals_keep_a_nan():
+    # max(worst, nan) is worst, so these folds used to report 0 and pass.
+    group = FiniteAbelianGroup((2, 2))
+    u = perturb(trivial_cocycle(group), quadratic_phase(math.nan, group))
+    assert math.isnan(projective_relation_check(regular_rep(u, group)))
+    pair = ccr_pair(MatrixBilinear(np.array([[math.nan, 0.0], [0.0, 0.1]])), FolnerBox(2, 3))
+    assert math.isnan(pair.relation_residual([((0, 0), (0, 0)), ((1, 0), (0, 1))]))

@@ -377,9 +377,9 @@ def box_defect_terms(sides: Sequence[int], x: Element) -> list[float]:
     return _box_defects(np.trunc(np.asarray(sides, dtype=float)), x).tolist()
 
 
-# Points per leaf of the summation tree in box_twist_mean, and per batch of
-# elements in box_sup_distance: one 256 KB block of phases at a time.
-_BLOCK_POINTS = 1 << 15
+# Points per leaf of the summation tree of the twist means, and per batch
+# of elements in box_sup_distance: one 512 KB block of phases at a time.
+_BLOCK_POINTS = 1 << 16
 
 _T = TypeVar("_T")
 
@@ -390,11 +390,10 @@ def _axis_points(box: FolnerBox) -> list[np.ndarray]:
 
 
 def _chords(phases: np.ndarray) -> np.ndarray:
-    """2 |sin(t/2)| = |1 - e^{it}|, overwriting the phases."""
+    """|sin(t/2)| = |1 - e^{it}| / 2, overwriting the phases."""
     np.multiply(phases, 0.5, out=phases)
     np.sin(phases, out=phases)
     np.abs(phases, out=phases)
-    np.multiply(phases, 2.0, out=phases)
     return phases
 
 
@@ -411,23 +410,19 @@ def _pairwise(leaf: Callable[[int, int], _T], start: int, count: int) -> _T:
     return _pairwise(leaf, start, half) + _pairwise(leaf, start + half, count - half)
 
 
-def box_twist_mean(matrix, box: FolnerBox, x: Element,
-                   grid_cap: int = DEFAULT_GRID_CAP) -> float:
-    """(1/#F) sum_{y in F} |1 - e^{-i y.(A x)}|, summed block by block.
+class _TwistGrid(NamedTuple):
+    """The phases y.(A x) of a box.  In lexicographic order point k is
+    lead[k // m] + last[k % m], with ``last`` the last axis (m points) and
+    ``lead`` the grid of the others, added in the order a broadcast grid
+    adds them."""
 
-    The chord length |1 - e^{i t}| equals 2 |sin(t/2)|.  In lexicographic
-    order the phase at point k of the box is lead[k // m] + last[k % m], with
-    ``last`` the last axis (m points) and ``lead`` the grid of the others,
-    added in the order a broadcast grid adds them.  Blocks of at most 2^15
-    points are built from that, turned into chords in place and summed; they
-    are the leaves of numpy's pairwise summation tree, so the mean equals
-    ``np.mean`` over the full grid bit for bit while each thread holds one
-    block.  ``parallel.map_ordered`` shares the leaves, in tree order, among
-    the CPUs, and the leaf sums are folded along the tree afterwards.  The
-    fold fixes the order of every addition, so the bits do not depend on
-    the thread count; the first failing leaf's exception is re-raised.
-    ``grid_cap`` bounds the number of points, which is the work.
-    """
+    lead: np.ndarray
+    last: np.ndarray
+    card: int
+
+
+def _twist_grid(matrix, box: FolnerBox, x: Element, grid_cap: int) -> _TwistGrid:
+    """The phase grid of ``box`` at x, after the shape and grid-cap checks."""
     A = np.asarray(matrix, dtype=float)
     n = box.rank
     if A.shape != (n, n):
@@ -448,11 +443,27 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
     lead = head[0] if head else np.zeros(1)
     for axis in head[1:]:
         lead = (lead[:, None] + axis).ravel()
-    m = last.size
-    leaves = _pairwise(lambda start, count: [(start, count)], 0, card)
+    return _TwistGrid(lead, last, card)
+
+
+def _twist_means(grids: Sequence[_TwistGrid]) -> list[float]:
+    """The twist mean of each grid, from one ``map_ordered`` over all their leaves.
+
+    A leaf is a block of a grid, at most _BLOCK_POINTS points at a node of
+    numpy's pairwise summation tree; it is built from lead and last in the
+    order a broadcast grid adds them, turned into half chords in place and
+    summed.  The leaf sums of each grid are folded along its tree and the
+    total is doubled, which is exact, so each mean equals ``np.mean`` of the
+    chords over the full grid bit for bit while each thread holds one block.
+    The fold fixes the order of every addition, so the bits do not depend
+    on the thread count; the first failing leaf's exception is re-raised.
+    """
+    leaves = [(grid, start, count) for grid in grids
+              for start, count in _pairwise(lambda start, count: [(start, count)], 0, grid.card)]
 
     def leaf(buf: np.ndarray, j: int) -> float:
-        start, count = leaves[j]
+        (lead, last, _), start, count = leaves[j]
+        m = last.size
         out = buf[:count]
         r0, c0 = divmod(start, m)
         r1, c1 = divmod(start + count, m)
@@ -467,8 +478,22 @@ def box_twist_mean(matrix, box: FolnerBox, x: Element,
             np.add(lead[r1:r1 + 1], last[:c1], out=out[first + rows * m:])
         return np.add.reduce(_chords(out))
 
-    folded = iter(map_ordered(leaf, len(leaves), lambda: np.empty(min(card, _BLOCK_POINTS))))
-    return float(_pairwise(lambda start, count: next(folded), 0, card)) / card
+    size = min(max(grid.card for grid in grids), _BLOCK_POINTS)
+    sums = iter(map_ordered(leaf, len(leaves), lambda: np.empty(size)))
+    return [2.0 * float(_pairwise(lambda start, count: next(sums), 0, grid.card)) / grid.card
+            for grid in grids]
+
+
+def box_twist_mean(matrix, box: FolnerBox, x: Element,
+                   grid_cap: int = DEFAULT_GRID_CAP) -> float:
+    """(1/#F) sum_{y in F} |1 - e^{-i y.(A x)}|, summed block by block.
+
+    The chord length |1 - e^{i t}| equals 2 |sin(t/2)|.  This is the one-box
+    call of the kernel that ``twisted_rep_series`` runs on its boxes (see
+    ``_TwistGrid`` and ``_twist_means``).  ``grid_cap`` bounds the number of
+    points, which is the work.
+    """
+    return _twist_means([_twist_grid(matrix, box, x, grid_cap)])[0]
 
 
 def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
@@ -518,7 +543,7 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
                 grid = grid[..., None] + (coeffs[:, j, None] * ys[j]).reshape(
                     (k,) + (1,) * j + (-1,))
             for v in _chords(grid).reshape(k, -1).max(axis=1):
-                best = max(best, float(v))
+                best = max(best, 2.0 * float(v))
             pos += take
             size *= 2
         return best
@@ -804,7 +829,10 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
     ``matrices(i)`` is the phase matrix of the i-th cocycle and ``sides(i)``
     the i-th box side; the declared models carry the growth claims that turn
     evaluated prefixes into certified tails.  An explicit model stops the
-    horizon at the end of its prefix.
+    horizon at the end of its prefix.  Boxes are checked in index order and
+    their twist means computed in batches of consecutive boxes, one thread
+    map per batch; a batch closes before its grids would pass _BLOCK_POINTS
+    floats, so memory stays flat.
     """
     if n_max < 1:
         raise ValueError("need at least one index")
@@ -814,15 +842,30 @@ def twisted_rep_series(matrices: Callable[[int], np.ndarray],
     side_list = []
     norm_list = []
     twist_terms = []
+    batch: list[_TwistGrid] = []
+    held = 0  # floats the grids of the batch hold
     for i in range(1, n_max + 1):
-        m = int(sides(i))
-        if m < 0:
-            raise ConstructionError(f"side {i} is negative")
-        box = FolnerBox(rank, m)
-        A = canonicalize_phases(matrices(i))
+        try:
+            m = int(sides(i))
+            if m < 0:
+                raise ConstructionError(f"side {i} is negative")
+            box = FolnerBox(rank, m)
+            A = canonicalize_phases(matrices(i))
+            norm = float(np.max(np.abs(A))) if A.size else 0.0
+            grid = _twist_grid(A, box, x, grid_cap)
+        except Exception:
+            if batch:  # the boxes before i run first, and their errors win
+                _twist_means(batch)
+            raise
         side_list.append(m)
-        norm_list.append(float(np.max(np.abs(A))) if A.size else 0.0)
-        twist_terms.append(box_twist_mean(A, box, x, grid_cap=grid_cap))
+        norm_list.append(norm)
+        points = grid.lead.size + grid.last.size
+        if batch and held + points > _BLOCK_POINTS:
+            twist_terms += _twist_means(batch)
+            batch, held = [], 0
+        batch.append(grid)
+        held += points
+    twist_terms += _twist_means(batch)
     side_values = model_values(side_model, n_max) if side_model is not None else None
     side_arr = np.array(side_list, dtype=float)
     norms = np.array(norm_list)

@@ -65,40 +65,47 @@ def map_ordered(work: Callable[[_B, int], _T], count: int,
 
     Each thread hands every call it makes one buffer of its own, which the
     calling thread makes with ``scratch``, and runs in the caller's context
-    (its ``np.errstate``).  The threads take j in order from one queue, so a
-    thread on a slow CPU takes fewer calls; every thread is joined before
-    this returns.  Once a call fails the threads stop taking calls, and the
-    first exception in j order is re-raised.  With ``blas`` the calls spend
-    their time in BLAS or LAPACK, and threads that BLAS runs itself take
-    their share of the CPUs: concurrent LAPACK calls on a BLAS with threads
-    of its own run slower than one after another.
+    (its ``np.errstate``).  The calling thread takes call 0 before it starts
+    the others, so it always runs a call; after that the threads take j in
+    order from one queue, so a thread on a slow CPU takes fewer calls;
+    every thread is joined before this returns.  Once a call fails the
+    threads stop taking calls, and the first exception in j order is
+    re-raised.  With ``blas`` the calls spend their time in BLAS or LAPACK,
+    and threads that BLAS runs itself take their share of the CPUs:
+    concurrent LAPACK calls on a BLAS with threads of its own run slower
+    than one after another.
     """
     results: list = [None] * count
     errors: list[tuple[int, BaseException]] = []
     todo = iter(range(count))
     lock = threading.Lock()
 
-    def run(buf: _B) -> None:
-        while not errors:
-            with lock:
-                j = next(todo, None)
-            if j is None:
-                return
+    def take() -> Optional[int]:
+        with lock:
+            return None if errors else next(todo, None)
+
+    def run(buf: _B, j: Optional[int]) -> None:
+        while j is not None:
             try:
                 results[j] = work(buf, j)
             except BaseException as exc:  # re-raised by the caller, in call order
                 errors.append((j, exc))
+            j = take()
 
+    def worker(buf: _B) -> None:
+        run(buf, take())
+
+    first = take()
     buffers = [scratch() for _ in range(min(_threads(blas), count))]
     threads = []
     try:
         for buf in buffers[1:]:
             thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, buf))
+                                      args=(worker, buf))
             thread.start()
             threads.append(thread)
         if buffers:
-            run(buffers[0])
+            run(buffers[0], first)
     finally:
         for thread in threads:
             thread.join()

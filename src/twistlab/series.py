@@ -379,7 +379,7 @@ def certify(terms: Sequence[float], upper: Optional[Envelope],
     every term, possibly after capping it at a positive constant, which does
     not change whether it is summable.  ``texts`` holds the tail derivation,
     the divergence witness and the Inconclusive witness.  A NaN term, or a
-    NaN tail bound, proves nothing.
+    tail bound that is not finite, proves nothing.
     """
     derivation, witness, undecided = texts
     partial = neumaier_sum(terms)
@@ -388,7 +388,7 @@ def certify(terms: Sequence[float], upper: Optional[Envelope],
         return SeriesVerdict(INCONCLUSIVE, partial, n, witness=undecided)
     if upper is not None and upper.relation != MINORANT:
         tail = upper.tail(max(n, 1))
-        if tail is not None and not math.isnan(tail):
+        if tail is not None and math.isfinite(tail):
             return SeriesVerdict(PROVED_CONVERGENT, partial, n, tail_bound=tail,
                                  tail_derivation=derivation)
     if lower is not None and lower.relation != MAJORANT and lower.diverges():

@@ -20,6 +20,7 @@ from twistlab.cocycles import (
     ConstructionError,
     MatrixCocycle,
     ProductCocycle,
+    canonicalize_phases,
     flatten_matrix_cocycle,
     geometric_matrix_sequence,
     pauli_cocycle,
@@ -248,7 +249,26 @@ def offset_boxes(draw, max_sides):
 
 # Summation blocks of at least 128 points split like numpy's pairwise sum,
 # so small blocks put many block boundaries inside small grids.
-BLOCKS = st.sampled_from([128, 136, 1000, 1 << 15])
+BLOCKS = st.sampled_from([128, 136, 1000, 1 << 15, 1 << 16, 1 << 17])
+# Every other power of two from 2^7 to 2^17 points, and the default 2^16.
+LEAF_BOUNDS = [1 << k for k in range(7, 18, 2)] + [1 << 16]
+
+
+def leaves_of(card):
+    return convergence._pairwise(lambda start, count: [(start, count)], 0, card)
+
+
+def box_past(rank, leaves, offset=None):
+    """The smallest box of this rank with more than ``leaves`` leaves' worth
+    of points at the current leaf bound, so its twist mean has more than
+    ``leaves`` leaves."""
+    points = leaves * convergence._BLOCK_POINTS
+    width = int(round(points ** (1 / rank)))
+    while width ** rank > points:
+        width -= 1
+    while width ** rank <= points:
+        width += 1
+    return FolnerBox(rank, width - 1, offset or (0,) * rank)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,25 +282,33 @@ def test_blocked_twist_mean_equals_full_grid_mean(box, block, data):
     assert bits(got) == bits(full_grid_twist_mean(a, box, x))
 
 
-@pytest.mark.parametrize("box", [FolnerBox(1, 200_000, (-7,)), FolnerBox(2, 400),
-                                 FolnerBox(2, 377, (3, -40)), FolnerBox(3, 60, (1, 0, -9))],
-                         ids=repr)
-def test_blocked_twist_mean_equals_full_grid_mean_past_one_block(box):
+@pytest.mark.parametrize("rank, leaves, offset", [(1, 3, (-7,)), (2, 2, None),
+                                                  (2, 2, (3, -40)), (3, 3, (1, 0, -9))])
+def test_blocked_twist_mean_equals_full_grid_mean_past_one_block(rank, leaves, offset):
+    box = box_past(rank, leaves, offset)
     rng = np.random.default_rng(box.side)
     a = rng.uniform(-1.0, 1.0, size=(box.rank, box.rank))
     x = tuple(int(t) for t in rng.integers(-3, 4, size=box.rank))
-    assert box.cardinality() > 1 << 15
+    assert len(leaves_of(box.cardinality())) > leaves
     assert bits(box_twist_mean(a, box, x)) == bits(full_grid_twist_mean(a, box, x))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", LEAF_BOUNDS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
-def test_blocked_twist_mean_non_finite_entries(bad):
-    a = np.array([[0.3, bad], [-0.2, 0.1]])
-    for box in (FolnerBox(2, 0), FolnerBox(2, 300, (-5, 2))):
-        for x in ((1, 1), (1, 0), (0, 0)):
-            got = box_twist_mean(a, box, x)
-            assert bits(got) == bits(full_grid_twist_mean(a, box, x))
+def test_blocked_twist_mean_non_finite_entries(bad, block):
+    """Any leaf bound of at least 128 points cuts numpy's pairwise tree into
+    whole subtrees, so no leaf bound moves a bit, finite entries or not."""
+    rng = np.random.default_rng(block)
+    boxes = [FolnerBox(2, 0), FolnerBox(1, 150_000, (-7,)), FolnerBox(2, 377, (3, -40)),
+             FolnerBox(3, 52, (1, 0, -9))]
+    for box in boxes:
+        a = rng.uniform(-1.0, 1.0, size=(box.rank, box.rank))
+        a[-1, 0] = bad
+        for x in ((1,) * box.rank, (0,) * (box.rank - 1) + (2,), (0,) * box.rank):
+            expected = bits(full_grid_twist_mean(a, box, x))
+            with patch.object(convergence, "_BLOCK_POINTS", block):
+                assert bits(box_twist_mean(a, box, x)) == expected, (box, x)
 
 
 # --- the leaves of box_twist_mean on threads ---
@@ -288,10 +316,6 @@ def test_blocked_twist_mean_non_finite_entries(bad):
 # small grids many leaves for the threads to share.
 
 THREAD_COUNTS = (1, 2, 3, 7)
-
-
-def leaves_of(card):
-    return convergence._pairwise(lambda start, count: [(start, count)], 0, card)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +337,7 @@ def test_threaded_twist_mean_equals_full_grid_mean(box, block, threads, data):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
 def test_threaded_twist_mean_non_finite_entries(bad):
     a = np.array([[0.3, bad], [-0.2, 0.1]])
-    box = FolnerBox(2, 300, (-5, 2))
+    box = box_past(2, 3, (-5, 2))
     assert len(leaves_of(box.cardinality())) > 3
     with patch.object(parallel, "_THREADS", 3):
         for x in ((1, 1), (1, 0), (0, 0)):
@@ -355,7 +379,7 @@ class CountingThreads:
 
 @pytest.mark.parametrize("threads", THREAD_COUNTS)
 def test_threaded_twist_mean_starts_and_joins_its_threads(threads):
-    box = FolnerBox(2, 300, (-5, 2))
+    box = box_past(2, max(THREAD_COUNTS), (-5, 2))
     workers = min(threads, len(leaves_of(box.cardinality()))) - 1
     made = CountingThreads()
     running = threading.active_count()
@@ -372,7 +396,7 @@ def test_one_thread_starts_no_thread():
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    box = FolnerBox(2, 400)
+    box = box_past(2, 1)
     assert len(leaves_of(box.cardinality())) > 1
     with patch.object(parallel, "_THREADS", 1), \
             patch.object(parallel, "threading",
@@ -409,8 +433,8 @@ def test_threaded_leaves_keep_the_callers_errstate(threads):
     mean raises under invalid="raise"; every leaf, on whichever thread,
     must see the caller's np.errstate.  A NaN entry propagates quietly and
     raises nowhere, on the serial path too."""
-    box = FolnerBox(2, 300)
-    assert len(leaves_of(box.cardinality())) > 3
+    box = box_past(2, 3)
+    assert box.side >= 180 and len(leaves_of(box.cardinality())) > 3
     record, seen = recorded_chords(spread=threads > 1)
     running = threading.active_count()
     with patch.object(parallel, "_THREADS", threads), \
@@ -436,14 +460,16 @@ def test_threaded_twist_mean_raises_the_first_leaf_error(threads):
     _chords that fails from the middle of the box on names the leaf that
     raised.  The first failing leaf fails last, after the leaves other
     threads took meanwhile, and its error must still reach the caller."""
-    box = FolnerBox(1, 200_000)
+    box = box_past(1, 3)
+    middle = box.cardinality() // 2
     starts = [start for start, _ in leaves_of(box.cardinality())]
-    expected = min(start for start in starts if start >= 100_000)
+    expected = min(start for start in starts if start >= middle)
+    assert 0 < starts.index(expected) < len(starts) - 1
 
     def failing_chords(phases):
         if phases[0] == expected:
             time.sleep(0.05)
-        if phases[0] >= 100_000:
+        if phases[0] >= middle:
             raise LeafError(phases[0])
         return chords(phases)
 
@@ -644,6 +670,119 @@ def test_twisted_rep_series_rejects_negative_sides():
         twisted_rep_series(mats, mmodel, lambda i: -1, None, (1, 0), n_max=2)
 
 
+# --- the twist means of a series: one thread map per batch of boxes ---
+
+
+def recorded_batches(monkeypatch):
+    """A spy on the series kernel that keeps the grids of every batch."""
+    batches = []
+    kernel = convergence._twist_means
+
+    def spy(grids):
+        batches.append(list(grids))
+        return kernel(grids)
+
+    monkeypatch.setattr(convergence, "_twist_means", spy)
+    return batches
+
+
+def held_points(grids):
+    return sum(grid.lead.size + grid.last.size for grid in grids)
+
+
+SERIES_CASES = [  # (phase matrix, box sides, x)
+    (np.array([[2.1]]), lambda i: i ** 3, (3,)),
+    (np.array([[0.3, -1.1], [0.7, 0.2]]), lambda i: i * i, (2, -1)),
+    (np.array([[0.3, -1.1, 0.4], [0.7, 0.2, -2.9], [1e-9, 0.0, 1.3]]), lambda i: 2 * i,
+     (1, 0, -2)),
+]
+
+
+@pytest.mark.parametrize("block", [128, 1000, None])
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+@pytest.mark.parametrize("case", range(len(SERIES_CASES)))
+def test_series_twist_terms_equal_per_box_twist_means(case, threads, block, monkeypatch):
+    matrix, sides, x = SERIES_CASES[case]
+    mats, mmodel = geometric_matrix_family(matrix, 0.8)
+    n_max = 12
+    if block is not None:
+        monkeypatch.setattr(convergence, "_BLOCK_POINTS", block)
+    expected = [bits(box_twist_mean(canonicalize_phases(mats(i)), FolnerBox(len(x), sides(i)), x))
+                for i in range(1, n_max + 1)]
+    batches = recorded_batches(monkeypatch)
+    with patch.object(parallel, "_THREADS", threads):
+        rep = twisted_rep_series(mats, mmodel, sides, None, x, n_max=n_max)
+    assert [bits(t) for t in rep.twist_terms] == expected
+    assert [grid.card for batch in batches for grid in batch] == [
+        (sides(i) + 1) ** len(x) for i in range(1, n_max + 1)]
+    if block is not None:
+        assert 1 < len(batches) < n_max
+
+
+@pytest.mark.parametrize("threads", (2, 3, 7))
+def test_series_starts_threads_once_per_batch(threads, monkeypatch):
+    """Sides i^2 on rank 2 hold 2 (i^2 + 1) floats of grid, so at 1000
+    points boxes 1-10 form one batch and 11-12 another."""
+    block = 1000
+    batches = recorded_batches(monkeypatch)
+    made = CountingThreads()
+    mats, mmodel = geometric_matrix_family(ROTATION, 0.5)
+    sides, smodel = power_box_family(1.0, 2.0)
+    running = threading.active_count()
+    with patch.object(convergence, "_BLOCK_POINTS", block), \
+            patch.object(parallel, "_THREADS", threads), \
+            patch.object(parallel, "threading", made):
+        twisted_rep_series(mats, mmodel, sides, smodel, (1, 2), n_max=12)
+        leaves = [sum(len(leaves_of(grid.card)) for grid in batch) for batch in batches]
+    assert [len(batch) for batch in batches] == [10, 2]
+    held = [held_points(batch) for batch in batches]
+    assert held[0] <= block < held[0] + held_points(batches[1][:1])
+    assert len(made.made) == sum(min(threads, n) - 1 for n in leaves) == 2 * (threads - 1)
+    assert not any(t.is_alive() for t in made.made)
+    assert threading.active_count() == running
+
+
+@pytest.mark.parametrize("threads", (1, 3))
+@pytest.mark.parametrize("failure", ["schedule", "grid cap"])
+def test_series_error_at_index_k_comes_after_the_boxes_before_it(failure, threads, monkeypatch):
+    """Box k's side schedule or grid cap fails while boxes 1..k-1 wait in one
+    batch: they run first, and an invalid phase in one of them wins."""
+    k = 7
+
+    def mats(i):
+        return ROTATION
+
+    def sides(i):
+        if failure == "schedule" and i == k:
+            raise OverflowError(f"side {i}")
+        return i * i
+
+    grid_cap = (sides(k - 1) + 1) ** 2 if failure == "grid cap" else convergence.DEFAULT_GRID_CAP
+    error, message = ((OverflowError, "side 7") if failure == "schedule" else
+                      (ConstructionError, "box holds 2500 points, over the grid cap 1369;"))
+    summed = []
+    chords = convergence._chords
+
+    def counting_chords(phases):
+        summed.append(phases.size)
+        return chords(phases)
+
+    batches = recorded_batches(monkeypatch)
+    monkeypatch.setattr(convergence, "_chords", counting_chords)
+    with patch.object(parallel, "_THREADS", threads):
+        with pytest.raises(error, match=message):
+            twisted_rep_series(mats, None, sides, None, (1, 2), n_max=10, grid_cap=grid_cap)
+        assert len(batches) == 1
+        assert sum(summed) == sum((sides(i) + 1) ** 2 for i in range(1, k))
+        # x = (1, 10^307) overflows the phases of rows 12 on to inf, first
+        # in box 4, whose sine is invalid
+        with np.errstate(over="ignore", invalid="raise"), \
+                pytest.raises(FloatingPointError, match="invalid value encountered in sin"):
+            twisted_rep_series(mats, None, sides, None, (1, 10 ** 307), n_max=10,
+                               grid_cap=grid_cap)
+    assert len(batches) == 2
+
+
 def twist_part(exponent):
     mats, mmodel = power_matrix_family(ROTATION, exponent)
     sides, smodel = power_box_family(1.0, 2.0)
@@ -657,7 +796,7 @@ def deviation_part(exponent):
 
 
 @pytest.mark.parametrize("target, fake, part, witness", [
-    ("box_twist_mean", lambda *args, **kwargs: 3.0, lambda: twist_part(-4.0),
+    ("_twist_means", lambda grids: [3.0] * len(grids), lambda: twist_part(-4.0),
      "term 1 escaped its proved envelope"),
     ("_dirichlet_means", lambda m, t: np.full(m.size, -2.0), lambda: deviation_part(-4.0),
      "term 1 escaped the chord bound"),

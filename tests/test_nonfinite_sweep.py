@@ -7,8 +7,10 @@ ways:
 
 - exit 2, with a message that names the field the scalar sits in;
 - exit 1, only for a greedy selection that runs out of candidates;
-- a report with no ``"pass": true`` and no ``Proved*`` verdict whose
-  partial sum or tail bound is NaN, so that no claim rests on a NaN.
+- a report with no ``"pass": true``, no ``Proved*`` verdict whose partial
+  sum or tail bound is NaN or -inf, and no ``ProvedConvergent`` verdict
+  whose partial sum or tail bound is infinite, so that no claim rests on a
+  value that is not finite (a divergent series may sum to +inf).
 
 Cocycle and bilinear scalars (matrix and bilinear entries, table phases,
 epsilons) are refused at parsing; model scalars are not, since an
@@ -131,17 +133,32 @@ def substitute(obj, value):
     return obj
 
 
-def claims_resting_on_nan(node):
-    """Every Proved* verdict below ``node`` whose partial sum or tail bound is NaN."""
+def claims_resting_on_non_finite(node):
+    """Every Proved* verdict below ``node`` whose partial sum or tail bound
+    is NaN or -inf, and every ProvedConvergent one whose partial sum or
+    tail bound is +inf."""
     if isinstance(node, list):
-        return [c for v in node for c in claims_resting_on_nan(v)]
+        return [c for v in node for c in claims_resting_on_non_finite(v)]
     if not isinstance(node, dict):
         return []
-    found = [c for v in node.values() for c in claims_resting_on_nan(v)]
-    if str(node.get("verdict", "")).startswith("Proved") and "nan" in (
-            node.get("partial_sum"), node.get("tail_bound")):
+    found = [c for v in node.values() for c in claims_resting_on_non_finite(v)]
+    verdict = str(node.get("verdict", ""))
+    bad = {"nan", "-inf", "inf"} if verdict == "ProvedConvergent" else {"nan", "-inf"}
+    if verdict.startswith("Proved") and bad & {node.get("partial_sum"), node.get("tail_bound")}:
         found.append(node)
     return found
+
+
+def test_the_sweep_finds_claims_on_non_finite_sums():
+    def verdict(name, partial, tail=None):
+        return {"verdict": name, "partial_sum": partial, "tail_bound": tail}
+
+    claims = [verdict("ProvedConvergent", 1.5, "inf"), verdict("ProvedConvergent", "inf", 0.5),
+              verdict("ProvedConvergent", "-inf", 0.5), verdict("ProvedDivergent", "nan"),
+              verdict("ProvedDivergent", "-inf")]
+    sound = [verdict("ProvedDivergent", "inf"), verdict("ProvedConvergent", 1.5, 0.25),
+             verdict("Inconclusive", "inf", "nan")]
+    assert claims_resting_on_non_finite({"reports": [*claims, *sound]}) == claims
 
 
 def test_every_subcommand_with_scalars_is_swept():
@@ -169,4 +186,4 @@ def test_a_non_finite_scalar_is_refused_by_name_or_proves_nothing(command, param
             assert exc.code == 2 and field in exc.message, exc.message
         return
     assert '"pass":true' not in report
-    assert claims_resting_on_nan(json.loads(report)) == []
+    assert claims_resting_on_non_finite(json.loads(report)) == []

@@ -332,6 +332,41 @@ def test_map_ordered_returns_in_call_order_and_joins(threads):
     assert threading.active_count() == running
 
 
+class WaitingThread(threading.Thread):
+    """A thread whose start returns only once some thread other than the
+    caller has run a call, or after a second."""
+
+    began = threading.Event()
+
+    def start(self):
+        super().start()
+        self.began.wait(1.0)
+
+
+@pytest.mark.parametrize("threads", THREAD_COUNTS)
+def test_map_ordered_runs_call_0_on_the_calling_thread(threads):
+    """The caller takes call 0 before it starts the other threads, so it runs
+    a call however long they take to start and however fast they run."""
+    caller = threading.get_ident()
+    ran = {}
+
+    def work(buf, j):
+        ran[j] = threading.get_ident()
+        if ran[j] != caller:
+            WaitingThread.began.set()
+        return j
+
+    with patch.object(parallel, "_THREADS", threads), \
+            patch.object(parallel, "threading",
+                         SimpleNamespace(Thread=WaitingThread, Lock=threading.Lock)):
+        for count in (1, 2, 20):
+            ran.clear()
+            WaitingThread.began.clear()
+            assert parallel.map_ordered(work, count, list) == list(range(count))
+            assert ran[0] == caller
+            assert len(ran) == count
+
+
 def test_fell_threads_leave_blas_its_share_of_the_cpus():
     """Concurrent LAPACK calls on a BLAS with threads of its own run slower
     than one after another, so the Fell check divides the CPUs by BLAS's

@@ -116,10 +116,10 @@ def test_tracer_hooks_run_on_the_certify_commands():
 
 
 def test_tracer_sees_box_twist_means_only_on_the_calling_thread():
-    """Boxes of sides i^2 pass 2^15 points from i = 14 on, so their twist
-    means split into leaves that up to two more threads share with the
-    caller.  The tracer's span stack is not thread-safe: every span must
-    come from the caller."""
+    """Boxes of sides i^2 pass 2^16 points at i = 16, so the one batch of
+    twist means that converge runs splits into 17 leaves that up to two
+    more threads share with the caller.  The tracer's span stack is not
+    thread-safe: every span must come from the caller."""
     tracing = _load_tracer()
     caller = threading.get_ident()
     span_threads = set()
@@ -155,7 +155,7 @@ def test_tracer_sees_box_twist_means_only_on_the_calling_thread():
             cli.run_scenario(doc, "converge")
         finally:
             tracer.uninstall()
-    assert tracer.calls["convergence.box_twist_mean"] == n_max
+    assert tracer.calls["convergence.twisted_rep_series"] == 1
     assert span_threads == {caller}
     assert made and not any(t.is_alive() for t in made)
     assert patched and tracer._patches == []

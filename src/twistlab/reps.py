@@ -306,6 +306,9 @@ def rep_inner_product(u: Cocycle, box: FolnerBox, x: Element) -> complex:
 
 BDomain = Union[FiniteAbelianGroup, FolnerBox]
 
+# numpy's NPY_MIN_ELIDE_BYTES: from 256 KiB on, an unnamed temporary is reused in place.
+ELISION_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class CCRPair:
@@ -403,21 +406,24 @@ class CCRPair:
         return 1.0 if self.boundary_deficit(b) else 0.0
 
     def relation_residual(self, samples: Sequence[tuple[Element, Element]]) -> float:
-        """max |V W - sigma W V|; V W scales the rows of W by the clock, W V its columns.
+        """max |V W - sigma W V| over the n entries W can hold; no n x n array.
 
-        The residual keeps the n x n expression as written, because numpy's
-        temporary elision decides its last bits.  From 256 KiB (n >= 128
-        here) numpy reuses the unnamed temporary w * c for s * (w * c): it
-        computes w * c * s in place, with the operands swapped, and the
-        fused multiply-add of the complex loop then rounds the imaginary part
-        in the other order.  Naming w * c, or gathering the O(n) nonzero
-        entries, keeps s first and changes the last bit of some entries.
+        Entry (t_j, j) of a point j that stays reads c[t_j] against s c_j, with
+        c the clock row and s = sigma(a, b); every other entry is 0 - 0.  The
+        bits are those of the old c[:, None] * w - s * (w * c), which numpy ran
+        as (w * c) * s from ELISION_BYTES on: under FMA the operand order sets
+        the last bit.  A non-finite c or s made that form NaN (0 * nan) even
+        where no point moves.
         """
+        swapped = 16 * self.dimension ** 2 >= ELISION_BYTES
         worst = 0.0
         for a, b in samples:
-            c, w = self.phases(a), self.shift(b)
-            worst = residual_max(worst, float(np.max(np.abs(
-                c[:, None] * w - self.sigma.value(a, b) * (w * c)))))
+            c, t, s = self.phases(a), self.targets(b), self.sigma.value(a, b)
+            cols = np.flatnonzero(t >= 0)
+            right = np.multiply(c[cols], s) if swapped else np.multiply(s, c[cols])
+            finite = cmath.isfinite(s) and np.isfinite(c).all()
+            worst = residual_max(worst, float(np.max(np.abs(c[t[cols]] - right), initial=0.0))
+                                 if finite else math.nan)
         return worst
 
 

@@ -388,8 +388,9 @@ CASES = [
                                      "x": "1,1"}, 10, ("translation",)),
     # --- dense commands (n_max is unused) ------------------------------------
     # Windows of 1, 8, 121 and 196 points: the last two sit below and above
-    # the 128 x 128 complex (256 KiB) residual matrix, and the 196-point
-    # report changes if the relation residual names its w * c temporary.
+    # n = 128, where numpy began to elide the 256 KiB temporary w * c of the
+    # old n x n residual, and the 196-point report changes if the relation
+    # residual multiplies s first at that size (reps.ELISION_BYTES).
     ("ccr-window-0", "ccr", {"sigma": {"matrix": "0.7,-0.4"}, "window": {"side": 0}}, 10, ()),
     ("ccr-window-1", "ccr", {"sigma": {"matrix": "0.3,1.1,-0.5;0.2,-0.9,0.6"},
                              "window": {"side": 1}, "samples": {"count": 50, "bound": 3}},
@@ -399,6 +400,10 @@ CASES = [
      10, ()),
     ("ccr-window-13", "ccr", {"sigma": {"matrix": "1.05,-0.6"}, "window": {"side": 13},
                               "samples": {"count": 60, "bound": 7}}, 10, ()),
+    # 4096 points, at DIMENSION_CAP, with the default 200 samples; recorded
+    # from the n x n residual (about a minute on a 2-vCPU VM).
+    ("ccr-window-63", "ccr", {"sigma": {"matrix": "0.1,0;0,0.1"}, "window": {"side": 63}},
+     10, ()),
     ("ccr-table-b-larger", "ccr", {"sigma": _bilinear_table(3, 1, 2, [[1, 2]])}, 10, ()),
     ("ccr-table-sampled", "ccr", {"sigma": _bilinear_table(9, 2, 2, [[1, 4], [2, 7]]),
                                   "samples": {"count": 30, "bound": 4}}, 10, ()),
@@ -1066,6 +1071,8 @@ DIGESTS = {
         "e1afb13f11abaab7f70a8de5d8a5c8e37e5d2101af033610a95ed64bbf502032",
     "ccr-window-13":
         "31e3a4acce08d63766e5367fd16ef42733fbbd12e74ec7f9b74964ef6ea4c14a",
+    "ccr-window-63":
+        "1a1ee6d569994598d41b45533497020efb01fb17cf9dde58d1873a7b1caa6de8",
     "ccr-table-b-larger":
         "5392ac8bb302541e65e6bd02e0d038be01090c506f4a2d05796cc492585128f7",
     "ccr-table-sampled":

@@ -1,6 +1,7 @@
 """Twisted regular representations, CCR pairs and the absorption check."""
 
 import ast
+import cmath
 import copy
 import math
 import tracemalloc
@@ -792,3 +793,89 @@ def test_relation_residuals_keep_a_nan():
     assert math.isnan(projective_relation_check(regular_rep(u, group)))
     pair = ccr_pair(MatrixBilinear(np.array([[math.nan, 0.0], [0.0, 0.1]])), FolnerBox(2, 3))
     assert math.isnan(pair.relation_residual([((0, 0), (0, 0)), ((1, 0), (0, 1))]))
+    # Every point exits: the dense form's 0 * nan still filled its rows.
+    assert math.isnan(dense_relation_residual(pair, (1, 0), (4, 0)))
+    assert math.isnan(pair.relation_residual([((0, 0), (4, 4)), ((1, 0), (4, 0))]))
+
+
+def test_a_nan_no_moved_point_reads_still_fails_the_relation():
+    # a . (D y) = 1e308 (y1 + y2) overflows only at (1, 1), which the shift by
+    # (1, -1) neither moves nor reaches: it sends (0, 1) to (1, 0).
+    pair = ccr_pair(MatrixBilinear(np.array([[1.0, 1.0]])), FolnerBox(2, 1))
+    a, b = (10 ** 308,), (1, -1)
+    with np.errstate(over="ignore"):
+        assert np.isnan(pair.phases(a)[pair.basis.index((1, 1))])
+        assert pair.targets(b).tolist() == [-1, 2, -1, -1] and pair.sigma.value(a, b) == 1
+        assert math.isnan(dense_relation_residual(pair, a, b))
+        assert math.isnan(pair.relation_residual([(a, b)]))
+        assert math.isnan(pair.relation_residual([(a, (2, 0))]))
+        # Every phase is finite, but sigma(a, b) = exp(2e308 i) is NaN and
+        # every point exits.
+        a, b = (10 ** 307,), (20, 0)
+        assert np.isfinite(pair.phases(a)).all() and pair.boundary_deficit(b) == 4
+        assert cmath.isnan(pair.sigma.value(a, b))
+        assert math.isnan(dense_relation_residual(pair, a, b))
+        assert math.isnan(pair.relation_residual([(a, b)]))
+
+
+def dense_relation_residual(pair, a, b):
+    """One sample's relation residual in the n x n form the pair used to compute.
+
+    Keep the expression as written: numpy's elision of the temporary w * c
+    decides the operand order of its product with s, and so the last bits.
+    """
+    c, w = pair.phases(a), pair.shift(b)
+    return float(np.max(np.abs(c[:, None] * w - pair.sigma.value(a, b) * (w * c))))
+
+
+def elision_cases():
+    """(pair, samples) on both sides of n = 128, where a complex n x n
+    temporary reaches reps.ELISION_BYTES: rank-1 windows of 126 to 130 points,
+    rank-2 windows of 121 and 144, and table b sides of 121 to 144; the last
+    sample of each window pushes every point off."""
+    rng = np.random.default_rng(25)
+    cases = []
+    for rank, side in [(1, side) for side in range(125, 130)] + [(2, 10), (2, 11)]:
+        pair = ccr_pair(MatrixBilinear(rng.uniform(-4.0, 4.0, (2, rank))), FolnerBox(rank, side))
+        a_samples = rng.integers(-40, 41, (30, 2)).tolist()
+        b_samples = rng.integers(-side - 1, side + 2, (30, rank)).tolist()
+        samples = [(tuple(a), tuple(b)) for a, b in zip(a_samples, b_samples)]
+        cases.append((pair, samples + [((1, -1), (side + 1,) * rank)]))
+    for b_moduli in [(11, 11), (127,), (128,), (12, 12)]:
+        table = random_table(rng, (5,), b_moduli)
+        a_els, b_els = table.a_group.elements(), table.b_group.elements()
+        samples = [(a_els[i], b_els[j]) for i, j in zip(
+            rng.integers(0, 5, 30).tolist(), rng.integers(0, table.b_group.order, 30).tolist())]
+        cases.append((ccr_pair(table, table.b_group), samples))
+    return cases
+
+
+def elision_mismatches():
+    """(dimension, a, b) of each elision_cases sample whose residual differs from
+    the dense form's; NaN equals NaN."""
+    return [(pair.dimension, a, b) for pair, samples in elision_cases() for a, b in samples
+            if not same_bits(pair.relation_residual([(a, b)]), dense_relation_residual(pair, a, b))]
+
+
+def same_bits(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def test_relation_residual_equals_the_dense_form_bit_for_bit():
+    dims = sorted({pair.dimension for pair, _ in elision_cases()})
+    assert dims == [121, 126, 127, 128, 129, 130, 144]
+    wrong = elision_mismatches()
+    sides = {"n >= 128" if n >= 128 else "n < 128" for n, *_ in wrong}
+    assert wrong == [], (f"{len(wrong)} samples differ, at {sides}; differences on one side "
+                         "of n = 128 only mean numpy's elision threshold moved from "
+                         f"reps.ELISION_BYTES = {reps.ELISION_BYTES}")
+
+
+@pytest.mark.parametrize("threshold,moved", [(0, lambda n: n < 128),
+                                             (1 << 62, lambda n: n >= 128)])
+def test_the_bit_test_sees_a_moved_elision_threshold(monkeypatch, threshold, moved):
+    # With the threshold at 0 every product runs as (w * c) * s, with a huge
+    # one as s * (w * c): the dense form disagrees on the other side of 128.
+    monkeypatch.setattr(reps, "ELISION_BYTES", threshold)
+    wrong = elision_mismatches()
+    assert wrong and all(moved(n) for n, *_ in wrong)

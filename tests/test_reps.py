@@ -874,8 +874,8 @@ def test_relation_residual_equals_the_dense_form_bit_for_bit():
 @pytest.mark.parametrize("threshold,moved", [(0, lambda n: n < 128),
                                              (1 << 62, lambda n: n >= 128)])
 def test_the_bit_test_sees_a_moved_elision_threshold(monkeypatch, threshold, moved):
-    # With the threshold at 0 every product runs as (w * c) * s, with a huge
-    # one as s * (w * c): the dense form disagrees on the other side of 128.
+    # With the threshold at 0 every sample multiplies c_j * s, with a huge one
+    # s * c_j: the dense form then disagrees below 128 or from 128 on.
     monkeypatch.setattr(reps, "ELISION_BYTES", threshold)
     wrong = elision_mismatches()
     assert wrong and all(moved(n) for n, *_ in wrong)

@@ -33,6 +33,7 @@ from .cocycles import (
     canonicalize_phases,
     flatten_matrix_cocycle,
 )
+from .eft import fast_two_sum, product_error, split, two_sum
 from .groups import (
     Element,
     FolnerBox,
@@ -64,8 +65,6 @@ from .series import (
     model_values,
     neumaier_sum,
     prefix_mismatch,
-    product_error,
-    split,
 )
 # perfbench/tracer.py wraps the tail kernels where this module would look
 # them up, so the names stay importable here; only Envelope.tail calls them.
@@ -274,26 +273,13 @@ def _box_defects(sides: np.ndarray, x: Element) -> np.ndarray:
     return out
 
 
-def _fast_two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a + b as hi + lo exactly, for |a| >= |b| or a = 0."""
-    hi = a + b
-    return hi, b - (hi - a)
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a + b as hi + lo exactly (Knuth)."""
-    hi = a + b
-    bb = hi - a
-    return hi, (a - (hi - bb)) + (b - bb)
-
-
 def _dd_product(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
                 b_halves: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(a_hi + a_lo) * (b_hi + b_lo) as a double-double, within 16 u^2 of it
     relatively (u = 2^-53); ``b_halves`` is ``split(b_hi)``."""
     p = a_hi * b_hi
     e = product_error(*split(a_hi), *b_halves, p)
-    return _fast_two_sum(p, e + (a_hi * b_lo + a_lo * b_hi))
+    return fast_two_sum(p, e + (a_hi * b_lo + a_lo * b_hi))
 
 
 def _symmetric_coefficients(reach: list[int]) -> list[tuple[int, float, float]]:
@@ -336,7 +322,7 @@ def _defects_dd(m: np.ndarray, coeffs: list[tuple[int, float, float]]
         q = 1.0 / f
         p = q * f
         r = ((1.0 - p) - product_error(*split(q), *split(f), p)) - q * f_lo
-        v = _fast_two_sum(q, r * q)
+        v = fast_two_sum(q, r * q)
         v_halves = split(v[0])
         w = v
         d_hi = d_lo = size = 0.0
@@ -347,8 +333,8 @@ def _defects_dd(m: np.ndarray, coeffs: list[tuple[int, float, float]]
             shift = cut - k * scale
             t_hi = np.ldexp(t_hi if k % 2 else -t_hi, shift)
             t_lo = np.ldexp(t_lo if k % 2 else -t_lo, shift)
-            hi, lo = _two_sum(d_hi, t_hi)
-            d_hi, d_lo = _two_sum(hi, lo + (d_lo + t_lo))
+            hi, lo = two_sum(d_hi, t_hi)
+            d_hi, d_lo = two_sum(hi, lo + (d_lo + t_lo))
             size = size + np.abs(t_hi)
         return d_hi, d_lo, len(coeffs) * (_DD_RELATIVE * size + _DD_ABSOLUTE)
 

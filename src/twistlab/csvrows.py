@@ -10,8 +10,8 @@ Digits.  A finite nonzero |x| is m * 2^e (``np.frexp``).  With k its decimal
 exponent, v = |x| * 10^(16 - k) lies in [1e16, 1e17), and the 17 significant
 digits are the integer nearest to v.  The table entry for s = 16 - k is a
 double-double H + L with 10^s = (H + L) * 2^T and H in [1, 2]; m * H is
-formed exactly with Dekker's split product (``series.split`` and
-``series.product_error``, shared with the box defects), the rest is
+formed exactly with Dekker's split product (``eft.split`` and
+``eft.product_error``, shared with the box defects), the rest is
 added in one more double, and both parts are scaled by 2^(e + T).  That
 gives v = P + R, P an integer, with an error of at most 2^-46.  So the
 nearest integer is P + rint(R) unless frac(R) lies within the error of 1/2;
@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .series import product_error, split
+from .eft import product_error, split
 
 # Table range of s = 16 - k: finite doubles have k in [-324, 308], and the
 # correction of k from its log10 estimate moves it by one.

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import eft
 from .cocycles import (
     BilinearCocycle,
     Cocycle,
@@ -136,21 +137,142 @@ def pauli_rep() -> ProjectiveRep:
         g, lambda x: np.linalg.matrix_power(flip, x[0]) @ np.linalg.matrix_power(sign, x[1])), 2)
 
 
+# numpy's NPY_MIN_ELIDE_BYTES: from 256 KiB on, an unnamed temporary is reused in place.
+ELISION_BYTES = 1 << 18
+# Entries of U(x) U(y) that one block of pairs of the monomial relation check holds.
+RELATION_BLOCK_ENTRIES = 1 << 14
+# Bytes of matrices stacked at once to find the non-zero of each column.
+_STACK_BYTES = 1 << 22
+
+
 def projective_relation_check(rep: ProjectiveRep,
                               pairs: Optional[Sequence[tuple[Element, Element]]] = None) -> float:
-    """Max entry residual |U(x) U(y) - u(x, y) U(x y)| over the pairs."""
+    """Max entry residual |U(x) U(y) - u(x, y) U(x y)| over the pairs.
+
+    When every matrix read is a C-ordered complex n x n array with one
+    non-zero per column, each U(z) is read once as (row index, entry) per
+    column, and a pair costs O(n): column j of U(x) U(y) holds one term
+    a * c, at the row U(x) gives to the row of c in U(y), and column j of
+    u(x, y) U(x y) holds s * e.  The residual has the bits of the dense form
+    ``_dense_relation_residual``: a * c is rounded as zgemm rounds it
+    (``_monomial_products``), s * e is ``np.multiply(s, e)`` as numpy ran
+    ``s * U(x y)``, or ``np.multiply(e, s)`` where numpy reused the matrix
+    in place (``_elided``), and every other entry is 0 - 0.  Any other
+    matrix, a non-finite entry or cocycle value, or a non-finite residual
+    takes the dense form.
+    """
     g = rep.group
     if pairs is None:
         if g.order > 64:
             raise ValueError("supply explicit pairs for groups of order above 64")
         els = g.elements()
         pairs = [(x, y) for x in els for y in els]
+        xi, yi = np.divmod(np.arange(len(pairs)), len(els))
+    else:
+        pairs = list(pairs)
+        if not isinstance(g, FiniteAbelianGroup):
+            return _dense_relation_residual(rep, pairs)
+        xi = np.array([g.index(g.require(x)) for x, _ in pairs], dtype=np.intp)
+        yi = np.array([g.index(g.require(y)) for _, y in pairs], dtype=np.intp)
+    s = np.array([rep.cocycle.value(x, y) for x, y in pairs], dtype=complex)
+    used, slots = np.unique(np.stack([xi, yi, g.add_indices(xi, yi)]).ravel(),
+                            return_inverse=True)
+    els = g.elements()
+    columns = _monomial_columns(rep, [els[i] for i in used.tolist()])
+    if columns is None or not (np.isfinite(s).all() and np.isfinite(columns[1]).all()):
+        return _dense_relation_residual(rep, pairs)
+    rows, entries, elided = columns
+    xs, ys, zs = slots.reshape(3, -1)
+    n = rep.dimension
+    per = max(1, RELATION_BLOCK_ENTRIES // n)
+    worst = 0.0
+    for lo in range(0, len(pairs), per):
+        x, y, z, sb = xs[lo:lo + per], ys[lo:lo + per], zs[lo:lo + per], s[lo:lo + per, None]
+        k = rows[y]
+        left = _monomial_products(entries[x[:, None], k], entries[y])
+        right = np.multiply(sb, entries[z])
+        swap = elided[z]
+        if swap.any():
+            right[swap] = np.multiply(entries[z[swap]], sb[swap])
+        same = rows[x[:, None], k] == rows[z]
+        worst = max(worst, np.max(np.abs(np.where(same, left - right, left))),
+                    np.max(np.abs(right[~same]), initial=0.0))
+    return float(worst) if math.isfinite(worst) else _dense_relation_residual(rep, pairs)
+
+
+def _dense_relation_residual(rep: ProjectiveRep,
+                             pairs: Sequence[tuple[Element, Element]]) -> float:
+    """The relation residual with one n x n product per pair, for any matrices.
+
+    Keep the expressions as written: zgemm's rounding of the product and
+    numpy's elision of the temporary U(x y) set the last bits.
+    """
+    g = rep.group
     worst = 0.0
     for x, y in pairs:
         lhs = rep.matrix(x) @ rep.matrix(y)
         rhs = rep.cocycle.value(x, y) * rep.matrix(g.add(x, y))
         worst = residual_max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def _monomial_columns(rep: ProjectiveRep, elements: Sequence[Element]
+                      ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per element z, in order: the row index and the entry of the one
+    non-zero in each column of U(z), and whether ``_elided`` holds; None
+    unless every U(z) is a C-ordered complex n x n array with one non-zero
+    per column."""
+    n = rep.dimension
+    rows = np.empty((len(elements), n), dtype=np.intp)
+    entries = np.empty((len(elements), n), dtype=complex)
+    elided = np.zeros(len(elements), dtype=bool)
+    per = max(1, _STACK_BYTES // (16 * n * n))
+    for lo in range(0, len(elements), per):
+        mats = []
+        for k, z in enumerate(elements[lo:lo + per], start=lo):
+            mat = rep.matrix(z)
+            if not (type(mat) is np.ndarray and mat.dtype == complex and mat.shape == (n, n)
+                    and mat.flags.c_contiguous):
+                return None
+            elided[k] = _elided(rep, z, mat)
+            mats.append(mat)
+        stack = np.stack(mats)
+        nonzero = stack != 0
+        if not (np.count_nonzero(nonzero, axis=1) == 1).all():
+            return None
+        at = np.argmax(nonzero, axis=1)
+        rows[lo:lo + len(mats)] = at
+        entries[lo:lo + len(mats)] = np.take_along_axis(stack, at[:, None, :], axis=1)[:, 0]
+    return rows, entries, elided
+
+
+def _elided(rep: ProjectiveRep, z: Element, mat: np.ndarray) -> bool:
+    """Whether numpy computed the dense form's s * U(z) in place, as U(z) * s.
+
+    numpy reuses an unnamed temporary that owns its writeable data from
+    ELISION_BYTES on.  Every matrix this module builds is read only; a
+    matrix the rep hands out again is not a temporary.
+    """
+    return (mat.flags.writeable and mat.flags.owndata and mat.nbytes >= ELISION_BYTES
+            and rep.matrix(z) is not mat)
+
+
+def _monomial_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a * c, over (pairs, n) blocks, as zgemm rounds the one term of an entry
+    of a product of monomial matrices (OpenBLAS's SkylakeX kernel): unfused in
+    CPython's order, re = ar cr - ai ci and im = ar ci + ai cr, except in the
+    last n mod 4 columns for n >= 2, where re = fma(ar, cr, -(ai ci)) and
+    im = fma(ar, ci, ai cr)."""
+    ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
+    out = np.empty(a.shape, dtype=complex)
+    out.real = ar * cr - ai * ci
+    out.imag = ar * ci + ai * cr
+    n = a.shape[1]
+    if n > 1 and n % 4:
+        t = np.s_[:, 4 * (n // 4):]
+        out.real[t] = eft.fma(ar[t], cr[t], -(ai[t] * ci[t]))
+        out.imag[t] = eft.fma(ar[t], ci[t], ai[t] * cr[t])
+    return out
 
 
 def tensor_rep(reps: Sequence[ProjectiveRep]) -> ProjectiveRep:
@@ -305,9 +427,6 @@ def rep_inner_product(u: Cocycle, box: FolnerBox, x: Element) -> complex:
 
 
 BDomain = Union[FiniteAbelianGroup, FolnerBox]
-
-# numpy's NPY_MIN_ELIDE_BYTES: from 256 KiB on, an unnamed temporary is reused in place.
-ELISION_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -128,29 +128,6 @@ def neumaier_sum(values: Sequence[float]) -> float:
     return _neumaier(values)
 
 
-# Veltkamp's constant 2^27 + 1.
-_VELTKAMP = 134217729.0
-
-
-def split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split a = hi + lo into halves of at most 26 significant bits.
-
-    Exact wherever a * (2^27 + 1) does not overflow.  With the halves of two
-    factors, ``product_error`` is Dekker's exact product ("A floating-point
-    technique for extending the available precision", Numer. Math. 18, 1971).
-    """
-    t = a * _VELTKAMP
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def product_error(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray,
-                  p: np.ndarray) -> np.ndarray:
-    """a * b - p for p = fl(a * b), from the ``split`` halves of a and b;
-    exact wherever no partial product underflows."""
-    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def power_tail(coeff: float, exponent: float, n: int) -> float:
     """Upper bound for sum_{i>n} coeff * i**exponent when exponent < -1.
 

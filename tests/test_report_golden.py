@@ -14,8 +14,13 @@ the eigenvalue bytes do not depend on the BLAS thread count.
 
 import copy
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1123,3 +1128,40 @@ def test_failure_messages_match_golden_digest(name, command, params, horizons):
     with pytest.raises(CliError) as info:
         run_scenario(doc, command)
     assert _digest(f"{info.value.code} {info.value.message}") == DIGESTS[name]
+
+
+# Cases whose relation residuals the monomial path computes, replayed on an
+# OpenBLAS kernel without FMA; the other dense cases still print bits of
+# BLAS calls that the kernel picks.
+NON_FMA_BLAS_CASES = ("tensor-three", "ccr-table-b-larger", "ccr-table-sampled", "ccr-pauli")
+
+_NON_FMA_REPLAY = """
+import json
+import numpy as np
+import test_report_golden as golden
+from twistlab import reps
+
+rng = np.random.default_rng(0)
+unfused = 0
+for _ in range(20):
+    a, c = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 3)))
+    live = np.diag(a) @ np.diag(c)
+    unfused += int(np.count_nonzero(np.diag(live) != reps._monomial_products(a[None], c[None])[0]))
+cases = {case[0]: case for case in golden.CASES}
+print(json.dumps({"unfused": unfused, "digests": {
+    name: golden._digest(golden._report(*cases[name][1:4])) for name in NAMES}}))
+"""
+
+
+def test_relation_cases_keep_their_digests_on_a_blas_kernel_without_fma():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    code = f"NAMES = {NON_FMA_BLAS_CASES!r}\n" + _NON_FMA_REPLAY
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout.splitlines()[-1])
+    # the child's zgemm really rounds differently from the FMA kernels
+    assert found["unfused"] > 0
+    assert found["digests"] == {name: DIGESTS[name] for name in NON_FMA_BLAS_CASES}

@@ -18,6 +18,8 @@ from perfbench_support import DENSE_REPS_SEEDS, dense_reps_reports, one_blas_thr
 from twistlab import cli, reps
 from twistlab.cocycles import (
     BilinearCocycle,
+    CoboundaryCocycle,
+    Cocycle,
     MatrixBilinear,
     MatrixCocycle,
     ProductCocycle,
@@ -786,11 +788,51 @@ def test_the_dimension_cap_has_one_owner():
     assert cap_params == [], f"functions with a cap parameter: {cap_params}"
 
 
+class SpikedCocycle(Cocycle):
+    """base, except that u(x, y) = spike at the one pair (x, y) = at."""
+
+    def __init__(self, base, at, spike):
+        self.group, self.base, self.at, self.spike = base.group, base, at, spike
+
+    def value(self, x, y):
+        return self.spike if (x, y) == self.at else self.base.value(x, y)
+
+
 def test_relation_residuals_keep_a_nan():
     # max(worst, nan) is worst, so these folds used to report 0 and pass.
     group = FiniteAbelianGroup((2, 2))
+    els = group.elements()
     u = perturb(trivial_cocycle(group), quadratic_phase(math.nan, group))
-    assert math.isnan(projective_relation_check(regular_rep(u, group)))
+    finite = perturb(trivial_cocycle(group), quadratic_phase(0.3, group))
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4))
+                        + 1j * np.random.default_rng(8).normal(size=(4, 4)))
+    conjugated = regular_rep(u, group)
+    dense_loops = []
+    dense = reps._dense_relation_residual
+
+    def counted_dense(rep, pairs):
+        dense_loops.append(rep)
+        return dense(rep, pairs)
+
+    spiked = [SpikedCocycle(finite, ((1, 0), (0, 1)), spike)
+              for spike in (complex(math.inf, 0.0), math.nan, complex(0.0, -math.inf))]
+    cases = [
+        regular_rep(u, group),
+        # an infinite entry of U((0, 1)): u(-(x + g), x) = inf at x = (0, 1), g = (0, 0)
+        regular_rep(SpikedCocycle(finite, ((0, 1), (0, 1)), complex(math.inf, 0.0)), group),
+        # finite matrices, one nan or infinite cocycle value
+        *(ProjectiveRep(group, v, regular_rep(finite, group).matrix, 4) for v in spiked),
+        # not monomial: the dense loop answers
+        ProjectiveRep(group, u, lambda x: q @ conjugated.matrix(x) @ q.conj().T, 4),
+    ]
+    assert np.isinf(cases[1].matrix((0, 1))).sum() == 1
+    with pytest.MonkeyPatch.context() as m, np.errstate(invalid="ignore", over="ignore"):
+        m.setattr(reps, "_dense_relation_residual", counted_dense)
+        for rep in cases:
+            got = projective_relation_check(rep)
+            assert math.isnan(got)
+            assert same_bits(got, dense(rep, [(x, y) for x in els for y in els]))
+    assert dense_loops == cases
     pair = ccr_pair(MatrixBilinear(np.array([[math.nan, 0.0], [0.0, 0.1]])), FolnerBox(2, 3))
     assert math.isnan(pair.relation_residual([((0, 0), (0, 0)), ((1, 0), (0, 1))]))
     # Every point exits: the dense form's 0 * nan still filled its rows.
@@ -879,3 +921,209 @@ def test_the_bit_test_sees_a_moved_elision_threshold(monkeypatch, threshold, mov
     monkeypatch.setattr(reps, "ELISION_BYTES", threshold)
     wrong = elision_mismatches()
     assert wrong and all(moved(n) for n, *_ in wrong)
+
+
+# --- the monomial relation residual against the dense loop ---
+
+
+def random_monomial(rng, n):
+    """(matrix, row index per column, entry per column) with unit entries."""
+    rows = rng.permutation(n)
+    entries = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    mat = np.zeros((n, n), dtype=complex)
+    mat[rows, np.arange(n)] = entries
+    return mat, rows, entries
+
+
+def zgemm_departures(sizes, seed, trials=3):
+    """(n, column, kind) of each entry of A @ B, for random unit monomials A
+    and B, that reps._monomial_products rounds otherwise; kind is "main" for
+    the columns j < 4 * (n // 4) (all of them at n = 1), else "last"."""
+    rng = np.random.default_rng(seed)
+    wrong = []
+    for n in sizes:
+        for _ in range(trials):
+            a, a_rows, a_entries = random_monomial(rng, n)
+            c, c_rows, c_entries = random_monomial(rng, n)
+            live = (a @ c)[a_rows[c_rows], np.arange(n)]
+            ours = reps._monomial_products(a_entries[c_rows][None], c_entries[None])[0]
+            for j in np.flatnonzero((live.real != ours.real) | (live.imag != ours.imag)):
+                wrong.append((n, int(j), "main" if j < 4 * (n // 4) or n == 1 else "last"))
+    return wrong
+
+
+# The dense loop is the reference only on a BLAS kernel whose zgemm rounds
+# as the one the digests were recorded on; test_monomial_products_round_as_
+# the_live_zgemm says where another kernel departs.
+on_the_recording_kernel = pytest.mark.skipif(
+    zgemm_departures([2, 3, 5, 6, 7, 127], seed=0) != [],
+    reason="this BLAS kernel's zgemm rounds monomial products otherwise")
+
+
+def test_monomial_products_round_as_the_live_zgemm():
+    """reps._monomial_products against A @ B, for n = 1-70, 127-129 and 255-257.
+
+    The rule was measured on OpenBLAS's SkylakeX kernel, on which the golden
+    and reference digests were recorded: the main columns j < 4 * (n // 4)
+    unfused, the last n mod 4 fused.  Another kernel can round otherwise:
+    Sandybridge, which has no FMA, in the last columns, and Haswell in main
+    columns too.  There this test fails, and the monomial path still gives
+    the recording kernel's bits.
+    """
+    wrong = zgemm_departures([*range(1, 71), 127, 128, 129, 255, 256, 257], seed=26)
+    assert wrong == [], (f"{len(wrong)} entries differ, as (n, column, kind): "
+                         f"{sorted(set(wrong))[:12]}; zgemm no longer rounds as "
+                         "reps._monomial_products says")
+
+
+def barred_dense_loop(rep, pairs):
+    raise AssertionError("the relation check took the dense loop")
+
+
+def monomial_residual(monkeypatch, rep, pairs=None):
+    """projective_relation_check with its dense loop barred, so the monomial path answers."""
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_dense_relation_residual", barred_dense_loop)
+        return projective_relation_check(rep, pairs)
+
+
+def relation_mismatches(monkeypatch, rep, pairs=None):
+    """Pairs whose one-pair residual differs from the dense loop's, plus
+    "all" when the residual over every pair does; NaN equals NaN."""
+    every = pairs
+    if every is None:
+        els = rep.group.elements()
+        every = [(x, y) for x in els for y in els]
+    dense = reps._dense_relation_residual
+    wrong = [(x, y) for x, y in every if not same_bits(
+        monomial_residual(monkeypatch, rep, [(x, y)]), dense(rep, [(x, y)]))]
+    if not same_bits(monomial_residual(monkeypatch, rep, pairs), dense(rep, every)):
+        wrong.append("all")
+    return wrong
+
+
+def random_cocycle(rng, g, form):
+    """A random coboundary d rho, the quadratic perturbation of the trivial
+    cocycle, or the product of both with a random (non-cocycle) table."""
+    rho = dict(zip(g.elements(), np.exp(1j * rng.uniform(-math.pi, math.pi, g.order))))
+    rho[g.identity] = 1.0
+    coboundary = CoboundaryCocycle(g, rho.__getitem__)
+    bumped = perturb(trivial_cocycle(g), quadratic_phase(float(rng.uniform(0.05, 1.5)), g))
+    if form == "coboundary":
+        return coboundary
+    if form == "perturb":
+        return bumped
+    phases = rng.uniform(-math.pi, math.pi, (g.order, g.order))
+    phases[0, :] = phases[:, 0] = 0.0
+    return ProductCocycle([coboundary, bumped, TableCocycle(g, np.exp(1j * phases))])
+
+
+# Orders 1 and 4 to 11: every n mod 4, and n = 1.
+@on_the_recording_kernel
+@pytest.mark.parametrize("moduli", [(1,), (4,), (5,), (2, 3), (7,), (2, 4), (3, 3), (10,),
+                                    (11,)])
+@pytest.mark.parametrize("form", ["coboundary", "perturb", "product"])
+def test_regular_relation_residual_equals_the_dense_loop(monkeypatch, moduli, form):
+    g = FiniteAbelianGroup(moduli)
+    rep = regular_rep(random_cocycle(np.random.default_rng([g.order, len(form)]), g, form), g)
+    assert relation_mismatches(monkeypatch, rep) == []
+
+
+@on_the_recording_kernel
+def test_one_dimensional_relation_residual_equals_the_dense_loop(monkeypatch):
+    """n = 1 with random phases, x = y among the pairs."""
+    g = FiniteAbelianGroup((6,))
+    rng = np.random.default_rng(1)
+    for form in ("coboundary", "perturb", "product"):
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, g.order))
+        rep = ProjectiveRep(g, random_cocycle(rng, g, form),
+                            lambda x, phases=phases: np.array([[phases[x[0]]]]), 1)
+        assert relation_mismatches(monkeypatch, rep) == []
+
+
+@on_the_recording_kernel
+def test_tensor_and_ccr_relation_residuals_equal_the_dense_loop(monkeypatch):
+    rng = np.random.default_rng(2)
+    z2z2, z3 = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((3,))
+    tensors = [
+        [regular_rep(random_cocycle(rng, z2z2, "perturb"), z2z2), pauli_rep(), pauli_rep()],
+        [regular_rep(random_cocycle(rng, z3, form), z3) for form in ("coboundary", "product")],
+        [pauli_rep()] * 5,
+    ]
+    for factors in tensors:
+        assert relation_mismatches(monkeypatch, tensor_rep(factors)) == []
+    for a_moduli, b_moduli in [((3,), (2, 3)), ((2, 2), (5,)), ((4,), (7,)), ((2,), (3, 3))]:
+        table = random_table(rng, a_moduli, b_moduli)
+        rep = ccr_to_projective(ccr_pair(table, table.b_group))
+        assert relation_mismatches(monkeypatch, rep) == []
+
+
+@on_the_recording_kernel
+@pytest.mark.parametrize("block", [reps.RELATION_BLOCK_ENTRIES, 1, 100])
+def test_relation_residual_over_explicit_pairs_equals_the_dense_loop(monkeypatch, block):
+    """Groups past order 64, repeated pairs, pairs whose elements are not the
+    group's own tuples, and blocks of one pair or a few."""
+    monkeypatch.setattr(reps, "RELATION_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(3)
+    g = FiniteAbelianGroup((6, 15))
+    table = random_table(rng, (3, 3), (2, 5))
+    for rep in [regular_rep(random_cocycle(rng, g, "product"), g),
+                tensor_rep([regular_rep(random_cocycle(rng, g, "perturb"), g)]),
+                ccr_to_projective(ccr_pair(table, table.b_group))]:
+        els = rep.group.elements()
+        pairs = [(els[i], tuple(els[j])) for i, j in rng.integers(0, len(els), (40, 2))]
+        pairs += pairs[:3] + [(els[0], els[0]), (els[5], els[5])]
+        assert relation_mismatches(monkeypatch, rep, pairs) == []
+    assert monomial_residual(monkeypatch, rep, []) == 0.0
+
+
+@on_the_recording_kernel
+@pytest.mark.parametrize("budget", [reps.MATRIX_CACHE_BYTES, 0])
+def test_relation_residual_from_n_128_equals_the_dense_loop(monkeypatch, budget):
+    """Regular reps of orders 127 to 131, their matrices kept or built anew
+    on every call; library matrices are read only, so numpy never reuses
+    U(x y) in place."""
+    monkeypatch.setattr(reps, "MATRIX_CACHE_BYTES", budget)
+    rng = np.random.default_rng(4)
+    for order in range(127, 132):
+        g = FiniteAbelianGroup((order,))
+        rep = regular_rep(random_cocycle(rng, g, "perturb"), g)
+        els = g.elements()
+        pairs = [(els[i], els[j]) for i, j in rng.integers(0, order, (12, 2))]
+        assert relation_mismatches(monkeypatch, rep, pairs) == [], order
+
+
+def fresh_matrix_rep(rep):
+    """rep with every matrix a new writeable copy: numpy's unnamed temporary."""
+    return ProjectiveRep(rep.group, rep.cocycle, lambda x: np.array(rep.matrix(x)),
+                         rep.dimension)
+
+
+def elided_mismatches(monkeypatch):
+    """(n, pair) of each pair of fresh_matrix_rep on both sides of n = 128 whose
+    residual differs from the dense loop's."""
+    rng = np.random.default_rng(5)
+    wrong = []
+    for order in (126, 127, 128, 129):
+        g = FiniteAbelianGroup((order,))
+        rep = fresh_matrix_rep(regular_rep(random_cocycle(rng, g, "perturb"), g))
+        els = g.elements()
+        pairs = [(els[i], els[j]) for i, j in rng.integers(0, order, (12, 2))]
+        wrong += [(order, p) for p in relation_mismatches(monkeypatch, rep, pairs)]
+    return wrong
+
+
+@on_the_recording_kernel
+def test_relation_residual_of_fresh_matrices_equals_the_dense_loop(monkeypatch):
+    wrong = elided_mismatches(monkeypatch)
+    sides = {"n >= 128" if n >= 128 else "n < 128" for n, _ in wrong}
+    assert wrong == [], (f"{len(wrong)} pairs differ, at {sides}; differences from n = 128 "
+                         "on only mean numpy's elision threshold moved from "
+                         f"reps.ELISION_BYTES = {reps.ELISION_BYTES}")
+
+
+@on_the_recording_kernel
+def test_the_fresh_matrix_test_sees_a_moved_elision_threshold(monkeypatch):
+    monkeypatch.setattr(reps, "ELISION_BYTES", 1 << 62)
+    wrong = elided_mismatches(monkeypatch)
+    assert wrong and all(n >= 128 for n, _ in wrong)

@@ -228,22 +228,37 @@ def _monomial_columns(rep: ProjectiveRep, elements: Sequence[Element]
     elided = np.zeros(len(elements), dtype=bool)
     per = max(1, _STACK_BYTES // (16 * n * n))
     for lo in range(0, len(elements), per):
-        mats = []
-        for k, z in enumerate(elements[lo:lo + per], start=lo):
-            mat = rep.matrix(z)
-            if not (type(mat) is np.ndarray and mat.dtype == complex and mat.shape == (n, n)
-                    and mat.flags.c_contiguous):
-                return None
-            elided[k] = _elided(rep, z, mat)
-            mats.append(mat)
-        stack = np.stack(mats)
+        zs = elements[lo:lo + per]
+        mats = [rep.matrix(z) for z in zs]
+        columns = _monomial_stack(mats, n)
+        if columns is None:
+            return None
+        rows[lo:lo + len(zs)], entries[lo:lo + len(zs)] = columns
+        elided[lo:lo + len(zs)] = [_elided(rep, z, mat) for z, mat in zip(zs, mats)]
+    return rows, entries, elided
+
+
+def _monomial_stack(mats: Sequence[np.ndarray], n: int
+                    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The row index and the entry of the one non-zero in each column of each
+    matrix, as two (len(mats), n) arrays, stacking at most _STACK_BYTES of
+    matrices at a time; None unless every matrix is a C-ordered complex
+    n x n array with one non-zero per column."""
+    if not all(type(mat) is np.ndarray and mat.dtype == complex and mat.shape == (n, n)
+               and mat.flags.c_contiguous for mat in mats):
+        return None
+    rows = np.empty((len(mats), n), dtype=np.intp)
+    entries = np.empty((len(mats), n), dtype=complex)
+    per = max(1, _STACK_BYTES // (16 * n * n))
+    for lo in range(0, len(mats), per):
+        stack = np.stack(mats[lo:lo + per])
         nonzero = stack != 0
         if not (np.count_nonzero(nonzero, axis=1) == 1).all():
             return None
         at = np.argmax(nonzero, axis=1)
-        rows[lo:lo + len(mats)] = at
-        entries[lo:lo + len(mats)] = np.take_along_axis(stack, at[:, None, :], axis=1)[:, 0]
-    return rows, entries, elided
+        rows[lo:lo + len(stack)] = at
+        entries[lo:lo + len(stack)] = np.take_along_axis(stack, at[:, None, :], axis=1)[:, 0]
+    return rows, entries
 
 
 def _elided(rep: ProjectiveRep, z: Element, mat: np.ndarray) -> bool:
@@ -648,21 +663,115 @@ def _fell_plan(n: int, d: int) -> list[tuple[range, list[range]]]:
     return [(r, _runs(2 * len(r), _GIL_FREE_EIGENVALUES // dim + 1)) for r in rounds]
 
 
+def _intertwiner(blocks: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """W as a dense matrix: the block diagonal of the d x d blocks, in order."""
+    dim = len(blocks) * d
+    w = np.zeros((dim, dim), dtype=complex)
+    for i, block in enumerate(blocks):
+        w[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+    return w
+
+
+def _monomial_intertwiner(blocks: Sequence[np.ndarray], d: int
+                          ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """Per column of W = ``_intertwiner(blocks, d)``: its row index, its entry
+    and the row index of column c of W*, the column k with row c; then
+    max |W* W - 1|.  W* W is diagonal, with the one term conj(e_c) e_c of
+    entry c rounded as zgemm rounds it (``_monomial_products``).  None
+    unless the blocks are monomial (``_monomial_stack``), W has one non-zero
+    per row too, and the residual is finite; a non-finite entry never gives
+    a finite one."""
+    columns = _monomial_stack(blocks, d)
+    if columns is None:
+        return None
+    rows = (columns[0] + d * np.arange(len(blocks))[:, None]).ravel()
+    entries = columns[1].ravel()
+    cols = np.arange(rows.size)
+    back = np.zeros(rows.size, dtype=np.intp)
+    back[rows] = cols
+    if not (rows[back] == cols).all():
+        return None
+    with np.errstate(all="ignore"):  # an overflow takes the dense form, which warns
+        diagonal = _monomial_products(entries.conj()[None], entries[None])[0]
+        unitarity = float(np.max(np.abs(diagonal - 1.0)))
+    return (rows, entries, back, unitarity) if math.isfinite(unitarity) else None
+
+
+def _monomial_fell_residuals(w: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+                             mats: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                             n: int, d: int) -> Optional[list[float]]:
+    """``_dense_fell_residuals`` of the elements whose (lambda_u(x), V(x),
+    lambda_uv(x)) are ``mats``, bit for bit, in O(n d) each, from the columns
+    of W (``_monomial_intertwiner``).
+
+    Column j d + l of left = lambda_u(x) (x) V(x) holds a_j v_l
+    (``np.multiply``, as ``np.kron`` runs it) in row r_j d + s_l, with
+    (r_j, a_j) column j of lambda_u(x) and (s_l, v_l) column l of V(x).
+    W left and then (W left) W* keep one term per column, rounded as zgemm
+    rounds it (``_monomial_products``).  Column j d + l of right =
+    lambda_uv(x) (x) 1 holds b_j in row t_j d + l: b_j times eye's 1.0 can
+    differ from b_j only in the sign of a zero part, which |.| drops.  The
+    residual takes |p - b| where the rows of the two columns agree, and |p|
+    and |b| where they do not; every other entry is 0 - 0.  None unless the
+    matrices are monomial and every residual is finite; a non-finite entry
+    never gives a finite one.
+    """
+    w_rows, w_entries, back, _ = w
+    columns = [_monomial_stack([m[k] for m in mats], size) for k, size in enumerate((n, d, n))]
+    if None in columns:
+        return None
+    (ra, ea), (rv, ev), (rb, eb) = columns
+    count, dim = len(mats), n * d
+    left_rows = (ra[:, :, None] * d + rv[:, None, :]).reshape(count, dim)
+    same = w_rows[left_rows][:, back] == (rb[:, :, None] * d + np.arange(d)).reshape(count, dim)
+    with np.errstate(all="ignore"):  # an overflow takes the dense form, which warns
+        left = np.multiply(ea[:, :, None], ev[:, None, :]).reshape(count, dim)
+        wl = _monomial_products(w_entries[left_rows], left)
+        p = _monomial_products(wl[:, back], w_entries[back].conj()[None])
+        right = np.repeat(eb, d, axis=1)
+        res = np.maximum(np.max(np.abs(np.where(same, p - right, p)), axis=1),
+                         np.max(np.where(same, 0.0, np.abs(right)), axis=1))
+    return res.tolist() if np.isfinite(res).all() else None
+
+
+def _dense_fell_residuals(w: np.ndarray, count: int,
+                          product: Callable[[int, np.ndarray], np.ndarray]) -> list[float]:
+    """|W left W* - right| for elements 0 to count - 1 of a round, whose left
+    and right Kronecker products ``product(2 k, out)`` and
+    ``product(2 k + 1, out)`` write, with two dim x dim products each.
+
+    Keep the expressions as written: zgemm's rounding sets the last bits.
+    right and |.| reuse the slot of W left.
+    """
+    left, p1 = np.empty((2, *w.shape), dtype=complex)
+    w_adj = w.conj().T
+    out = []
+    for m in range(0, 2 * count, 2):
+        np.matmul(w, product(m, left), out=p1)
+        np.matmul(p1, w_adj, out=left)
+        np.subtract(left, product(m + 1, p1), out=left)
+        out.append(float(np.max(np.abs(left, out=p1.real))))
+    return out
+
+
 def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
     """Verify W (lambda_u(x) tensor V(x)) W* = lambda_{uv}(x) tensor 1.
 
     W sends f tensor psi to the function x -> f(x) V(x^{-1}) psi, i.e. the
     block diagonal matrix with blocks V(g^{-1}) in the element basis.
 
-    The calling thread reads every matrix, in element order, one round of
-    ``_fell_plan`` at a time.  ``parallel.map_ordered`` then shares the round
-    out: one call computes its residuals with ``matmul(..., out=)``, and one
-    call per stack fills the stack with Kronecker products (``np.multiply``
-    as ``np.kron`` calls it) and takes their eigenvalues in one ``eigvals``
-    call, which frees the GIL.  The spectra are matched on the calling
-    thread.  Each eigvals, zgemm and multiply sees the operands the
-    one-element loop gave it, so the report has the same bits on any number
-    of CPUs.
+    The calling thread reads every matrix in the one-element loop's order:
+    the blocks of W, then one round of ``_fell_plan`` at a time.  When they
+    are monomial, W is kept as its columns and each residual costs O(dim)
+    (``_monomial_fell_residuals``); any other input, a non-finite entry or
+    a non-finite residual takes the dense forms ``_dense_fell_residuals``
+    and ``unitarity_residual``, with the same bits.  ``parallel.map_ordered``
+    then shares out the round's eigvals stacks: one call per stack fills the
+    stack with Kronecker products (``np.multiply`` as ``np.kron`` calls it)
+    and takes their eigenvalues in one ``eigvals`` call, which frees the
+    GIL.  Residuals and spectral matches are computed on the calling thread.
+    Each eigvals, zgemm and multiply sees the operands the one-element loop
+    gave it, so the report has the same bits on any number of CPUs.
     """
     g = vrep.group
     if u.group != g:
@@ -674,14 +783,12 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
     lam_u = regular_rep(u, g)
     lam_uv = regular_rep(ProductCocycle([u, vrep.cocycle]), g)
     els = g.elements()
-    w = np.zeros((dim, dim), dtype=complex)
-    for i, el in enumerate(els):
-        w[i * d:(i + 1) * d, i * d:(i + 1) * d] = vrep.matrix(g.neg(el))
-    w_adj = w.conj().T
+    blocks = [vrep.matrix(g.neg(el)) for el in els]
+    monomial_w = _monomial_intertwiner(blocks, d)
+    w = None
     eye = np.eye(d)
     plan = _fell_plan(n, d)
-    # Each thread's buffer holds the widest stack, or the residuals' two matrices.
-    depth = max(2, *(len(stack) for _, stacks in plan for stack in stacks))
+    depth = max(len(stack) for _, stacks in plan for stack in stacks)
     rows = []
     worst_res = 0.0
     worst_spec = 0.0
@@ -697,26 +804,18 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
             np.multiply(a[:, None, :, None], v[None, :, None, :], out=out.reshape(n, d, n, d))
             return out
 
-        def residuals(buf: np.ndarray) -> list[float]:
-            """|W left W* - right| per element; right and |.| reuse the slot of W left."""
-            left, p1 = buf[:2]
-            out = []
-            for m in range(0, 2 * len(mats), 2):
-                np.matmul(w, product(m, left), out=p1)
-                np.matmul(p1, w_adj, out=left)
-                np.subtract(left, product(m + 1, p1), out=left)
-                out.append(float(np.max(np.abs(left, out=p1.real))))
-            return out
-
         def spectra(buf: np.ndarray, stack: range) -> np.ndarray:
             for k, m in enumerate(stack):
                 product(m, buf[k])
             return np.linalg.eigvals(buf[:len(stack)])
 
-        res, *found = map_ordered(
-            lambda buf, j: spectra(buf, stacks[j - 1]) if j else residuals(buf),
-            1 + len(stacks), lambda: np.empty((depth, dim, dim), dtype=complex), blas=True)
-        eig = np.concatenate(found)
+        res = None if monomial_w is None else _monomial_fell_residuals(monomial_w, mats, n, d)
+        if res is None:
+            w = _intertwiner(blocks, d) if w is None else w
+            res = _dense_fell_residuals(w, len(mats), product)
+        eig = np.concatenate(map_ordered(
+            lambda buf, j: spectra(buf, stacks[j]), len(stacks),
+            lambda: np.empty((depth, dim, dim), dtype=complex), blas=True))
         for k, i in enumerate(elements):
             spec = spectral_multiset_distance(eig[2 * k], eig[2 * k + 1])
             rows.append((els[i], res[k], spec))
@@ -727,6 +826,7 @@ def fell_absorption_check(u: Cocycle, vrep: ProjectiveRep) -> FellReport:
         rep_dimension=d,
         max_residual=worst_res,
         max_spectral_distance=worst_spec,
-        intertwiner_unitarity=unitarity_residual(w),
+        intertwiner_unitarity=(unitarity_residual(w) if monomial_w is None
+                               else monomial_w[3]),
         per_element=tuple(rows),
     )

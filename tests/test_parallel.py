@@ -10,6 +10,7 @@ change in the last bit with BLAS's own thread count.
 
 import ast
 import copy
+import json
 import sys
 import threading
 import time
@@ -24,14 +25,17 @@ from hypothesis import strategies as st
 
 import test_report_golden as golden
 from perfbench_support import DENSE_REPS_SEEDS, blas_threads, load_scenarios, one_blas_thread
+from test_reps import on_the_recording_kernel
 from twistlab import cli, parallel, reps
-from twistlab.cocycles import ProductCocycle, TableCocycle
+from twistlab.cocycles import ProductCocycle, TableCocycle, pauli_cocycle
 from twistlab.groups import FiniteAbelianGroup
 from twistlab.reps import (
     FellReport,
     ProjectiveRep,
     fell_absorption_check,
+    pauli_rep,
     regular_rep,
+    tensor_rep,
     unitarity_residual,
 )
 
@@ -310,6 +314,175 @@ def test_matrices_and_matching_stay_on_the_calling_thread():
     assert got[1] == expected[1] and len(got[1]) == 4 * g.order
     assert got[2] == expected[2] == {caller}
     assert got[3] == expected[3] == g.order
+
+
+# --- the monomial Fell residuals against the loop ---
+
+
+def barred(*args):
+    raise AssertionError("the Fell check formed a dense W or a dim x dim product")
+
+
+def monomial_fell(u, vrep):
+    """fell_absorption_check with its dense residuals and dense W barred, so
+    the monomial path answers."""
+    with patch.multiple(reps, _dense_fell_residuals=barred, _intertwiner=barred,
+                        unitarity_residual=barred):
+        return fell_absorption_check(u, vrep)
+
+
+def assert_monomial_fell_equals_the_loop(u, vrep):
+    got, expected = monomial_fell(u, vrep), fell_loop(u, vrep)
+    assert [r for _, r, _ in got.per_element] == [r for _, r, _ in expected.per_element]
+    assert got.intertwiner_unitarity == expected.intertwiner_unitarity
+    assert repr(got) == repr(expected)
+
+
+@on_the_recording_kernel
+def test_the_cli_fell_scenarios_keep_their_reports_with_the_dense_forms_barred(
+        dense_reps_defaults):
+    """The CLI builds Pauli and regular reps: every golden and dense-reps Fell
+    scenario answers from the monomial path, with the same report."""
+    for name, command, params, n_max, _ in GOLDEN_FELLS:
+        doc = {"command": command, "params": params, "schema": 1, "horizons": {"n_max": n_max}}
+        assert golden._digest(through_cli(command, doc)(monomial_fell)) == golden.DIGESTS[name]
+    for seed, index, scenario in DENSE_REPS_FELLS:
+        assert through_cli("fell", scenario.doc)(monomial_fell) == dense_reps_defaults[seed][index]
+
+
+def random_monomial_rep(group, d, rng):
+    """A map from the group to random d x d monomial unitaries."""
+    mats = {}
+    for x in group.elements():
+        mat = np.zeros((d, d), dtype=complex)
+        mat[rng.permutation(d), np.arange(d)] = np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+        mats[x] = mat
+    return ProjectiveRep(group, random_table(group, rng), mats.__getitem__, d)
+
+
+# Dimensions n^2 = 4, 9, 25, 36, 49, 225 and 256.
+@on_the_recording_kernel
+@pytest.mark.parametrize("moduli", [(2,), (3,), (5,), (2, 3), (7,), (3, 5), (4, 4)])
+def test_regular_fell_residuals_equal_the_loop(moduli):
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(list(moduli))
+    assert_monomial_fell_equals_the_loop(random_table(g, rng),
+                                         regular_rep(random_table(g, rng), g))
+
+
+@on_the_recording_kernel
+def test_tensor_and_pauli_fell_residuals_equal_the_loop():
+    """d != n: dimensions 8 and 32 over Z2xZ2, 27 over Z3 and 125 over Z5."""
+    rng = np.random.default_rng(29)
+    z2z2, z3, z5 = (FiniteAbelianGroup(m) for m in ((2, 2), (3,), (5,)))
+    for u, vrep in [
+        (pauli_cocycle(), pauli_rep()),
+        (random_table(z2z2, rng), pauli_rep()),
+        (random_table(z2z2, rng),
+         tensor_rep([pauli_rep(), regular_rep(random_table(z2z2, rng), z2z2)])),
+        (random_table(z3, rng), tensor_rep([regular_rep(random_table(z3, rng), z3)] * 2)),
+        (random_table(z5, rng), tensor_rep([regular_rep(random_table(z5, rng), z5)] * 2)),
+    ]:
+        assert_monomial_fell_equals_the_loop(u, vrep)
+
+
+# Dimensions 6, 6, 14, 15 and 258 (dim mod 4 = 2 and 3), d = 1 among them;
+# with no matrix kept, each round holds one element.
+@on_the_recording_kernel
+@pytest.mark.parametrize("budget", [reps.MATRIX_CACHE_BYTES, 0])
+@pytest.mark.parametrize("moduli,d", [((3,), 2), ((2, 3), 1), ((7,), 2), ((5,), 3), ((6,), 43)])
+def test_monomial_fell_residuals_equal_the_loop(moduli, d, budget):
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng([g.order, d])
+    u, vrep = random_table(g, rng), random_monomial_rep(g, d, rng)
+    with patch.object(reps, "MATRIX_CACHE_BYTES", budget):
+        assert_monomial_fell_equals_the_loop(u, vrep)
+
+
+@on_the_recording_kernel
+def test_fell_residuals_of_entries_off_the_unit_circle_equal_the_loop():
+    """lambda_uv entries of modulus 2 where the rows of W left W* and of
+    right disagree: the residual reads |right| there, not |W left W*|."""
+    g = FiniteAbelianGroup((5,))
+    rng = np.random.default_rng(37)
+    u, vrep = random_table(g, rng), random_monomial_rep(g, 3, rng)
+    vrep.cocycle.table = vrep.cocycle.table * 2.0  # past TableCocycle's modulus check
+    assert max(r for _, r, _ in fell_loop(u, vrep).per_element) > 2.0
+    assert_monomial_fell_equals_the_loop(u, vrep)
+
+
+def fell_inputs(case, rng):
+    """(u, vrep) over Z2xZ3 that the monomial path must refuse."""
+    g = FiniteAbelianGroup((2, 3))
+    u = random_table(g, rng)
+    if case == "qr":
+        return u, random_rep(g, 5, rng)
+    vrep = random_monomial_rep(g, 5, rng)
+    m = vrep.matrix((1, 2))
+    if case in ("nan", "inf", "huge"):
+        m[m != 0] *= {"nan": np.nan, "inf": np.inf, "huge": 1e200}[case]
+    elif case == "not onto":
+        m[0] = m.sum(axis=0)
+        m[1:] = 0
+    elif case == "overflow":
+        # finite matrices whose residual overflows
+        table = np.array(u.table)
+        table[3, 4] = complex(1.7e308, 1.7e308)
+        u.table = table  # past TableCocycle's modulus check
+    elif case == "nan cocycle":
+        # finite matrices; lambda_uv takes the NaN, W does not
+        table = np.array(vrep.cocycle.table)
+        table[3, 4] = np.nan
+        vrep = ProjectiveRep(g, TableCocycle(g, table), vrep.matrix, 5)
+    return u, vrep
+
+
+@pytest.mark.parametrize("case", ["qr", "nan", "inf", "huge", "not onto", "overflow",
+                                  "nan cocycle"])
+def test_other_input_takes_the_dense_residuals_and_answers_as_the_loop(case):
+    """Non-monomial matrices, a NaN or infinite entry, entries whose products
+    overflow, a W with an empty row, a residual past the float range, and a
+    NaN cocycle value: each takes
+    _dense_fell_residuals, and gives the loop's per-element residuals and
+    unitarity, or raises its error."""
+    def run(check):
+        try:
+            report = check(*fell_inputs(case, np.random.default_rng(31)))
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+        return repr([r for _, r, _ in report.per_element]), repr(report.intertwiner_unitarity)
+
+    calls = []
+    dense = reps._dense_fell_residuals
+
+    def recorded(*args):
+        calls.append(args[1])
+        return dense(*args)
+
+    expected = run(fell_loop)
+    with patch.object(reps, "_dense_fell_residuals", recorded):
+        assert run(fell_absorption_check) == expected
+    assert sum(calls) >= 1
+
+
+def fell_residuals(seed):
+    """[per-element residuals, intertwiner_unitarity] of each of the seed's
+    dense-reps Fell reports."""
+    reports = [json.loads(cli.run_scenario(copy.deepcopy(s.doc), s.command))["result"]
+               for s in load_scenarios().generate("dense-reps", seed) if s.command == "fell"]
+    return [[[e["residual"] for e in r["per_element"]], r["intertwiner_unitarity"]]
+            for r in reports]
+
+
+def test_fell_residuals_do_not_depend_on_the_blas_kernel():
+    """On a kernel without FMA the residuals keep the recording kernel's
+    bits; the spectral distances still follow LAPACK's."""
+    found = golden.replay_without_fma("from test_parallel import fell_residuals\n"
+                                      "print(json.dumps({'unfused': unfused, "
+                                      "'fells': fell_residuals(0)}))")
+    # the child's zgemm really rounds differently from the FMA kernels
+    assert found["unfused"] > 0
+    assert found["fells"] == fell_residuals(0)
 
 
 @pytest.mark.parametrize("threads", THREAD_COUNTS)

@@ -1135,10 +1135,11 @@ def test_failure_messages_match_golden_digest(name, command, params, horizons):
 # BLAS calls that the kernel picks.
 NON_FMA_BLAS_CASES = ("tensor-three", "ccr-table-b-larger", "ccr-table-sampled", "ccr-pauli")
 
-_NON_FMA_REPLAY = """
+# Child code that counts the entries of 20 diagonal products in which the
+# live zgemm departs from reps._monomial_products, as ``unfused``.
+NON_FMA_PROBE = """
 import json
 import numpy as np
-import test_report_golden as golden
 from twistlab import reps
 
 rng = np.random.default_rng(0)
@@ -1147,21 +1148,31 @@ for _ in range(20):
     a, c = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 3)))
     live = np.diag(a) @ np.diag(c)
     unfused += int(np.count_nonzero(np.diag(live) != reps._monomial_products(a[None], c[None])[0]))
+"""
+
+_NON_FMA_REPLAY = """
+import test_report_golden as golden
+
 cases = {case[0]: case for case in golden.CASES}
 print(json.dumps({"unfused": unfused, "digests": {
     name: golden._digest(golden._report(*cases[name][1:4])) for name in NAMES}}))
 """
 
 
-def test_relation_cases_keep_their_digests_on_a_blas_kernel_without_fma():
+def replay_without_fma(code):
+    """The last line that NON_FMA_PROBE followed by code prints, read as JSON,
+    from a child process on OpenBLAS's Sandybridge kernel, which has no FMA."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    code = f"NAMES = {NON_FMA_BLAS_CASES!r}\n" + _NON_FMA_REPLAY
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", NON_FMA_PROBE + code], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    found = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_relation_cases_keep_their_digests_on_a_blas_kernel_without_fma():
+    found = replay_without_fma(f"NAMES = {NON_FMA_BLAS_CASES!r}\n" + _NON_FMA_REPLAY)
     # the child's zgemm really rounds differently from the FMA kernels
     assert found["unfused"] > 0
     assert found["digests"] == {name: DIGESTS[name] for name in NON_FMA_BLAS_CASES}

@@ -935,17 +935,36 @@ def random_monomial(rng, n):
     return mat, rows, entries
 
 
-def zgemm_departures(sizes, seed, trials=3):
-    """(n, column, kind) of each entry of A @ B, for random unit monomials A
-    and B, that reps._monomial_products rounds otherwise; kind is "main" for
-    the columns j < 4 * (n // 4) (all of them at n = 1), else "last"."""
+def adjoint(monomial):
+    """(M*, row index per column, entry per column) of a random_monomial M."""
+    mat, rows, entries = monomial
+    back = np.argsort(rows)
+    return mat.conj().T, back, entries[back].conj()
+
+
+# (A, B, A B as the live zgemm computes it) from two random unit monomials
+# A and M: A @ M as the relation check had it, and the Fell check's
+# np.matmul(P1, W*, out=...) and W* @ W, whose left or right operand is
+# F-ordered.
+LAYOUTS = {
+    "A @ M": lambda a, m: (a, m, a[0] @ m[0]),
+    "matmul(A, M*, out=)": lambda a, m: (a, adjoint(m), np.matmul(a[0], m[0].conj().T,
+                                                                  out=np.empty_like(a[0]))),
+    "M* @ M": lambda a, m: (adjoint(m), m, m[0].conj().T @ m[0]),
+}
+
+
+def zgemm_departures(sizes, seed, layout="A @ M", trials=3):
+    """(n, column, kind) of each entry of A B in the layout, for random unit
+    monomials, that reps._monomial_products rounds otherwise; kind is "main"
+    for the columns j < 4 * (n // 4) (all of them at n = 1), else "last"."""
     rng = np.random.default_rng(seed)
     wrong = []
     for n in sizes:
         for _ in range(trials):
-            a, a_rows, a_entries = random_monomial(rng, n)
-            c, c_rows, c_entries = random_monomial(rng, n)
-            live = (a @ c)[a_rows[c_rows], np.arange(n)]
+            (_, a_rows, a_entries), (_, c_rows, c_entries), live = LAYOUTS[layout](
+                random_monomial(rng, n), random_monomial(rng, n))
+            live = live[a_rows[c_rows], np.arange(n)]
             ours = reps._monomial_products(a_entries[c_rows][None], c_entries[None])[0]
             for j in np.flatnonzero((live.real != ours.real) | (live.imag != ours.imag)):
                 wrong.append((n, int(j), "main" if j < 4 * (n // 4) or n == 1 else "last"))
@@ -972,6 +991,18 @@ def test_monomial_products_round_as_the_live_zgemm():
     """
     wrong = zgemm_departures([*range(1, 71), 127, 128, 129, 255, 256, 257], seed=26)
     assert wrong == [], (f"{len(wrong)} entries differ, as (n, column, kind): "
+                         f"{sorted(set(wrong))[:12]}; zgemm no longer rounds as "
+                         "reps._monomial_products says")
+
+
+@pytest.mark.parametrize("layout", ["matmul(A, M*, out=)", "M* @ M"])
+def test_monomial_products_round_as_the_live_zgemm_in_the_fell_layouts(layout):
+    """The column rule in the Fell check's products, n = 1-70, 127-129, 225
+    and 255-257: (W left) W* into a buffer, with W* F-ordered on the right,
+    and the intertwiner's W* W, with W* F-ordered on the left."""
+    wrong = zgemm_departures([*range(1, 71), 127, 128, 129, 225, 255, 256, 257], seed=27,
+                             layout=layout)
+    assert wrong == [], (f"{len(wrong)} entries of {layout} differ, as (n, column, kind): "
                          f"{sorted(set(wrong))[:12]}; zgemm no longer rounds as "
                          "reps._monomial_products says")
 

@@ -29,7 +29,6 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from functools import reduce
 from itertools import islice, product
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
@@ -51,15 +50,16 @@ from .cocycles import (
     ProductCocycle,
     TableBilinear,
     UnsupportedVariantError,
+    _unit_phases,
     bilinearity_residual,
     check_cocycle_identity,
     geometric_matrix_sequence,
     lift_bilinear,
+    normalization_residual,
     pauli_cocycle,
     pauli_sigma,
     perturb,
     quadratic_phase,
-    residual_max,
     sample_triples,
     sign_cocycle_z2,
     trivial_cocycle,
@@ -690,9 +690,7 @@ def _run_check_cocycle(params: dict, ctx: RunContext) -> HandlerOutput:
     rng = ctx.rng()
     triples = sample_triples(u.group, count, bound, rng)
     residual = check_cocycle_identity(u, triples)
-    e = u.group.identity
-    normalization = reduce(residual_max, (abs(u.value(a, b) - 1.0) for x, _, _ in triples
-                                          for a, b in ((e, x), (x, e))), 0.0)
+    normalization = normalization_residual(u, [x for x, _, _ in triples])
     return HandlerOutput(result={
         "bound": bound,
         "cocycle_residual": residual,
@@ -773,21 +771,6 @@ def _scalar_values(params: dict, ctx: RunContext) -> tuple[
     if error is not None:
         raise error
     return _unit_phases(theta), model
-
-
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """cmath.exp(1j * theta) per angle, bit for bit.
-
-    Python forms 1j * theta as complex(0.0 * theta - 0.0, 0.0 + theta), so
-    theta = -0.0 gets imaginary part +0.0.  For finite theta the exponential
-    is complex(cos, sin) of that imaginary part, and nan+nanj otherwise;
-    np.cos and np.sin equal math.cos and math.sin and give both.
-    """
-    phases = np.empty(theta.size, dtype=complex)
-    with np.errstate(invalid="ignore"):
-        phases.real = np.cos(0.0 + theta)
-        phases.imag = np.sin(0.0 + theta)
-    return phases
 
 
 def _run_converge(params: dict, ctx: RunContext) -> HandlerOutput:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import eft
 from .groups import (
     Element,
     FiniteAbelianGroup,
@@ -55,6 +56,89 @@ def residual_max(worst: float, value: float) -> float:
     return value if value > worst or value != value else worst
 
 
+def _unit_phases(theta) -> np.ndarray:
+    """cmath.exp(1j * theta) per angle, bit for bit, in the shape of theta.
+
+    Python forms 1j * theta as complex(0.0 * theta - 0.0, 0.0 + theta), so
+    theta = -0.0 gets imaginary part +0.0.  For finite theta the exponential
+    is complex(cos, sin) of that imaginary part, and nan+nanj otherwise;
+    np.cos and np.sin equal math.cos and math.sin and give both.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phases = np.empty(theta.shape, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        phases.real = np.cos(0.0 + theta)
+        phases.imag = np.sin(0.0 + theta)
+    return phases
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise over complex arrays, as CPython multiplies two complex
+    numbers: re = ar br - ai bi and im = ar bi + ai br, each product rounded
+    on its own (numpy's complex multiply may fuse them)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+# OpenBLAS's ddot adds up to 15 terms in one forward chain of fused
+# multiply-adds; from 16 on its vector kernel keeps several partial sums.
+_DOT_CHAIN_MAX = 15
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float(np.dot(a[k], b[k])) for each k of two float arrays whose last
+    axes have equal length p (the others broadcast), bit for bit.
+
+    np.dot returns OpenBLAS's ddot, which gives the plain product a_0 b_0
+    for p = 1 and runs d = fma(a_j, b_j, d) from d = +0 for j = 0, ..., p - 1
+    while p <= _DOT_CHAIN_MAX; longer rows call np.dot, one row at a time.
+    """
+    p = a.shape[-1]
+    if p != b.shape[-1]:
+        raise ValueError(f"rows of length {p} and {b.shape[-1]} have no dot product")
+    if p == 1:
+        return a[..., 0] * b[..., 0]
+    if p > _DOT_CHAIN_MAX:
+        a, b = np.broadcast_arrays(a, b)
+        return np.array([np.dot(x, y) for x, y in zip(a.reshape(-1, p), b.reshape(-1, p))]
+                        ).reshape(a.shape[:-1])
+    d = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for j in range(p):
+        d = eft.fma(a[..., j], b[..., j], d)
+    return d
+
+
+def _distinct(points: Sequence[Element]) -> tuple[list[Element], np.ndarray]:
+    """The distinct points in order of first appearance, and the position of
+    each point among them."""
+    rows: dict = {}
+    slots = np.array([rows.setdefault(p, len(rows)) for p in points], dtype=np.intp)
+    return list(rows), slots
+
+
+def _stacked_images(image: Callable[[Element], np.ndarray], points: Sequence[Element],
+                    rank: int) -> np.ndarray:
+    """image(p) of each point p, computed once per distinct point, one row each."""
+    distinct, slots = _distinct(points)
+    return np.array([image(p) for p in distinct], dtype=float).reshape(len(distinct), rank)[slots]
+
+
+def _lattice_points(elements) -> Optional[np.ndarray]:
+    """Elements of a lattice as the rows of an int64 array, or None when one
+    is past 2^60 in a coordinate or not a point of equal rank: sums of up to
+    four of them then stay inside int64."""
+    try:
+        pts = np.array(elements, dtype=np.int64)
+    except (OverflowError, ValueError):
+        return None
+    bound = 1 << 60
+    if pts.ndim < 2 or ((pts > bound) | (pts < -bound)).any():
+        return None
+    return pts
+
+
 def canonicalize_phases(a) -> np.ndarray:
     """Map phase entries into (-pi, pi] by subtracting multiples of 2 pi."""
     arr = np.asarray(a, dtype=float)
@@ -71,6 +155,22 @@ class Cocycle:
 
     def value(self, x: Element, y: Element) -> complex:
         raise NotImplementedError
+
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        """value(points[i], points[j]) for each pair (i, j) of the index arrays
+        xi and yi (they broadcast), with the bits of ``value``.
+
+        ``points`` defaults to ``group.elements()`` on a finite group; on a
+        lattice it is an (m, rank) integer array of coordinates.  The base
+        class calls ``value`` once per pair, in order; variants override
+        this with array passes.
+        """
+        xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=np.intp), np.asarray(yi, dtype=np.intp))
+        els = (self.group.elements() if points is None
+               else [tuple(p) for p in np.asarray(points).tolist()])
+        out = np.array([self.value(els[i], els[j])
+                        for i, j in zip(xi.ravel().tolist(), yi.ravel().tolist())], dtype=complex)
+        return out.reshape(xi.shape)
 
     def __call__(self, x: Element, y: Element) -> complex:
         return self.value(x, y)
@@ -91,16 +191,38 @@ class MatrixCocycle(Cocycle):
     def sup_entry_norm(self) -> float:
         return float(np.max(np.abs(self.matrix))) if self.matrix.size else 0.0
 
+    def image(self, y: Element) -> np.ndarray:
+        """A y, the vector that x.(A y) dots x against."""
+        return self.matrix @ np.asarray(y, dtype=float)
+
     def phase(self, x: Element, y: Element) -> float:
         if len(x) != self.group.rank or len(y) != self.group.rank:
             raise GroupMismatchError(
                 f"arguments must have {self.group.rank} coordinates")
-        c = self.matrix @ np.asarray(y, dtype=float)
-        return float(np.dot(np.asarray(x, dtype=float), c))
+        return float(np.dot(np.asarray(x, dtype=float), self.image(y)))
+
+    def phases(self, xi, yi, points) -> np.ndarray:
+        """phase(points[i], points[j]) per pair of the index arrays, bit for
+        bit: ``image`` once per distinct point j, then ``_dot_rows``."""
+        pts = np.asarray(points)
+        if pts.ndim != 2 or pts.shape[1] != self.group.rank:
+            raise GroupMismatchError(f"arguments must have {self.group.rank} coordinates")
+        xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=np.intp), np.asarray(yi, dtype=np.intp))
+        images = _stacked_images(self.image, [tuple(p) for p in pts[yi.ravel()].tolist()],
+                                 self.group.rank)
+        return _dot_rows(pts[xi.ravel()].astype(float), images).reshape(xi.shape)
 
     def value(self, x: Element, y: Element) -> complex:
         t = self.phase(x, y)
         return complex(math.cos(t), math.sin(t))
+
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        if points is None:
+            raise GroupMismatchError("a lattice cocycle needs the points its indices read")
+        t = self.phases(xi, yi, points)
+        out = np.empty(t.shape, dtype=complex)
+        out.real, out.imag = np.cos(t), np.sin(t)
+        return out
 
     def __repr__(self) -> str:
         return f"MatrixCocycle({self.matrix.tolist()!r})"
@@ -136,6 +258,12 @@ class TableCocycle(Cocycle):
     def value(self, x: Element, y: Element) -> complex:
         return complex(self.table[self.group.index(x), self.group.index(y)])
 
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        if points is not None:
+            return super().values(xi, yi, points)
+        # A broadcast table (trivial_cocycle) stays one entry: this only gathers.
+        return self.table[np.asarray(xi, dtype=np.intp), np.asarray(yi, dtype=np.intp)]
+
     def __repr__(self) -> str:
         return f"TableCocycle(order={self.group.order})"
 
@@ -151,12 +279,55 @@ class CoboundaryCocycle(Cocycle):
         self.group = group
         self.rho = rho
         self.label = label
+        # complex(rho(x)) by element index, filled as values() reaches elements
+        self._rho_values: Optional[np.ndarray] = None
+        self._rho_known: Optional[np.ndarray] = None
 
     def value(self, x: Element, y: Element) -> complex:
         e = self.group.identity
         if x == e or y == e:
             return 1.0 + 0.0j
         return complex(self.rho(x)) * complex(self.rho(y)) * complex(self.rho(self.group.add(x, y))).conjugate()
+
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        """rho(x) rho(y) conj(rho(x + y)) in CPython's order (``_products``),
+        and exactly 1 where x or y is the identity.  rho runs once per
+        distinct element the call reaches; on a finite group its values are
+        kept for later calls."""
+        xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=np.intp), np.asarray(yi, dtype=np.intp))
+        g = self.group
+        if isinstance(g, FiniteAbelianGroup):
+            if points is not None:
+                return super().values(xi, yi, points)
+            moved = (xi != 0) & (yi != 0)  # index 0 is the identity
+            x, y = xi[moved], yi[moved]
+            rho = self._rho_at(np.concatenate([x, y, g.add_indices(x, y)]))
+        else:
+            pts = np.asarray(points)
+            xs, ys = pts[xi.ravel()], pts[yi.ravel()]
+            moved = (xs.any(axis=1) & ys.any(axis=1)).reshape(xi.shape)
+            xs, ys = xs[moved.ravel()], ys[moved.ravel()]
+            reached, slots = _distinct([tuple(p) for p in np.concatenate([xs, ys, xs + ys]).tolist()])
+            rho = np.array([complex(self.rho(p)) for p in reached], dtype=complex)[slots]
+        rx, ry, rz = np.split(rho, 3)
+        out = np.ones(xi.shape, dtype=complex)
+        out[moved] = _products(_products(rx, ry), rz.conj())
+        return out
+
+    def _rho_at(self, indices: np.ndarray) -> np.ndarray:
+        """complex(rho(x)) for each element index, each computed once per instance."""
+        if self._rho_values is None:
+            self._rho_values = np.empty(self.group.order, dtype=complex)
+            self._rho_known = np.zeros(self.group.order, dtype=bool)
+        # a mask, not np.unique, which imports numpy.ma (about 1.5 MB) on first use
+        reached = np.zeros(self.group.order, dtype=bool)
+        reached[indices] = True
+        missing = np.flatnonzero(reached & ~self._rho_known)
+        if missing.size:
+            els = self.group.elements()
+            self._rho_values[missing] = [complex(self.rho(els[i])) for i in missing.tolist()]
+            self._rho_known[missing] = True
+        return self._rho_values[indices]
 
     def __repr__(self) -> str:
         return f"CoboundaryCocycle({self.label or 'rho'})"
@@ -180,6 +351,15 @@ class ProductCocycle(Cocycle):
         out = 1.0 + 0.0j
         for f in self.factors:
             out *= f.value(x, y)
+        return out
+
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        """The factors' values folded from 1 in factor order, as ``value``
+        multiplies them (``_products``)."""
+        out = None
+        for f in self.factors:
+            v = f.values(xi, yi, points)
+            out = _products(np.ones(v.shape, dtype=complex) if out is None else out, v)
         return out
 
     def __repr__(self) -> str:
@@ -240,17 +420,69 @@ def sign_cocycle_z2() -> TableCocycle:
 def check_cocycle_identity(u: Cocycle, triples: Sequence[tuple[Element, Element, Element]]) -> float:
     """Max residual |u(x,y) u(xy,z) - u(y,z) u(x,yz)| over the triples.
 
-    On a finite group each distinct value is computed once; lattice samples
-    seldom repeat a pair, so their values are computed as they come.
+    The four values of every triple come from one ``values`` call, over
+    element indices on a finite group and over the coordinates of x, y, z,
+    x + y and y + z on a lattice.  Products run in CPython's order
+    (``_products``), ``np.hypot`` stands for ``abs``, and NaN wins the
+    maximum, so the result has the bits of ``_pointwise_cocycle_identity``,
+    which answers for lattice points past 2^60.
     """
+    triples = list(triples)
     g = u.group
-    value = cache(u.value) if isinstance(g, FiniteAbelianGroup) else u.value
+    call = _value_call(g, [p for t in triples for p in t])
+    if call is None:
+        return _pointwise_cocycle_identity(u, triples)
+    indices, points = call
+    x, y, z = indices.reshape(-1, 3).T
+    if points is None:
+        xy, yz = g.add_indices(x, y), g.add_indices(y, z)
+    else:
+        points = np.concatenate([points, points[x] + points[y], points[y] + points[z]])
+        xy, yz = np.arange(3 * len(triples), 5 * len(triples)).reshape(2, -1)
+    a, b, c, d = np.split(u.values(np.concatenate([x, xy, y, x]),
+                                   np.concatenate([y, z, z, yz]), points), 4)
+    lhs, rhs = _products(a, b), _products(c, d)
+    return float(np.max(np.hypot(lhs.real - rhs.real, lhs.imag - rhs.imag), initial=0.0))
+
+
+def _pointwise_cocycle_identity(u: Cocycle, triples: Sequence[tuple[Element, Element, Element]]
+                                ) -> float:
+    """``check_cocycle_identity`` with one ``value`` call per term."""
+    g = u.group
     worst = 0.0
     for x, y, z in triples:
-        lhs = value(x, y) * value(g.add(x, y), z)
-        rhs = value(y, z) * value(x, g.add(y, z))
+        lhs = u.value(x, y) * u.value(g.add(x, y), z)
+        rhs = u.value(y, z) * u.value(x, g.add(y, z))
         worst = residual_max(worst, abs(lhs - rhs))
     return worst
+
+
+def normalization_residual(u: Cocycle, elements: Sequence[Element]) -> float:
+    """Max |u(e, x) - 1| and |u(x, e) - 1| over the elements x, from one
+    ``values`` call, with ``np.hypot`` for ``abs`` and a maximum that NaN
+    wins; one ``value`` call per term for lattice points past 2^60."""
+    g = u.group
+    elements = list(elements)
+    call = _value_call(g, [g.identity] + elements)
+    if call is None:
+        return reduce(residual_max, (abs(u.value(a, b) - 1.0) for x in elements
+                                     for a, b in ((g.identity, x), (x, g.identity))), 0.0)
+    xi, points = call
+    e = np.full(len(elements), xi[0])
+    d = u.values(np.concatenate([e, xi[1:]]), np.concatenate([xi[1:], e]), points) - 1.0
+    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
+
+
+def _value_call(group: Group, elements: Sequence[Element]
+                ) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """(indices, points) under which ``Cocycle.values`` reads the elements:
+    their indices and None on a finite group; on a lattice their positions
+    in the int64 coordinate array ``_lattice_points`` makes of them, or None
+    when it makes none."""
+    if isinstance(group, FiniteAbelianGroup):
+        return np.array([group.index(x) for x in elements], dtype=np.intp), None
+    points = _lattice_points(elements)
+    return None if points is None else (np.arange(len(points)), points)
 
 
 def sample_triples(group: Group, count: int, bound: int, rng) -> tuple[tuple[Element, Element, Element], ...]:
@@ -388,14 +620,18 @@ class MatrixBilinear:
         """D b, the vector that sigma(a, b) dots a against for every a."""
         return self.d @ np.asarray(b, float)
 
-    def phase(self, a: Element, b: Element, image: Optional[np.ndarray] = None) -> float:
-        """a . (D b); a caller holding image = self.image(b) skips the product."""
-        if image is None:
-            image = self.image(b)
-        return float(np.dot(np.asarray(a, float), image))
+    def phase(self, a: Element, b: Element) -> float:
+        """a . (D b)."""
+        return float(np.dot(np.asarray(a, float), self.image(b)))
 
     def value(self, a: Element, b: Element) -> complex:
         return cmath.exp(1j * self.phase(a, b))
+
+    def phase_array(self, a: Sequence[Element], b: Sequence[Element]) -> np.ndarray:
+        """phase(a[k], b[k]) for each k, bit for bit: ``image`` once per
+        distinct b, then ``_dot_rows``."""
+        images = _stacked_images(self.image, [tuple(y) for y in b], self.a_rank)
+        return _dot_rows(np.array(a, dtype=float).reshape(len(a), self.a_rank), images)
 
 
 class TableBilinear:
@@ -418,6 +654,12 @@ class TableBilinear:
     def value(self, a: Element, b: Element) -> complex:
         return cmath.exp(1j * self.phase(a, b))
 
+    def phase_array(self, a: Sequence[Element], b: Sequence[Element]) -> np.ndarray:
+        """phase(a[k], b[k]) for each k, gathered from the table."""
+        a_index, b_index = self.a_group.index, self.b_group.index
+        return self.phases[np.array([a_index(tuple(x)) for x in a], dtype=np.intp),
+                           np.array([b_index(tuple(y)) for y in b], dtype=np.intp)]
+
 
 BilinearMap = Union[MatrixBilinear, TableBilinear]
 
@@ -429,29 +671,49 @@ def pauli_sigma() -> TableBilinear:
 
 
 def bilinearity_residual(sigma: BilinearMap, samples) -> float:
-    """Max deviation of sigma from multiplicativity in each slot over sample pairs.
-
-    sigma is evaluated once per distinct (a, b) of the call.
-    """
+    """Max deviation of sigma from multiplicativity in each slot over sample pairs."""
     if isinstance(sigma, TableBilinear):
         return _table_bilinearity_residual(sigma, samples)
-    value = cache(sigma.value)
+    return _matrix_bilinearity_residual(sigma, samples)
+
+
+def _matrix_bilinearity_residual(sigma: MatrixBilinear, samples) -> float:
+    """The pointwise maximum of ``bilinearity_residual``, from one
+    ``phase_array`` call over the five pairs (a, b), (a + a', b), (a', b),
+    (a, b + b') and (a, b') of every sample, exponentiated as ``value``
+    does (``_unit_phases``), and folded by ``_bilinearity_fold``."""
+    samples = list(samples)
+    if not samples:
+        return 0.0
+    a, ap, b, bp = (list(part) for part in zip(*samples))
+    left = a + [sigma.a_group.add(x, y) for x, y in zip(a, ap)] + ap + a + a
+    right = b + b + b + [sigma.b_group.add(x, y) for x, y in zip(b, bp)] + bp
+    return _bilinearity_fold(*_unit_phases(sigma.phase_array(left, right)).reshape(5, -1))
+
+
+def _bilinearity_fold(ab: np.ndarray, a_whole: np.ndarray, a_part: np.ndarray,
+                      b_whole: np.ndarray, b_part: np.ndarray) -> float:
+    """max |sigma(whole) - sigma(a, b) * sigma(part)| over both slots of
+    every sample, from value arrays in sample order.
+
+    The complex arithmetic runs on real arrays in CPython's order
+    (``_products`` and separate differences), ``np.hypot`` stands for
+    ``abs``, and the maximum is one that NaN wins, as in the pointwise fold.
+    """
     worst = 0.0
-    for (a, ap, b, bp) in samples:
-        ab = value(a, b)
-        worst = residual_max(worst, abs(value(sigma.a_group.add(a, ap), b) - ab * value(ap, b)))
-        worst = residual_max(worst, abs(value(a, sigma.b_group.add(b, bp)) - ab * value(a, bp)))
+    for whole, part in ((a_whole, a_part), (b_whole, b_part)):
+        prod = _products(ab, part)
+        dist = np.hypot(whole.real - prod.real, whole.imag - prod.imag)
+        worst = residual_max(worst, float(np.max(dist, initial=0.0)))
     return worst
 
 
 def _table_bilinearity_residual(sigma: TableBilinear, samples) -> float:
     """The pointwise maximum above, from index arrays into the phase table.
 
-    Each table entry the samples reach is exponentiated once, by
-    ``cmath.exp`` as ``value`` does.  The complex arithmetic runs on real
-    arrays in CPython's order: separate products and differences (numpy's
-    complex multiply may fuse them), ``np.hypot`` for ``abs``, and a maximum
-    that NaN wins, as in the pointwise fold.
+    Each table entry the samples reach is exponentiated once, with the
+    bits of ``cmath.exp`` that ``value`` uses (``_unit_phases``), and
+    ``_bilinearity_fold`` takes the maximum.
     """
     a_index, b_index = sigma.a_group.index, sigma.b_group.index
     # One flat list, not a tuple per sample: 4,096 tuples fragmented the heap
@@ -468,17 +730,8 @@ def _table_bilinearity_residual(sigma: TableBilinear, samples) -> float:
         reached[c] = True
     entries = np.flatnonzero(reached)
     values = np.zeros(sigma.phases.size, dtype=complex)
-    values[entries] = [cmath.exp(1j * t) for t in sigma.phases.ravel()[entries].tolist()]
-    re, im = values.real, values.imag
-    ab_re, ab_im = re[cells[0]], im[cells[0]]
-    worst = 0.0
-    for whole, part in ((cells[1], cells[2]), (cells[3], cells[4])):
-        # |sigma(whole) - sigma(a, b) * sigma(part)|
-        prod_re = ab_re * re[part] - ab_im * im[part]
-        prod_im = ab_re * im[part] + ab_im * re[part]
-        dist = np.hypot(re[whole] - prod_re, im[whole] - prod_im)
-        worst = residual_max(worst, float(np.max(dist, initial=0.0)))
-    return worst
+    values[entries] = _unit_phases(sigma.phases.ravel()[entries])
+    return _bilinearity_fold(*(values[c] for c in cells))
 
 
 def lift_bilinear(d) -> MatrixCocycle:
@@ -506,8 +759,7 @@ class BilinearCocycle(Cocycle):
 
     def __init__(self, sigma: TableBilinear) -> None:
         for edge in (sigma.phases[0, :], sigma.phases[:, 0]):
-            values = np.array([cmath.exp(1j * t) for t in edge.tolist()])
-            if np.max(np.abs(values - 1.0)) > 1e-12:
+            if np.max(np.abs(_unit_phases(edge) - 1.0)) > 1e-12:
                 raise ConstructionError("table must be normalized at the identity")
         self.sigma = sigma
         self.group = FiniteAbelianGroup(sigma.a_group.moduli + sigma.b_group.moduli)
@@ -515,6 +767,16 @@ class BilinearCocycle(Cocycle):
     def value(self, x: Element, y: Element) -> complex:
         p = self.sigma.a_group.rank
         return self.sigma.value(y[:p], x[p:]).conjugate()
+
+    def values(self, xi, yi, points=None) -> np.ndarray:
+        """conj(exp(i phases[a2, b1])), read from the index of x = (a1, b1)
+        modulo the order of B and the index of y = (a2, b2) divided by it."""
+        if points is not None:
+            return super().values(xi, yi, points)
+        width = self.sigma.b_group.order
+        t = self.sigma.phases[np.asarray(yi, dtype=np.intp) // width,
+                              np.asarray(xi, dtype=np.intp) % width]
+        return _unit_phases(t).conj()
 
     def __repr__(self) -> str:
         return f"BilinearCocycle(order={self.group.order})"

@@ -25,6 +25,9 @@ from .cocycles import (
     MatrixBilinear,
     ProductCocycle,
     TableBilinear,
+    _dot_rows,
+    _products,
+    _unit_phases,
     canonicalize_phases,
     flatten_matrix_cocycle,
     pauli_cocycle,
@@ -62,7 +65,7 @@ def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element) -> np.
     """Dense matrix of lambda_u(x) in the fixed element basis.
 
     Column g holds u(-(x + g), x) in row x + g: one scatter from the group's
-    index tables, with one ``value`` call per column in column order.
+    index tables of one ``values`` call over the columns, in column order.
     """
     if not isinstance(group, FiniteAbelianGroup):
         raise GroupMismatchError("dense regular representation needs a finite group")
@@ -71,10 +74,10 @@ def regular_rep_matrix(u: Cocycle, group: FiniteAbelianGroup, x: Element) -> np.
     n = group.order
     _check_dimension("group order", n)
     cols = np.arange(n)
-    rows = group.add_indices(group.index(group.require(x)), cols)
-    els = group.elements()
+    xi = group.index(group.require(x))
+    rows = group.add_indices(xi, cols)
     mat = np.zeros((n, n), dtype=complex)
-    mat[rows, cols] = [u.value(els[k], x) for k in group.neg_indices(rows).tolist()]
+    mat[rows, cols] = u.values(group.neg_indices(rows), xi)
     mat.setflags(write=False)
     return mat
 
@@ -141,6 +144,8 @@ def pauli_rep() -> ProjectiveRep:
 ELISION_BYTES = 1 << 18
 # Entries of U(x) U(y) that one block of pairs of the monomial relation check holds.
 RELATION_BLOCK_ENTRIES = 1 << 14
+# Entries of the phase rows of a CCR pair computed in one array pass.
+PHASE_BLOCK_ENTRIES = 1 << 15
 # Bytes of matrices stacked at once to find the non-zero of each column.
 _STACK_BYTES = 1 << 22
 
@@ -174,7 +179,7 @@ def projective_relation_check(rep: ProjectiveRep,
             return _dense_relation_residual(rep, pairs)
         xi = np.array([g.index(g.require(x)) for x, _ in pairs], dtype=np.intp)
         yi = np.array([g.index(g.require(y)) for _, y in pairs], dtype=np.intp)
-    s = np.array([rep.cocycle.value(x, y) for x, y in pairs], dtype=complex)
+    s = rep.cocycle.values(xi, yi)
     used, slots = np.unique(np.stack([xi, yi, g.add_indices(xi, yi)]).ravel(),
                             return_inverse=True)
     els = g.elements()
@@ -278,12 +283,10 @@ def _monomial_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     CPython's order, re = ar cr - ai ci and im = ar ci + ai cr, except in the
     last n mod 4 columns for n >= 2, where re = fma(ar, cr, -(ai ci)) and
     im = fma(ar, ci, ai cr)."""
-    ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
-    out = np.empty(a.shape, dtype=complex)
-    out.real = ar * cr - ai * ci
-    out.imag = ar * ci + ai * cr
+    out = _products(a, c)
     n = a.shape[1]
     if n > 1 and n % 4:
+        ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
         t = np.s_[:, 4 * (n // 4):]
         out.real[t] = eft.fma(ar[t], cr[t], -(ai[t] * ci[t]))
         out.imag[t] = eft.fma(ar[t], ci[t], ai[t] * cr[t])
@@ -481,9 +484,9 @@ class CCRPair:
         return np.indices(self._shape).reshape(len(self._shape), -1)
 
     @cached_property
-    def _images(self) -> list[np.ndarray]:
-        """D y per basis point y of a matrix sigma."""
-        return [self.sigma.image(y) for y in self.basis]
+    def _images(self) -> np.ndarray:
+        """D y per basis point y of a matrix sigma, one row each."""
+        return np.array([self.sigma.image(y) for y in self.basis])
 
     def targets(self, b: Element) -> np.ndarray:
         """Basis index of y + b for each basis point y: the group's index law on
@@ -503,24 +506,36 @@ class CCRPair:
         return idx
 
     def phases(self, a: Element) -> np.ndarray:
-        """sigma(a, y) for each basis point y, as MatrixBilinear / TableBilinear.value computes it.
-
-        A table row is read whole: ccr_pair makes the basis the b group's
-        elements, in the table's column order.
-        """
+        """sigma(a, y) for each basis point y, with the bits of MatrixBilinear / TableBilinear.value."""
         key = tuple(a)
         row = self._phase_rows.get(key)
         if row is None:
-            sigma = self.sigma
-            if isinstance(sigma, TableBilinear):
-                angles = sigma.phases[sigma.a_group.index(key)].tolist()
-            else:
-                av = np.asarray(key, float)
-                angles = [sigma.phase(av, y, image) for y, image in zip(self.basis, self._images)]
-            row = np.array([cmath.exp(1j * t) for t in angles])
-            row.setflags(write=False)
-            self._phase_rows[key] = row
+            self._add_phase_rows([key])
+            row = self._phase_rows[key]
         return row
+
+    def _add_phase_rows(self, keys: Sequence[Element]) -> None:
+        """Compute and keep the phase rows of the distinct keys not kept yet.
+
+        A table row is read whole: ccr_pair makes the basis the b group's
+        elements, in the table's column order.  A matrix row is a . (D y)
+        per basis point (``cocycles._dot_rows``), over blocks of rows of
+        about PHASE_BLOCK_ENTRIES entries.  Both are exponentiated by
+        ``_unit_phases``.
+        """
+        keys = list(dict.fromkeys(k for k in keys if k not in self._phase_rows))
+        sigma = self.sigma
+        per = max(1, PHASE_BLOCK_ENTRIES // self.dimension)
+        for lo in range(0, len(keys), per):
+            block = keys[lo:lo + per]
+            if isinstance(sigma, TableBilinear):
+                angles = sigma.phases[[sigma.a_group.index(k) for k in block]]
+            else:
+                av = np.array(block, dtype=float).reshape(len(block), -1)
+                angles = _dot_rows(av[:, None, :], self._images)
+            rows = _unit_phases(angles)
+            rows.setflags(write=False)
+            self._phase_rows.update(zip(block, rows))
 
     def clock(self, a: Element) -> np.ndarray:
         return np.diag(self.phases(a))
@@ -547,12 +562,17 @@ class CCRPair:
         bits are those of the old c[:, None] * w - s * (w * c), which numpy ran
         as (w * c) * s from ELISION_BYTES on: under FMA the operand order sets
         the last bit.  A non-finite c or s made that form NaN (0 * nan) even
-        where no point moves.
+        where no point moves.  The clock rows of the samples' distinct a, and
+        every s, come from array passes with the bits of ``sigma.value``.
         """
+        samples = [(tuple(a), tuple(b)) for a, b in samples]
+        self._add_phase_rows([a for a, _ in samples])
+        sigma_ab = _unit_phases(self.sigma.phase_array([a for a, _ in samples],
+                                                        [b for _, b in samples])).tolist()
         swapped = 16 * self.dimension ** 2 >= ELISION_BYTES
         worst = 0.0
-        for a, b in samples:
-            c, t, s = self.phases(a), self.targets(b), self.sigma.value(a, b)
+        for (a, b), s in zip(samples, sigma_ab):
+            c, t = self.phases(a), self.targets(b)
             cols = np.flatnonzero(t >= 0)
             right = np.multiply(c[cols], s) if swapped else np.multiply(s, c[cols])
             finite = cmath.isfinite(s) and np.isfinite(c).all()
@@ -602,8 +622,9 @@ def spectral_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     NaN never does, a row with no finite unmatched distance takes its first
     unmatched column, and the running maximum skips NaNs.
 
-    Each row takes one argmin over a working copy in which NaN reads as +inf
-    and every matched column is +inf.
+    Each row takes one argmin over its distances, with NaN read as +inf,
+    plus a penalty row that is +inf at the matched columns and 0.0 at the
+    others, which adds exactly.
     """
     if a.shape != b.shape:
         raise ValueError("spectra must have equal size")
@@ -611,19 +632,21 @@ def spectral_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     dist = np.hypot(diff.real, diff.imag)
     nan = np.isnan(dist)
     work = np.where(nan, np.inf, dist)
+    penalty = np.zeros(dist.shape[1])
     free = np.ones(dist.shape[1], dtype=bool)
     first = 0
     worst = 0.0
     for i, row in enumerate(work):
         k = first
         if not nan[i, first]:
+            row = row + penalty
             k = int(np.argmin(row))
             if row[k] == np.inf:
                 k = first
         d = dist[i, k]
         if d > worst:
             worst = d
-        work[i + 1:, k] = np.inf
+        penalty[k] = np.inf
         free[k] = False
         while first < free.size - 1 and not free[first]:
             first += 1

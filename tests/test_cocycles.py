@@ -292,7 +292,7 @@ def test_pauli_sigma_values():
     assert bilinearity_residual(s, [((1,), (1,), (1,), (1,))]) < 1e-12
 
 
-def test_bilinearity_residual_evaluates_sigma_once_per_distinct_pair(monkeypatch):
+def test_bilinearity_residual_computes_each_image_once_and_no_value(monkeypatch):
     sigma = MatrixBilinear(np.array([[0.3, -1.1], [0.7, 0.2]]))
     rng = np.random.default_rng(4)
     samples = [tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(4))
@@ -303,14 +303,17 @@ def test_bilinearity_residual_evaluates_sigma_once_per_distinct_pair(monkeypatch
             sigma.value(sigma.a_group.add(a, ap), b) - sigma.value(a, b) * sigma.value(ap, b)))
         expected = max(expected, abs(
             sigma.value(a, sigma.b_group.add(b, bp)) - sigma.value(a, b) * sigma.value(a, bp)))
-    calls = []
-    value = MatrixBilinear.value
-    monkeypatch.setattr(MatrixBilinear, "value",
-                        lambda self, a, b: calls.append((a, b)) or value(self, a, b))
+    calls = {"value": [], "image": []}
+    for name in calls:
+        method = getattr(MatrixBilinear, name)
+        monkeypatch.setattr(MatrixBilinear, name, lambda self, *args, _name=name, _method=method:
+                            calls[_name].append(args) or _method(self, *args))
     assert bilinearity_residual(sigma, samples) == expected
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {pair for (a, ap, b, bp) in samples for pair in (
-        (a, b), (ap, b), (a, bp), (sigma.a_group.add(a, ap), b), (a, sigma.b_group.add(b, bp)))}
+    assert calls["value"] == []
+    images = [b for (b,) in calls["image"]]
+    assert len(images) == len(set(images))
+    assert set(images) == {y for (a, ap, b, bp) in samples
+                           for y in (b, bp, sigma.b_group.add(b, bp))}
 
 
 def nan_max(worst, value):

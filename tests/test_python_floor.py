@@ -1,6 +1,7 @@
 """Every library module parses under the oldest Python that pyproject.toml admits,
-the certificate modules add floats the same way on every Python, and no
-module raises floats to powers through numpy's own SIMD kernel."""
+the certificate modules add floats the same way on every Python, no module
+raises floats to powers through numpy's own SIMD kernel, and none
+exponentiates phases one comprehension entry at a time."""
 
 import ast
 import re
@@ -47,6 +48,19 @@ def test_library_never_calls_numpy_power(path):
             if isinstance(node, ast.Attribute) and node.attr == "power"
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert uses == [], f"{path.name} uses np.power on lines {uses}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_never_exponentiates_in_a_comprehension(path):
+    # One cmath.exp call per entry is the per-entry Python loop that
+    # cocycles._unit_phases replaces, with the same bits, by one array pass.
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    calls = sorted({node.lineno for comp in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(comp, comprehensions) for node in ast.walk(comp)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "cmath"})
+    assert calls == [], f"{path.name} calls cmath.exp in a comprehension on lines {calls}"
 
 
 def _object_array_builders(path):

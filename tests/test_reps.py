@@ -513,7 +513,7 @@ def test_pair_memos_match_the_dense_oracle_bit_for_bit(case):
     assert len(pair._target_rows) == len(set(b_samples))
 
 
-def test_matrix_phase_runs_once_per_distinct_a_and_basis_point(monkeypatch):
+def test_matrix_phase_rows_run_once_per_distinct_a_and_images_once_per_point(monkeypatch):
     pair, a_samples, b_samples = memo_pairs()[0]
     counts = {"phase": 0, "image": 0}
     for name in counts:
@@ -524,14 +524,19 @@ def test_matrix_phase_runs_once_per_distinct_a_and_basis_point(monkeypatch):
             return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(MatrixBilinear, name, counted)
+    rows = []
+    dot_rows = reps._dot_rows
+    monkeypatch.setattr(reps, "_dot_rows", lambda a, b: rows.append(len(a)) or dot_rows(a, b))
     for a in a_samples * 3:
         pair.phases(a)
         pair.clock(a)
-    assert counts == {"phase": len(set(a_samples)) * pair.dimension, "image": pair.dimension}
-    # The relation adds one sigma(a, b) per sample and no phase row.
+    assert counts == {"phase": 0, "image": pair.dimension}
+    assert sum(rows) == len(set(a_samples))
+    # The relation adds one image per distinct sample b, and no phase row.
     samples = list(zip(a_samples, b_samples))
     pair.relation_residual(samples)
-    assert counts["phase"] == len(set(a_samples)) * pair.dimension + len(samples)
+    assert counts == {"phase": 0, "image": pair.dimension + len(set(b_samples))}
+    assert sum(rows) == len(set(a_samples))
 
 
 @pytest.mark.parametrize("case", range(2))

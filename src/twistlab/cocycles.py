@@ -118,25 +118,29 @@ def _distinct(points: Sequence[Element]) -> tuple[list[Element], np.ndarray]:
     return list(rows), slots
 
 
-def _stacked_images(image: Callable[[Element], np.ndarray], points: Sequence[Element],
-                    rank: int) -> np.ndarray:
-    """image(p) of each point p, computed once per distinct point, one row each."""
-    distinct, slots = _distinct(points)
-    return np.array([image(p) for p in distinct], dtype=float).reshape(len(distinct), rank)[slots]
+def _gemv_rows(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix @ v for each row v of the (k, q) float array vectors, bit for bit.
+
+    np.matmul over the stack of (q, 1) columns makes the same BLAS gemv call
+    per row, in numpy's C loop, as ``matrix @ v`` does for one vector.  Pass
+    the matrix itself, never a copy: its memory layout picks the kernel's
+    loop, and so the bits.
+    """
+    return np.matmul(matrix, vectors[:, :, None])[:, :, 0]
 
 
 def _lattice_points(elements) -> Optional[np.ndarray]:
-    """Elements of a lattice as the rows of an int64 array, or None when one
-    is past 2^60 in a coordinate or not a point of equal rank: sums of up to
-    four of them then stay inside int64."""
+    """Elements of a lattice as the rows of an int64 array, or None when a
+    coordinate is not an integer or is past 2^60, or the elements are not
+    points of equal rank: sums of up to four of them then stay inside int64."""
     try:
-        pts = np.array(elements, dtype=np.int64)
-    except (OverflowError, ValueError):
+        pts = np.array(elements)
+    except ValueError:
         return None
     bound = 1 << 60
-    if pts.ndim < 2 or ((pts > bound) | (pts < -bound)).any():
+    if pts.dtype.kind not in "iu" or pts.ndim < 2 or ((pts > bound) | (pts < -bound)).any():
         return None
-    return pts
+    return pts.astype(np.int64)
 
 
 def canonicalize_phases(a) -> np.ndarray:
@@ -203,13 +207,13 @@ class MatrixCocycle(Cocycle):
 
     def phases(self, xi, yi, points) -> np.ndarray:
         """phase(points[i], points[j]) per pair of the index arrays, bit for
-        bit: ``image`` once per distinct point j, then ``_dot_rows``."""
+        bit: the images of the points j as ``image`` computes them
+        (``_gemv_rows``), then ``_dot_rows``."""
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != self.group.rank:
             raise GroupMismatchError(f"arguments must have {self.group.rank} coordinates")
         xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=np.intp), np.asarray(yi, dtype=np.intp))
-        images = _stacked_images(self.image, [tuple(p) for p in pts[yi.ravel()].tolist()],
-                                 self.group.rank)
+        images = _gemv_rows(self.matrix, pts[yi.ravel()].astype(float))
         return _dot_rows(pts[xi.ravel()].astype(float), images).reshape(xi.shape)
 
     def value(self, x: Element, y: Element) -> complex:
@@ -480,7 +484,7 @@ def _value_call(group: Group, elements: Sequence[Element]
     in the int64 coordinate array ``_lattice_points`` makes of them, or None
     when it makes none."""
     if isinstance(group, FiniteAbelianGroup):
-        return np.array([group.index(x) for x in elements], dtype=np.intp), None
+        return group.indices(elements), None
     points = _lattice_points(elements)
     return None if points is None else (np.arange(len(points)), points)
 
@@ -627,10 +631,11 @@ class MatrixBilinear:
     def value(self, a: Element, b: Element) -> complex:
         return cmath.exp(1j * self.phase(a, b))
 
-    def phase_array(self, a: Sequence[Element], b: Sequence[Element]) -> np.ndarray:
-        """phase(a[k], b[k]) for each k, bit for bit: ``image`` once per
-        distinct b, then ``_dot_rows``."""
-        images = _stacked_images(self.image, [tuple(y) for y in b], self.a_rank)
+    def phase_array(self, a, b) -> np.ndarray:
+        """phase(a[k], b[k]) for each k of two sequences of points or integer
+        arrays with a point per row, bit for bit: the images of the b as
+        ``image`` computes them (``_gemv_rows``), then ``_dot_rows``."""
+        images = _gemv_rows(self.d, np.array(b, dtype=float).reshape(len(b), self.b_rank))
         return _dot_rows(np.array(a, dtype=float).reshape(len(a), self.a_rank), images)
 
 
@@ -656,9 +661,8 @@ class TableBilinear:
 
     def phase_array(self, a: Sequence[Element], b: Sequence[Element]) -> np.ndarray:
         """phase(a[k], b[k]) for each k, gathered from the table."""
-        a_index, b_index = self.a_group.index, self.b_group.index
-        return self.phases[np.array([a_index(tuple(x)) for x in a], dtype=np.intp),
-                           np.array([b_index(tuple(y)) for y in b], dtype=np.intp)]
+        return self.phases[self.a_group.indices(list(map(tuple, a))),
+                           self.b_group.indices(list(map(tuple, b)))]
 
 
 BilinearMap = Union[MatrixBilinear, TableBilinear]
@@ -685,9 +689,17 @@ def _matrix_bilinearity_residual(sigma: MatrixBilinear, samples) -> float:
     samples = list(samples)
     if not samples:
         return 0.0
-    a, ap, b, bp = (list(part) for part in zip(*samples))
-    left = a + [sigma.a_group.add(x, y) for x, y in zip(a, ap)] + ap + a + a
-    right = b + b + b + [sigma.b_group.add(x, y) for x, y in zip(b, bp)] + bp
+    columns = list(zip(*samples))
+    points = [_lattice_points(part) for part in columns]
+    if any(p is None for p in points):
+        # a coordinate past 2^60 or not an integer: sums of Python numbers
+        a, ap, b, bp = (list(part) for part in columns)
+        left = a + [sigma.a_group.add(x, y) for x, y in zip(a, ap)] + ap + a + a
+        right = b + b + b + [sigma.b_group.add(x, y) for x, y in zip(b, bp)] + bp
+    else:
+        a, ap, b, bp = points
+        left = np.concatenate([a, a + ap, ap, a, a])
+        right = np.concatenate([b, b, b, b + bp, bp])
     return _bilinearity_fold(*_unit_phases(sigma.phase_array(left, right)).reshape(5, -1))
 
 
@@ -715,12 +727,17 @@ def _table_bilinearity_residual(sigma: TableBilinear, samples) -> float:
     bits of ``cmath.exp`` that ``value`` uses (``_unit_phases``), and
     ``_bilinearity_fold`` takes the maximum.
     """
-    a_index, b_index = sigma.a_group.index, sigma.b_group.index
-    # One flat list, not a tuple per sample: 4,096 tuples fragmented the heap
-    # and raised the process's peak RSS by about 0.5 MB.
-    a, b, ap, bp = np.array([i for a, ap, b, bp in samples
-                             for i in (a_index(a), b_index(b), a_index(ap), b_index(bp))],
-                            dtype=np.intp).reshape(-1, 4).T
+    samples = list(samples)
+    columns = list(zip(*samples)) or [()] * 4
+    try:
+        a, ap = (sigma.a_group.indices(columns[k]) for k in (0, 1))
+        b, bp = (sigma.b_group.indices(columns[k]) for k in (2, 3))
+    except GroupMismatchError:
+        # name the first stray element in sample order, a, b, a', b' within one
+        for x, xp, y, yp in samples:
+            sigma.a_group.index(x), sigma.b_group.index(y)
+            sigma.a_group.index(xp), sigma.b_group.index(yp)
+        raise
     width = sigma.b_group.order
     # flat table cells of (a, b), (a + a', b), (a', b), (a, b + b') and (a, b')
     cells = [a * width + b, sigma.a_group.add_indices(a, ap) * width + b, ap * width + b,

@@ -30,6 +30,7 @@ from .cocycles import (
     CocycleSequence,
     ConstructionError,
     TWO_PI,
+    _gemv_rows,
     canonicalize_phases,
     flatten_matrix_cocycle,
 )
@@ -508,7 +509,8 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
             raise GroupMismatchError(
                 f"matrix shape {flat.shape} does not match box rank {box.rank}")
         reach = np.array([max(abs(o), abs(o + box.side)) for o in box.offset], dtype=float)
-        cbar = np.abs(flat) @ np.abs(np.asarray(elements, dtype=float)).T
+        xs = np.asarray(elements, dtype=float)
+        cbar = np.abs(flat) @ np.abs(xs).T
         bounds = np.minimum(2.0, reach @ cbar) * (1.0 + 1e-9) + 1e-300
         if not np.isfinite(bounds).all():
             bounds[:] = np.inf  # a NaN bound has no place in the order
@@ -520,9 +522,9 @@ def box_sup_distance(u: Cocycle, box: FolnerBox, elements: Sequence[Element],
             take = min(size, batch_cap)
             batch = order[pos:pos + take]
             batch = batch[bounds[batch] >= best]
-            # One gemv per element: a batched gemm can differ from it in the
-            # last bit of the coefficients, and so of the sup.
-            coeffs = np.array([flat @ np.asarray(elements[i], dtype=float) for i in batch])
+            # One gemv per element (_gemv_rows): a batched gemm can differ from
+            # it in the last bit of the coefficients, and so of the sup.
+            coeffs = _gemv_rows(flat, xs[batch])
             k = len(batch)
             grid = coeffs[:, 0, None] * ys[0]
             for j in range(1, box.rank):

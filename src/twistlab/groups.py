@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as cartesian
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -177,6 +177,17 @@ class FiniteAbelianGroup:
         except KeyError:
             raise GroupMismatchError(f"{x!r} is not an element of {self}") from None
 
+    def indices(self, elements: Sequence[Element]) -> np.ndarray:
+        """index(x) for each element x, as one intp array filled in C from the
+        index table; the first stray element raises index's GroupMismatchError."""
+        try:
+            return np.fromiter(map(_index_of(self.moduli).__getitem__, elements),
+                               dtype=np.intp, count=len(elements))
+        except KeyError:
+            for x in elements:
+                self.index(x)
+            raise
+
     def add_indices(self, i, j) -> np.ndarray:
         """Index of x + y for index arrays i of x and j of y (they broadcast)."""
         out = 0
@@ -307,4 +318,4 @@ def sample_elements(group: Group, count: int, bound: int, rng) -> tuple[Element,
     else:
         cols = [rng.integers(0, k, size=count) for k in group.moduli]
         arr = np.stack(cols, axis=1)
-    return tuple(tuple(int(c) for c in row) for row in arr)
+    return tuple(map(tuple, arr.tolist()))

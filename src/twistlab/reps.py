@@ -26,6 +26,7 @@ from .cocycles import (
     ProductCocycle,
     TableBilinear,
     _dot_rows,
+    _gemv_rows,
     _products,
     _unit_phases,
     canonicalize_phases,
@@ -457,6 +458,8 @@ class CCRPair:
     only, for the life of the pair; a dense matrix is built only on request.
     On a window, translations drop the basis points that exit; the relation
     holds entrywise, and boundary_deficit / unitarity_defect report the loss.
+    relation_residual keeps the clock rows of its samples and the count of
+    points each of its b pushes off, not their target rows.
     """
 
     sigma: Union[MatrixBilinear, TableBilinear]
@@ -464,6 +467,7 @@ class CCRPair:
     b_domain: BDomain
     _phase_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _target_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _deficits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -485,8 +489,10 @@ class CCRPair:
 
     @cached_property
     def _images(self) -> np.ndarray:
-        """D y per basis point y of a matrix sigma, one row each."""
-        return np.array([self.sigma.image(y) for y in self.basis])
+        """D y per basis point y of a matrix sigma, one row each, with the bits
+        of ``sigma.image`` (``_gemv_rows``)."""
+        return _gemv_rows(self.sigma.d, np.array(self.basis, dtype=float)
+                          .reshape(self.dimension, self.sigma.b_rank))
 
     def targets(self, b: Element) -> np.ndarray:
         """Basis index of y + b for each basis point y: the group's index law on
@@ -494,15 +500,25 @@ class CCRPair:
         key = tuple(b)
         idx = self._target_rows.get(key)
         if idx is None:
-            d = self.b_domain
-            if self.truncated:
-                moved = self._coords + np.array(key)[:, None]
-                idx = np.ravel_multi_index(moved, self._shape, mode="clip")
-                idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
-            else:
-                idx = d.add_indices(d.index(d.element(key)), np.arange(self.dimension))
+            idx = self._target_block([key])[0]
             idx.setflags(write=False)
             self._target_rows[key] = idx
+        return idx
+
+    def _target_block(self, keys: Sequence[Element]) -> np.ndarray:
+        """targets(b) for each of the (one or more) keys b, one row each, from
+        one index pass; keeps how many points each b pushes off."""
+        d = self.b_domain
+        if self.truncated:
+            shifts = np.array(keys).reshape(len(keys), d.rank)
+            moved = self._coords[:, None, :] + shifts.T[:, :, None]
+            idx = np.ravel_multi_index(moved, self._shape, mode="clip")
+            idx[((moved < 0) | (moved > d.side)).any(axis=0)] = -1
+        else:
+            index = {k: d.index(d.element(k)) for k in dict.fromkeys(keys)}
+            at = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+            idx = d.add_indices(at[:, None], np.arange(self.dimension))
+        self._deficits.update(zip(keys, np.count_nonzero(idx < 0, axis=1).tolist()))
         return idx
 
     def phases(self, a: Element) -> np.ndarray:
@@ -548,7 +564,10 @@ class CCRPair:
 
     def boundary_deficit(self, b: Element) -> int:
         """How many basis points the translation by b pushes off the window."""
-        return int(np.count_nonzero(self.targets(b) < 0))
+        key = tuple(b)
+        if key not in self._deficits:
+            self.targets(key)
+        return self._deficits[key]
 
     def unitarity_defect(self, b: Element) -> float:
         """max |W*W - 1|: W*W is the 0/1 diagonal of the points that stay."""
@@ -564,20 +583,29 @@ class CCRPair:
         the last bit.  A non-finite c or s made that form NaN (0 * nan) even
         where no point moves.  The clock rows of the samples' distinct a, and
         every s, come from array passes with the bits of ``sigma.value``.
+
+        The samples run in blocks of at most PHASE_BLOCK_ENTRIES // n, each one
+        array pass over its gathered clock rows and the stacked targets of its
+        b (``_target_block``), so memory stays flat in the sample count.
         """
-        samples = [(tuple(a), tuple(b)) for a, b in samples]
-        self._add_phase_rows([a for a, _ in samples])
-        sigma_ab = _unit_phases(self.sigma.phase_array([a for a, _ in samples],
-                                                        [b for _, b in samples])).tolist()
+        samples = list(samples)
+        a_keys = [tuple(a) for a, _ in samples]
+        b_keys = [tuple(b) for _, b in samples]
+        self._add_phase_rows(a_keys)
+        sigma_ab = _unit_phases(self.sigma.phase_array(a_keys, b_keys))
         swapped = 16 * self.dimension ** 2 >= ELISION_BYTES
+        per = max(1, PHASE_BLOCK_ENTRIES // self.dimension)
         worst = 0.0
-        for (a, b), s in zip(samples, sigma_ab):
-            c, t = self.phases(a), self.targets(b)
-            cols = np.flatnonzero(t >= 0)
-            right = np.multiply(c[cols], s) if swapped else np.multiply(s, c[cols])
-            finite = cmath.isfinite(s) and np.isfinite(c).all()
-            worst = residual_max(worst, float(np.max(np.abs(c[t[cols]] - right), initial=0.0))
-                                 if finite else math.nan)
+        for lo in range(0, len(samples), per):
+            c = np.array([self._phase_rows[a] for a in a_keys[lo:lo + per]])
+            t = self._target_block(b_keys[lo:lo + per])
+            s = sigma_ab[lo:lo + per, None]
+            right = np.multiply(c, s) if swapped else np.multiply(s, c)
+            gap = np.take_along_axis(c, t, axis=1)  # a point that exits reads c[-1]
+            gap = np.abs(np.subtract(gap, right, out=gap))
+            gap[t < 0] = 0.0
+            finite = np.isfinite(s).all() and np.isfinite(c).all()
+            worst = residual_max(worst, float(np.max(gap)) if finite else math.nan)
         return worst
 
 

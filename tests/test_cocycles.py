@@ -292,7 +292,7 @@ def test_pauli_sigma_values():
     assert bilinearity_residual(s, [((1,), (1,), (1,), (1,))]) < 1e-12
 
 
-def test_bilinearity_residual_computes_each_image_once_and_no_value(monkeypatch):
+def test_bilinearity_residual_calls_no_image_and_no_value(monkeypatch):
     sigma = MatrixBilinear(np.array([[0.3, -1.1], [0.7, 0.2]]))
     rng = np.random.default_rng(4)
     samples = [tuple(tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(4))
@@ -309,11 +309,8 @@ def test_bilinearity_residual_computes_each_image_once_and_no_value(monkeypatch)
         monkeypatch.setattr(MatrixBilinear, name, lambda self, *args, _name=name, _method=method:
                             calls[_name].append(args) or _method(self, *args))
     assert bilinearity_residual(sigma, samples) == expected
-    assert calls["value"] == []
-    images = [b for (b,) in calls["image"]]
-    assert len(images) == len(set(images))
-    assert set(images) == {y for (a, ap, b, bp) in samples
-                           for y in (b, bp, sigma.b_group.add(b, bp))}
+    # The images come from one stacked gemv (cocycles._gemv_rows).
+    assert calls == {"value": [], "image": []}
 
 
 def nan_max(worst, value):
@@ -377,6 +374,9 @@ def test_table_bilinearity_residual_names_a_stray_element():
     sigma = pauli_sigma()
     with pytest.raises(GroupMismatchError, match=r"\(2,\) is not an element"):
         bilinearity_residual(sigma, [((1,), (0,), (1,), (1,)), ((0,), (1,), (2,), (0,))])
+    # the first stray one in sample order, a, b, a', b' within a sample
+    with pytest.raises(GroupMismatchError, match=r"\(2,\) is not an element"):
+        bilinearity_residual(sigma, [((1,), (0,), (2,), (1,)), ((3,), (1,), (0,), (0,))])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """Every library module parses under the oldest Python that pyproject.toml admits,
 the certificate modules add floats the same way on every Python, no module
-raises floats to powers through numpy's own SIMD kernel, and none
-exponentiates phases one comprehension entry at a time."""
+raises floats to powers through numpy's own SIMD kernel, none
+exponentiates phases one comprehension entry at a time, and none multiplies
+by a matrix one point at a time."""
 
 import ast
 import re
@@ -61,6 +62,51 @@ def test_library_never_exponentiates_in_a_comprehension(path):
                     and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "cmath"})
     assert calls == [], f"{path.name} calls cmath.exp in a comprehension on lines {calls}"
+
+
+# Comprehensions and loops: the per-point Python that array passes replace.
+LOOPS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.For, ast.While)
+# The relation check's dense reference form multiplies two n x n matrices per
+# pair; it is no gemv per point, and zgemm's rounding of it is what the
+# monomial path reproduces.
+DENSE_PRODUCT_LOOPS = {("reps.py", "_dense_relation_residual")}
+
+
+def _per_point_products(path):
+    """Lines of ``@`` (or ``@=``) and ``image(`` or ``.image(`` calls inside a
+    comprehension or loop, outside the functions DENSE_PRODUCT_LOOPS names."""
+    tree = ast.parse(path.read_text())
+    allowed = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in DENSE_PRODUCT_LOOPS]
+    return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+                   for node in ast.walk(loop)
+                   if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult))
+                   or (isinstance(node, ast.Call) and "image" in (
+                       getattr(node.func, "attr", None), getattr(node.func, "id", None)))}
+                  - {line for lines in allowed for line in lines})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_runs_no_gemv_per_point_in_a_comprehension_or_loop(path):
+    # One matrix @ vector, or one image() call, per point is the per-point
+    # Python loop that cocycles._gemv_rows replaces, with the same bits, by
+    # one np.matmul over the stacked points.
+    lines = _per_point_products(path)
+    assert lines == [], f"{path.name} multiplies by a matrix per point on lines {lines}"
+
+
+def test_the_gemv_guard_sees_per_point_products(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("def f(m, pts, sigma):\n"
+                      "    a = [m @ p for p in pts]\n"
+                      "    for p in pts:\n"
+                      "        sigma.image(p)\n"
+                      "    b = [image(p) for p in pts]\n"
+                      "    while pts:\n"
+                      "        m @= pts.pop()\n"
+                      "    return m @ pts[0]\n")
+    assert _per_point_products(source) == [2, 4, 5, 7]
 
 
 def _object_array_builders(path):

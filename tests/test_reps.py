@@ -25,11 +25,14 @@ from twistlab.cocycles import (
     ProductCocycle,
     TableBilinear,
     TableCocycle,
+    _dot_rows,
+    _unit_phases,
     cocycle_from_bilinear,
     pauli_cocycle,
     pauli_sigma,
     perturb,
     quadratic_phase,
+    residual_max,
     sign_cocycle_z2,
     trivial_cocycle,
 )
@@ -353,6 +356,16 @@ def test_group_targets_wrap_modulo_the_moduli():
 # --- the dense formulas the index maps replace, kept as the oracle ---
 
 
+def recorded_value(sigma, a, b):
+    """sigma.value(a, b) with np.dot's rounding on the kernel the digests were
+    recorded with: a matrix sigma's a . (D b) is taken from cocycles._dot_rows
+    (which test_dot_rows_round_as_the_live_ddot pins to np.dot there), D b is
+    the live gemv of ``image``; a table is read."""
+    if isinstance(sigma, MatrixBilinear):
+        return cmath.exp(1j * float(_dot_rows(np.asarray(a, dtype=float), sigma.image(b))))
+    return sigma.value(a, b)
+
+
 class DenseCCRPair(CCRPair):
     """Diagonal clock, per-point shift loop and matrix products."""
 
@@ -368,7 +381,7 @@ class DenseCCRPair(CCRPair):
         return t if t in self.index else None
 
     def clock(self, a):
-        return np.diag([self.sigma.value(a, y) for y in self.basis])
+        return np.diag([recorded_value(self.sigma, a, y) for y in self.basis])
 
     def shift(self, b):
         n = self.dimension
@@ -391,7 +404,7 @@ class DenseCCRPair(CCRPair):
             v = self.clock(a)
             w = self.shift(b)
             worst = max(worst, float(np.max(np.abs(
-                v @ w - self.sigma.value(a, b) * (w @ v)))))
+                v @ w - recorded_value(self.sigma, a, b) * (w @ v)))))
         return worst
 
 
@@ -513,7 +526,7 @@ def test_pair_memos_match_the_dense_oracle_bit_for_bit(case):
     assert len(pair._target_rows) == len(set(b_samples))
 
 
-def test_matrix_phase_rows_run_once_per_distinct_a_and_images_once_per_point(monkeypatch):
+def test_matrix_phase_rows_run_once_per_distinct_a_and_call_no_image(monkeypatch):
     pair, a_samples, b_samples = memo_pairs()[0]
     counts = {"phase": 0, "image": 0}
     for name in counts:
@@ -530,12 +543,13 @@ def test_matrix_phase_rows_run_once_per_distinct_a_and_images_once_per_point(mon
     for a in a_samples * 3:
         pair.phases(a)
         pair.clock(a)
-    assert counts == {"phase": 0, "image": pair.dimension}
+    # The images of the basis come from one stacked gemv, not image per point.
+    assert counts == {"phase": 0, "image": 0}
     assert sum(rows) == len(set(a_samples))
-    # The relation adds one image per distinct sample b, and no phase row.
+    # The relation adds no phase row, and its sigma(a, b) calls no image.
     samples = list(zip(a_samples, b_samples))
     pair.relation_residual(samples)
-    assert counts == {"phase": 0, "image": pair.dimension + len(set(b_samples))}
+    assert counts == {"phase": 0, "image": 0}
     assert sum(rows) == len(set(a_samples))
 
 
@@ -872,7 +886,7 @@ def dense_relation_residual(pair, a, b):
     decides the operand order of its product with s, and so the last bits.
     """
     c, w = pair.phases(a), pair.shift(b)
-    return float(np.max(np.abs(c[:, None] * w - pair.sigma.value(a, b) * (w * c))))
+    return float(np.max(np.abs(c[:, None] * w - recorded_value(pair.sigma, a, b) * (w * c))))
 
 
 def elision_cases():
@@ -926,6 +940,113 @@ def test_the_bit_test_sees_a_moved_elision_threshold(monkeypatch, threshold, mov
     monkeypatch.setattr(reps, "ELISION_BYTES", threshold)
     wrong = elision_mismatches()
     assert wrong and all(moved(n) for n, *_ in wrong)
+
+
+# --- the blocked CCR relation pass against the per-sample loop ---
+
+
+def per_sample_relation_residual(pair, samples):
+    """CCRPair.relation_residual as one pass per sample over the pair's kept
+    rows: the loop the blocked pass replaces, kept as its reference."""
+    samples = [(tuple(a), tuple(b)) for a, b in samples]
+    sigma_ab = _unit_phases(pair.sigma.phase_array([a for a, _ in samples],
+                                                    [b for _, b in samples])).tolist()
+    swapped = 16 * pair.dimension ** 2 >= reps.ELISION_BYTES
+    worst = 0.0
+    for (a, b), s in zip(samples, sigma_ab):
+        c, t = pair.phases(a), pair.targets(b)
+        cols = np.flatnonzero(t >= 0)
+        right = np.multiply(c[cols], s) if swapped else np.multiply(s, c[cols])
+        finite = cmath.isfinite(s) and np.isfinite(c).all()
+        worst = residual_max(worst, float(np.max(np.abs(c[t[cols]] - right), initial=0.0))
+                             if finite else math.nan)
+    return worst
+
+
+def relation_pass_cases(seed):
+    """(pair, samples) over windows of sides 0 to 14 (rank 1 or 2) and 126 to
+    130 (rank 1, both sides of the elision threshold), with finite, NaN and
+    overflowing phases, shifts that push some, none or all points off, and
+    random tables whose b sides reach 144 points."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for rank, side in [(1 + side % 2, side) for side in range(15)] + [(1, s) for s in range(126, 131)]:
+        a_rank = int(rng.integers(1, 3))
+        d = rng.uniform(-4.0, 4.0, (a_rank, rank)) * rng.choice([1e-9, 1.0, 1e3], (a_rank, rank))
+        if side % 5 == 4:
+            d[0, 0] = math.nan
+        offset = tuple(rng.integers(-3, 4, rank).tolist())
+        pair = ccr_pair(MatrixBilinear(d), FolnerBox(rank, side, offset))
+        a = rng.integers(-40, 41, (40, a_rank)).tolist() + [[10 ** 300] * a_rank, [0] * a_rank]
+        b = rng.integers(-side - 2, side + 3, (40, rank)).tolist() + [[0] * rank, [side + 1] * rank]
+        cases.append((pair, [(tuple(x), tuple(y)) for x, y in zip(a, b)]))
+    for a_moduli, b_moduli in [((2,), (3,)), ((3,), (2, 3)), ((5,), (11, 11)), ((2, 2), (127,)),
+                               ((3,), (128,)), ((4,), (12, 12))]:
+        table = random_table(rng, a_moduli, b_moduli)
+        if b_moduli == (3,):
+            table = TableBilinear(table.a_group, table.b_group,
+                                  np.where(table.phases != 0, math.inf, 0.0))
+        a_els, b_els = table.a_group.elements(), table.b_group.elements()
+        samples = [(a_els[i], b_els[j]) for i, j in zip(
+            rng.integers(0, len(a_els), 40).tolist(), rng.integers(0, len(b_els), 40).tolist())]
+        cases.append((ccr_pair(table, table.b_group), samples))
+    return cases
+
+
+@pytest.mark.parametrize("block", [reps.PHASE_BLOCK_ENTRIES, 1, 200])
+def test_relation_pass_equals_the_per_sample_loop(monkeypatch, block):
+    """Bit for bit, NaN equal to NaN, over all samples at once, each sample
+    alone, and blocks of one sample or a few; the deficits the pass keeps are
+    those of the target rows.  The cases reach samples that keep, move or
+    drop every point, and NaN residuals."""
+    monkeypatch.setattr(reps, "PHASE_BLOCK_ENTRIES", block)
+    wrong = []
+    seen = {"kept": 0, "partial": 0, "dropped": 0, "nan": 0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pair, samples in relation_pass_cases(seed=block):
+            fresh = ccr_pair(pair.sigma, pair.b_domain)
+            if not same_bits(fresh.relation_residual(samples),
+                             per_sample_relation_residual(pair, samples)):
+                wrong.append((pair.dimension, "all"))
+            for a, b in samples:
+                alone = pair.relation_residual([(a, b)])
+                if not same_bits(alone, per_sample_relation_residual(pair, [(a, b)])):
+                    wrong.append((pair.dimension, a, b))
+                off = fresh.boundary_deficit(b)
+                assert off == int(np.count_nonzero(pair.targets(b) < 0))
+                seen["kept" if off == 0 else "dropped" if off == pair.dimension else "partial"] += 1
+                seen["nan"] += math.isnan(alone)
+    assert wrong == []
+    assert min(seen.values()) > 0, seen
+
+
+def test_relation_pass_memory_stays_below_the_kept_rows_of_the_per_sample_loop():
+    """Side 63 (n = 4096), 400 samples: the per-sample loop kept a target row
+    (8n bytes) per distinct b besides the clock rows (16n bytes) per distinct
+    a, so its peak was at least their sum.  The blocked pass keeps only the
+    clock rows, and what it holds beyond them stays a few blocks of
+    PHASE_BLOCK_ENTRIES entries, whatever the sample count."""
+    rng = np.random.default_rng(63)
+    sigma = MatrixBilinear(rng.uniform(-2.0, 2.0, (2, 2)))
+    beyond = []
+    for count in (400, 1600):
+        pair = ccr_pair(sigma, FolnerBox(2, 63))
+        pair._images
+        a = rng.integers(-5, 6, (count, 2)).tolist()
+        b = rng.integers(-70, 71, (count, 2)).tolist()
+        samples = [(tuple(x), tuple(y)) for x, y in zip(a, b)]
+        tracemalloc.start()
+        try:
+            pair.relation_residual(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = pair.dimension
+        clock_rows = 16 * n * len(pair._phase_rows)
+        if count == 400:
+            assert peak <= clock_rows + 8 * n * len({y for _, y in samples})
+        beyond.append(peak - clock_rows)
+    assert max(beyond) <= 8 * 16 * reps.PHASE_BLOCK_ENTRIES, beyond
 
 
 # --- the monomial relation residual against the dense loop ---

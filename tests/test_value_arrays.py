@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cocycles import pointwise_cocycle_identity, random_phases, small_moduli
+from test_report_golden import replay_without_fma
 from test_reps import on_the_recording_kernel
 from twistlab.cocycles import (
     _DOT_CHAIN_MAX,
@@ -27,6 +28,7 @@ from twistlab.cocycles import (
     TableBilinear,
     TableCocycle,
     _dot_rows,
+    _gemv_rows,
     check_cocycle_identity,
     normalization_residual,
     quadratic_phase,
@@ -202,6 +204,64 @@ def test_finite_normalization_equals_the_pointwise_fold(a_moduli, b_moduli, seed
             d = abs(u.value(a, b) - 1.0)
             expected = d if d > expected or d != d else expected
     assert normalization_residual(u, xs).hex() == expected.hex()
+
+
+# --- images: one stacked gemv against image per point ---
+
+
+def gemv_layouts(rng, p, q):
+    """One (p, q) matrix, wide-ranged, as a C-ordered array, an F-ordered one
+    and a strided view."""
+    m = rng.uniform(-4.0, 4.0, (p, q)) * rng.choice([1e-300, 1e-9, 1.0, 1e9], (p, q))
+    wide = rng.uniform(-4.0, 4.0, (2 * p, 3 * q))
+    wide[::2, ::3] = m
+    return {"C": np.ascontiguousarray(m), "F": np.asfortranarray(m), "strided": wide[::2, ::3]}
+
+
+def gemv_mismatches(seed=29):
+    """(p, q, layout, count) where cocycles._gemv_rows departs from matrix @ v
+    per row, or from the image methods per point; coordinates run up to
+    about 2^60 and the counts include no point at all."""
+    rng = np.random.default_rng(seed)
+    wrong = []
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            coords = np.concatenate([rng.integers(-50, 51, (20, q)),
+                                     rng.integers(-2**40, 2**40, (20, q)),
+                                     rng.integers(2**60 - 2**12, 2**60, (20, q))
+                                     * rng.choice([-1, 1], (20, q))])
+            rng.shuffle(coords)
+            points = [tuple(v) for v in coords.tolist()]
+            for layout, m in gemv_layouts(rng, p, q).items():
+                for count in (0, 1, 7, 60):
+                    vectors = coords[:count].astype(float)
+                    live = np.array([m @ v for v in vectors]).reshape(count, p)
+                    if not same_bits(_gemv_rows(m, vectors), live):
+                        wrong.append((p, q, layout, count))
+            sigma = MatrixBilinear(m)
+            images = np.array([sigma.image(y) for y in points])
+            if not same_bits(_gemv_rows(sigma.d, coords.astype(float)), images):
+                wrong.append((p, q, "MatrixBilinear.image", len(points)))
+            if p == q:
+                u = MatrixCocycle(m)
+                images = np.array([u.image(y) for y in points])
+                if not same_bits(_gemv_rows(u.matrix, coords.astype(float)), images):
+                    wrong.append((p, q, "MatrixCocycle.image", len(points)))
+    return wrong
+
+
+def test_stacked_gemv_equals_the_gemv_per_point():
+    """np.matmul over a stack of columns makes the gemv call of matrix @ v
+    per column, so the images keep their bits on any BLAS kernel."""
+    assert gemv_mismatches() == []
+
+
+def test_stacked_gemv_equals_the_gemv_per_point_on_a_kernel_without_fma():
+    found = replay_without_fma("from test_value_arrays import gemv_mismatches\n"
+                               "print(json.dumps({'unfused': unfused, 'wrong': gemv_mismatches()}))")
+    # the child's BLAS really is another kernel than the FMA ones
+    assert found["unfused"] > 0
+    assert found["wrong"] == []
 
 
 # --- matrix phases: a . (D b) as np.dot rounds it ---
